@@ -25,7 +25,6 @@ from .covers import (
     read_partition,
     serialize_cover,
     write_cover,
-    write_dendrogram,
     write_partition,
 )
 from .detectors import (
@@ -46,7 +45,7 @@ from .coverops import (
     jaccard,
     nmi,
 )
-from .gbdt import GBDTParams, TreeEnsemble, load_model, predict, save_model, train_gbdt
+from .gbdt import GBDTParams, TreeEnsemble, load_model, save_model, train_gbdt
 from .dataset import (
     LabeledDataset,
     build_dataset,
@@ -124,7 +123,6 @@ __all__ = [
     "order_adjacency",
     "parameterized_modularity",
     "parse_config",
-    "predict",
     "read_partition",
     "run_benchmark",
     "sanity_check",
@@ -134,7 +132,6 @@ __all__ = [
     "train_gbdt",
     "without_self_loops",
     "write_cover",
-    "write_dendrogram",
     "write_edge_list",
     "write_ordering",
     "write_partition",

@@ -10,10 +10,9 @@ and cover statistics are persisted per (network, method) the same way. The
 final report is a deterministic fold over the cell rows, so a finished
 output directory is byte-for-byte reproducible from the same config.
 
-Cells are independent jobs; the `jobs` setting sizes a thread pool that
-evaluates a method's attribute cells concurrently (graphs, covers, and
-feature matrices are immutable and shared). Results are collected in
-configuration order regardless of completion order.
+Cells are evaluated one after another in configuration order. The `jobs`
+directive is still accepted so older configs parse, but it is ignored:
+threads made the interpreter-bound training slower, not faster.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import logging
 import math
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from urllib.parse import quote
@@ -39,8 +37,9 @@ from .coverops import (
 )
 from .covers import Cover, Partition, serialize_cover
 from .dataset import build_dataset, cross_validate
-from .detectors import (
-    ResolutionParams,
+# unused link_clustering and cut_link_dendrogram: perfbench/tracing.py wraps them here
+from .detectors import (  # noqa: F401
+    DETECTORS,
     cut_link_dendrogram,
     detect_cover,
     import_cover,
@@ -57,19 +56,10 @@ log = logging.getLogger(__name__)
 
 CONFIG_VERSION = "version 1"
 
-LOUVAIN_GRID = tuple(i / 10 for i in range(1, 11))
-GCE_GRID = (0.8, 1.0, 1.3, 1.5, 1.7, 2.2)
-LINK_GRID = tuple(range(1, 101))
-
-METHOD_KINDS = (
-    "louvain",
-    "gce",
-    "linkcluster",
-    "import",
-    "louvain-sweep",
-    "gce-sweep",
-    "linkcluster-sweep",
-)
+# default sweep grids, under the names the acceptance tests import
+LOUVAIN_GRID = DETECTORS["louvain"].grid
+GCE_GRID = DETECTORS["gce"].grid
+LINK_GRID = DETECTORS["linkcluster"].grid
 
 
 @dataclass
@@ -89,7 +79,6 @@ class BenchmarkConfig:
     folds_evaluated: int = 3
     output_dir: str = "bench-out"
     seed: int = 0
-    jobs: int = 1
 
 
 def _parse_bool(raw, where):
@@ -100,19 +89,9 @@ def _parse_bool(raw, where):
     raise ConfigError(f"{where}: expected true/false, got {raw!r}")
 
 
-def _parse_grid_floats(raw, where):
-    try:
-        values = tuple(float(x) for x in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"{where}: bad float list {raw!r}") from None
-    if not values:
-        raise ConfigError(f"{where}: empty grid")
-    return values
-
-
-def _parse_grid_ints(raw, where):
-    # accepts "lo-hi" ranges or comma lists
-    if "-" in raw and "," not in raw:
+def _parse_grid(raw, option, where):
+    """Comma list of option values; integer grids also take a "lo-hi" range."""
+    if option.type is int and "-" in raw and "," not in raw:
         lo, _, hi = raw.partition("-")
         try:
             values = tuple(range(int(lo), int(hi) + 1))
@@ -120,16 +99,28 @@ def _parse_grid_ints(raw, where):
             raise ConfigError(f"{where}: bad range {raw!r}") from None
     else:
         try:
-            values = tuple(int(x) for x in raw.split(","))
+            values = tuple(option.type(x) for x in raw.split(",")) if raw else ()
         except ValueError:
-            raise ConfigError(f"{where}: bad integer list {raw!r}") from None
+            noun = "integer" if option.type is int else "float"
+            raise ConfigError(f"{where}: bad {noun} list {raw!r}") from None
     if not values:
         raise ConfigError(f"{where}: empty grid")
+    for value in values:
+        option.check(value)
     return values
 
 
+def _detector_kind(kind):
+    """(detector name, DetectorKind, is_sweep) of a method kind, or None."""
+    name = kind.removesuffix("-sweep")
+    if name not in DETECTORS:
+        return None
+    return name, DETECTORS[name], name != kind
+
+
 def _parse_method(kind, name, pairs, where):
-    if kind not in METHOD_KINDS:
+    detector = _detector_kind(kind)
+    if detector is None and kind != "import":
         raise ConfigError(f"{where}: unknown method kind {kind!r}")
     raw = {}
     for pair in pairs:
@@ -139,27 +130,21 @@ def _parse_method(kind, name, pairs, where):
         raw[key] = value
     opts = {"dedup": _parse_bool(raw.pop("dedup", "false"), where)}
     try:
-        if kind == "louvain":
-            opts["t"] = float(raw.pop("t", "1.0"))
-            opts["multi_level"] = _parse_bool(raw.pop("multi_level", "false"), where)
-        elif kind == "gce":
-            opts["alpha"] = float(raw.pop("alpha", "1.5"))
-        elif kind == "linkcluster":
-            opts["threshold"] = int(raw.pop("threshold", "50"))
-        elif kind == "louvain-sweep":
-            ts = raw.pop("ts", None)
-            opts["ts"] = _parse_grid_floats(ts, where) if ts else LOUVAIN_GRID
-            opts["multi_level"] = _parse_bool(raw.pop("multi_level", "false"), where)
-        elif kind == "gce-sweep":
-            alphas = raw.pop("alphas", None)
-            opts["alphas"] = _parse_grid_floats(alphas, where) if alphas else GCE_GRID
-        elif kind == "linkcluster-sweep":
-            thresholds = raw.pop("thresholds", None)
-            opts["thresholds"] = (
-                _parse_grid_ints(thresholds, where) if thresholds else LINK_GRID
-            )
-        elif kind == "import":
+        if detector is None:
             opts["path"] = raw.pop("path")
+        else:
+            _, spec, is_sweep = detector
+            option = spec.option
+            if is_sweep:
+                grid = raw.pop(spec.sweep_key, None)
+                opts[spec.sweep_key] = (
+                    spec.grid if grid is None else _parse_grid(grid, option, where)
+                )
+            else:
+                opts[option.key] = option.type(raw.pop(option.key, option.default))
+                option.check(opts[option.key])
+            for flag in spec.flags:
+                opts[flag] = _parse_bool(raw.pop(flag, "false"), where)
     except KeyError as exc:
         raise ConfigError(f"{where}: method {name!r} is missing {exc.args[0]}") from None
     except ValueError as exc:
@@ -253,6 +238,8 @@ def parse_config(path):
         raise ConfigError(f"{path}: folds-evaluated must be between 1 and k")
     if scalars["jobs"] < 1:
         raise ConfigError(f"{path}: jobs must be at least 1")
+    if scalars["jobs"] > 1:
+        log.warning("%s: jobs %d is ignored; cells run serially", path, scalars["jobs"])
     classifier = GBDTParams(
         learning_rate=scalars["learning-rate"],
         n_trees=scalars["trees"],
@@ -274,57 +261,30 @@ def parse_config(path):
         folds_evaluated=scalars["folds-evaluated"],
         output_dir=scalars["output"],
         seed=scalars["seed"],
-        jobs=scalars["jobs"],
     )
 
 
-def method_cover(graph, method, seed):
+def method_cover(graph, method):
     """Resolve one method entry to a cover (single run, import, or sweep)."""
     opts = method.opts
-    kind = method.kind
-    if kind == "louvain":
-        cover = detect_cover(
-            graph,
-            "louvain",
-            ResolutionParams(markov_time=opts["t"], seed=seed),
-            multi_level=opts["multi_level"],
-        )
-    elif kind == "gce":
-        cover = detect_cover(graph, "gce", ResolutionParams(alpha=opts["alpha"], seed=seed))
-    elif kind == "linkcluster":
-        cover = detect_cover(
-            graph,
-            "linkcluster",
-            ResolutionParams(threshold_percent=opts["threshold"], seed=seed),
-        )
-    elif kind == "import":
+    if method.kind == "import":
         cover = import_cover(opts["path"], graph)
-    elif kind == "louvain-sweep":
-        covers = [
-            detect_cover(
-                graph,
-                "louvain",
-                ResolutionParams(markov_time=t, seed=seed),
-                multi_level=opts["multi_level"],
-            )
-            for t in opts["ts"]
-        ]
-        cover = combine_runs(covers)
-    elif kind == "gce-sweep":
-        covers = [
-            detect_cover(graph, "gce", ResolutionParams(alpha=a, seed=seed))
-            for a in opts["alphas"]
-        ]
-        cover = combine_runs(covers)
-    elif kind == "linkcluster-sweep":
-        dendrogram = link_clustering(graph)
-        covers = [
-            cut_link_dendrogram(dendrogram, threshold, graph)
-            for threshold in opts["thresholds"]
-        ]
-        cover = combine_runs(covers)
     else:
-        raise ConfigError(f"unknown method kind {kind!r}")
+        detector = _detector_kind(method.kind)
+        if detector is None:
+            raise ConfigError(f"unknown method kind {method.kind!r}")
+        name, spec, is_sweep = detector
+        flags = {flag: opts[flag] for flag in spec.flags}
+        option = spec.option
+        if not is_sweep:
+            cover = detect_cover(graph, name, option.params(opts[option.key]), **flags)
+        else:
+            grid = [option.params(value) for value in opts[spec.sweep_key]]
+            if spec.sweep is not None:
+                covers = spec.sweep(graph, grid)
+            else:
+                covers = [detect_cover(graph, name, params, **flags) for params in grid]
+            cover = combine_runs(covers)
     if opts.get("dedup"):
         cover = dedup(cover)
     return cover
@@ -471,7 +431,7 @@ def run_benchmark(config, force=False):
                 if cover_path.exists() and not force:
                     cover = import_cover(cover_path, graph)
                 else:
-                    cover = method_cover(graph, method, config.seed)
+                    cover = method_cover(graph, method)
                 cover = _canonical_cover(cover, graph, method.name)
             except (CommbenchError, OSError, ValueError) as exc:
                 log.error("method %s on %s failed: %s", method.name, net_name, exc)
@@ -487,51 +447,25 @@ def run_benchmark(config, force=False):
             _atomic_write(stats_path, format_cover_stats(st) + "\n")
             matrix = assignment_matrix(cover, graph.n)
 
-            def evaluate(attribute):
-                data = build_dataset(matrix, table, attribute)
-                params = replace(
-                    config.classifier,
-                    seed=cell_seed(config.seed, net_name, method.name, attribute),
-                )
-                accuracies = cross_validate(
-                    data, params, k=config.k, folds_evaluated=config.folds_evaluated
-                )
-                return [
-                    (net_name, method.name, attribute, fold, acc)
-                    for fold, acc in enumerate(accuracies)
-                ]
-
-            results = {}
-            if config.jobs > 1 and len(missing) > 1:
-                with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                    futures = {a: pool.submit(evaluate, a) for a in missing}
-                for attribute in missing:
-                    try:
-                        results[attribute] = futures[attribute].result()
-                    except (CommbenchError, ValueError) as exc:
-                        results[attribute] = exc
-            else:
-                for attribute in missing:
-                    try:
-                        results[attribute] = evaluate(attribute)
-                    except (CommbenchError, ValueError) as exc:
-                        results[attribute] = exc
             for attribute in missing:
-                outcome = results[attribute]
-                if isinstance(outcome, Exception):
-                    log.error(
-                        "cell (%s, %s, %s) failed: %s",
-                        net_name,
-                        method.name,
-                        attribute,
-                        outcome,
+                cell = (net_name, method.name, attribute)
+                params = replace(config.classifier, seed=cell_seed(config.seed, *cell))
+                try:
+                    # no name holds the dataset, so its features are freed
+                    # before the next method's detector runs
+                    accuracies = cross_validate(
+                        build_dataset(matrix, table, attribute),
+                        params,
+                        k=config.k,
+                        folds_evaluated=config.folds_evaluated,
                     )
-                    failures.append(
-                        (net_name, method.name, attribute, f"classify: {outcome}")
-                    )
+                except (CommbenchError, ValueError) as exc:
+                    log.error("cell (%s, %s, %s) failed: %s", *cell, exc)
+                    failures.append((*cell, f"classify: {exc}"))
                     continue
-                _write_cell(_cell_path(out, net_name, method.name, attribute), outcome)
-                records.extend(outcome)
+                rows = [(*cell, fold, acc) for fold, acc in enumerate(accuracies)]
+                _write_cell(_cell_path(out, *cell), rows)
+                records.extend(rows)
 
     if failures and len(failures) >= total_cells:
         raise AllCellsFailedError(f"all {total_cells} benchmark cells failed")
@@ -612,7 +546,7 @@ class SanityResult:
     ratio: float
 
 
-def sanity_check(method, params, spec, multi_level=False):
+def sanity_check(method, params, spec, **flags):
     """Detect on a planted graph and compare against the planted partition.
 
     The cover is flattened by best match before NMI; the count ratio
@@ -620,7 +554,7 @@ def sanity_check(method, params, spec, multi_level=False):
     acceptable. An empty cover is an error.
     """
     graph, truth, _ = generate_planted(spec)
-    cover = detect_cover(graph, method, params, multi_level=multi_level)
+    cover = detect_cover(graph, method, params, **flags)
     if not cover.communities:
         raise DataError("detector produced an empty cover")
     flattened = flatten_cover(cover)

@@ -15,7 +15,7 @@ from . import __version__
 from .bench import parse_config, run_benchmark, sanity_check
 from .coverops import combine_runs, cover_stats, format_cover_stats
 from .covers import serialize_cover, write_cover
-from .detectors import ResolutionParams, detect_cover, import_cover
+from .detectors import DETECTORS, ResolutionParams, detect_cover, import_cover
 from .errors import AllCellsFailedError, CommbenchError, ConfigError
 from .graph import load_attributes, load_edge_list
 from .ordering import order_adjacency, write_ordering
@@ -29,17 +29,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_resolution_options(sub):
-    sub.add_argument("--t", type=float, default=1.0, help="Markov time for louvain (default 1.0)")
-    sub.add_argument("--alpha", type=float, default=1.5, help="fitness exponent for gce (default 1.5)")
+def _add_option(sub, option, what):
     sub.add_argument(
-        "--threshold",
-        type=int,
-        default=50,
-        metavar="PCT",
-        help="dendrogram cut percentage for linkcluster (default 50)",
+        f"--{option.key}",
+        type=option.type,
+        default=option.default,
+        help=f"{what}: {option.help} (default {option.default})",
     )
-    sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+
+
+def _add_detector_options(sub):
+    """--method plus every detector's resolution option and flags."""
+    sub.add_argument("--method", required=True, choices=list(DETECTORS))
+    for name, kind in DETECTORS.items():
+        _add_option(sub, kind.option, name)
+        for flag, text in kind.flags.items():
+            sub.add_argument(
+                "--" + flag.replace("_", "-"), action="store_true", help=f"{name}: {text}"
+            )
+
+
+def _detector_args(args):
+    """(ResolutionParams, flags) from the options _add_detector_options added."""
+    kinds = DETECTORS.values()
+    params = ResolutionParams(
+        **{kind.option.field: getattr(args, kind.option.key) for kind in kinds}
+    )
+    return params, {flag: getattr(args, flag) for kind in kinds for flag in kind.flags}
 
 
 def build_parser():
@@ -50,9 +66,7 @@ def build_parser():
 
     p = commands.add_parser("detect", parents=[], help="detect communities in an edge list")
     p.add_argument("graph", help="edge list file")
-    p.add_argument("--method", required=True, choices=["louvain", "gce", "linkcluster"])
-    _add_resolution_options(p)
-    p.add_argument("--multi-level", action="store_true", help="louvain: keep every aggregation level")
+    _add_detector_options(p)
     p.add_argument("--allow-self-loops", action="store_true")
     p.add_argument("--out", help="cover file to write (default stdout)")
     p.set_defaults(func=cmd_detect)
@@ -69,9 +83,8 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = commands.add_parser("sanity", help="score a detector on a planted-partition graph")
-    p.add_argument("--method", required=True, choices=["louvain", "gce", "linkcluster"])
-    _add_resolution_options(p)
-    p.add_argument("--multi-level", action="store_true")
+    _add_detector_options(p)
+    p.add_argument("--seed", type=int, default=0, help="planted-graph seed (default 0)")
     p.add_argument("--nodes", type=int, default=128)
     p.add_argument("--groups", type=int, default=4)
     p.add_argument("--p-in", type=float, default=14 / 31)
@@ -89,8 +102,7 @@ def build_parser():
     p.add_argument("graph", help="edge list file")
     p.add_argument("attributes", help="attribute table file")
     p.add_argument("--attribute", required=True, help="blocking attribute name")
-    p.add_argument("--t", type=float, default=1.0, help="Markov time for the orderings (default 1.0)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_option(p, DETECTORS["louvain"].option, "orderings")
     p.add_argument("--out", default="ordering", help="output prefix (default 'ordering')")
     p.set_defaults(func=cmd_order)
 
@@ -99,13 +111,8 @@ def build_parser():
 
 def cmd_detect(args):
     graph = load_edge_list(args.graph, allow_self_loops=args.allow_self_loops)
-    params = ResolutionParams(
-        markov_time=args.t,
-        alpha=args.alpha,
-        threshold_percent=args.threshold,
-        seed=args.seed,
-    )
-    cover = detect_cover(graph, args.method, params, multi_level=args.multi_level)
+    params, flags = _detector_args(args)
+    cover = detect_cover(graph, args.method, params, **flags)
     if args.out:
         write_cover(cover, graph, args.out)
     else:
@@ -146,13 +153,8 @@ def cmd_sanity(args):
         hierarchy=args.hierarchy,
         p_mid=args.p_mid,
     )
-    params = ResolutionParams(
-        markov_time=args.t,
-        alpha=args.alpha,
-        threshold_percent=args.threshold,
-        seed=args.seed,
-    )
-    result = sanity_check(args.method, params, spec, multi_level=args.multi_level)
+    params, flags = _detector_args(args)
+    result = sanity_check(args.method, params, spec, **flags)
     print(f"nmi {result.nmi!r}")
     print(f"detected {result.detected_communities}")
     print(f"planted {result.planted_communities}")
@@ -171,7 +173,7 @@ def cmd_stats(args):
 def cmd_order(args):
     graph = load_edge_list(args.graph)
     attrs = load_attributes(args.attributes, graph)
-    params = ResolutionParams(markov_time=args.t, seed=args.seed)
+    params = DETECTORS["louvain"].option.params(args.t)
     ordering = order_adjacency(graph, attrs, args.attribute, params)
     order_path = f"{args.out}.order"
     ranges_path = f"{args.out}.ranges"
@@ -192,16 +194,10 @@ def main(argv=None):
     except AllCellsFailedError as exc:
         print(f"commbench: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"commbench: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"commbench: {exc}", file=sys.stderr)
-        return 1
-    except CommbenchError as exc:
-        print(f"commbench: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CommbenchError, OSError) as exc:
         print(f"commbench: {exc}", file=sys.stderr)
         return 2
 

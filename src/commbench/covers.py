@@ -117,7 +117,7 @@ class Dendrogram:
     merges; every id is consumed at most once, so the structure is a forest.
     """
 
-    __slots__ = ("leaves", "merges", "_heights")
+    __slots__ = ("leaves", "merges")
 
     def __init__(self, leaves, merges):
         self.leaves = list(leaves)
@@ -138,10 +138,6 @@ class Dendrogram:
                 if h + 1e-12 < heights[child]:
                     raise DataError("merge heights decrease along a root path")
             heights.append(h)
-        self._heights = heights
-
-    def height_of(self, node_id):
-        return self._heights[node_id]
 
     def cut(self, height):
         """Leaf clusters after applying every merge at or below the cut.
@@ -211,12 +207,3 @@ def read_partition(path, graph):
         missing = next(v for v, a in enumerate(assignment) if a is None)
         raise DataError(f"{path}: no community for node {graph.labels[missing]!r}")
     return Partition(assignment)
-
-
-def write_dendrogram(dendrogram, graph, path):
-    """Write merges as 'child child height'; the leaf legend rides in comments."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, (i, j) in enumerate(dendrogram.leaves):
-            fh.write(f"# leaf {k} {graph.labels[i]} {graph.labels[j]}\n")
-        for a, b, h in dendrogram.merges:
-            fh.write(f"{a} {b} {h!r}\n")

@@ -112,11 +112,15 @@ def _is_duplicate(community, accepted):
     return False
 
 
+def _check_alpha(alpha):
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+
+
 def gce(graph, params):
     """Detect overlapping communities by expanding maximal-clique seeds."""
     alpha = params.alpha
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     if graph.n == 0:
         raise DataError("cannot detect communities in an empty graph")
     cliques = maximal_cliques(graph)

@@ -84,14 +84,18 @@ def link_clustering(graph):
     return Dendrogram(edges, merges)
 
 
-def cut_link_dendrogram(dendrogram, threshold_percent, graph):
-    """Cut the forest at threshold_percent/100 and span clusters onto nodes."""
+def _check_threshold(threshold_percent):
     if not isinstance(threshold_percent, int) or isinstance(threshold_percent, bool):
         raise ValueError("threshold must be an integer percentage")
     if not 1 <= threshold_percent <= 100:
         raise ValueError(
             f"threshold must be between 1 and 100, got {threshold_percent}"
         )
+
+
+def cut_link_dendrogram(dendrogram, threshold_percent, graph):
+    """Cut the forest at threshold_percent/100 and span clusters onto nodes."""
+    _check_threshold(threshold_percent)
     height = threshold_percent / 100.0
     communities = []
     for leaf_ids in dendrogram.cut(height):

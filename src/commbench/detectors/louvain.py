@@ -9,10 +9,9 @@ a_c its fraction of total degree; t = 1 recovers standard modularity and
 small t favors finer partitions (at the all-singletons extreme r = (1 - t)
 minus the degree term). Node sweeps scan ascending indices, only strictly
 improving moves are taken, and gain ties go to the lowest community index,
-so detection is fully deterministic; the seed in ResolutionParams is carried
-for provenance only. Each aggregation level contracts communities with
-build_meta_graph, which preserves r(t), so the level sequence is
-non-decreasing in the objective.
+so detection is fully deterministic and takes no seed. Each aggregation
+level contracts communities with build_meta_graph, which preserves r(t), so
+the level sequence is non-decreasing in the objective.
 """
 
 from __future__ import annotations

@@ -209,11 +209,6 @@ class TreeEnsemble:
         return [self.classes[k] for k in np.argmax(scores, axis=1)]
 
 
-def predict(model, X):
-    """Predicted class labels for a feature matrix."""
-    return model.predict(X)
-
-
 def _softmax(scores):
     z = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(z)

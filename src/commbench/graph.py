@@ -1,15 +1,13 @@
 """Undirected weighted graphs with external string labels and dense ids.
 
 Nodes are indexed 0..n-1 internally in first-seen order; the original labels
-are kept for file I/O and can be written out as an index/label map next to
-derived artifacts. Plain graphs are simple (no self-loops, no parallel
+are kept for file I/O. Plain graphs are simple (no self-loops, no parallel
 edges). Meta-graphs built by contracting node blocks are the one place
 self-loops are allowed: a loop of weight w counts once in the total weight m
 and twice in its node's degree, so sum(degrees) == 2*m holds for every graph
 in the package and modularity is preserved under aggregation.
 
-Graphs and attribute tables are treated as immutable after construction and
-are safe to share across worker threads.
+Graphs and attribute tables are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -89,9 +87,6 @@ class Graph:
         except KeyError:
             raise DataError(f"unknown node label {label!r}") from None
 
-    def label_of(self, i):
-        return self.labels[i]
-
     def edges(self):
         """Yield ``(i, j, w)`` once per edge with i < j, then loops as (i, i, w)."""
         for i, lst in enumerate(self.adj):
@@ -132,6 +127,7 @@ def load_edge_list(path, allow_self_loops=False):
     labels = []
     index = {}
     edges = []
+    seen = {}  # (i, j) with i <= j -> line it was first seen on
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -159,18 +155,14 @@ def load_edge_list(path, allow_self_loops=False):
             i, j = index[u], index[v]
             if i == j and not allow_self_loops:
                 raise DataError(f"{path}:{lineno}: self-loop on {u!r}")
-            edges.append((i, j, w, lineno))
-    seen = {}
-    for i, j, w, lineno in edges:
-        key = (i, j) if i <= j else (j, i)
-        if key in seen:
-            raise DataError(
-                f"{path}:{lineno}: duplicate edge (first seen at line {seen[key]})"
-            )
-        seen[key] = lineno
-    return Graph(
-        labels, [(i, j, w) for i, j, w, _ in edges], allow_self_loops=allow_self_loops
-    )
+            key = (i, j) if i <= j else (j, i)
+            if key in seen:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate edge (first seen at line {seen[key]})"
+                )
+            seen[key] = lineno
+            edges.append((i, j, w))
+    return Graph(labels, edges, allow_self_loops=allow_self_loops)
 
 
 def write_edge_list(graph, path):
@@ -181,13 +173,6 @@ def write_edge_list(graph, path):
                 fh.write(f"{graph.labels[i]} {graph.labels[j]}\n")
             else:
                 fh.write(f"{graph.labels[i]} {graph.labels[j]} {w!r}\n")
-
-
-def write_label_map(graph, path):
-    """Write the dense-index to label mapping as 'index<TAB>label' lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, lab in enumerate(graph.labels):
-            fh.write(f"{i}\t{lab}\n")
 
 
 class AttributeTable:

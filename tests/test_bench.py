@@ -84,13 +84,13 @@ class TestParseConfig:
         assert [m.name for m in config.methods] == ["base"]
         assert config.methods[0].kind == "louvain"
         assert config.methods[0].opts == {"dedup": False, "t": 1.0, "multi_level": False}
-        assert (config.k, config.folds_evaluated, config.jobs) == (10, 3, 1)
+        assert (config.k, config.folds_evaluated) == (10, 3)
         assert config.seed == 0
         assert config.output_dir == "bench-out"
         assert config.classifier.n_trees == 1000
         assert config.classifier.learning_rate == 0.005
 
-    def test_scalars_and_classifier_override(self, tmp_path):
+    def test_scalars_and_classifier_override(self, tmp_path, caplog):
         text = (
             "version 1\nseed 9\noutput results\nk 5\nfolds-evaluated 5\njobs 2\n"
             "trees 50\nlearning-rate 0.1\nmin-samples-split 3\nsubsample 0.9\n"
@@ -98,7 +98,8 @@ class TestParseConfig:
         )
         config = parse_config(write_config(tmp_path, text))
         assert (config.seed, config.output_dir, config.k) == (9, "results", 5)
-        assert (config.folds_evaluated, config.jobs) == (5, 2)
+        assert config.folds_evaluated == 5
+        assert "jobs 2 is ignored" in caplog.text
         assert config.classifier.n_trees == 50
         assert config.classifier.learning_rate == 0.1
         assert config.classifier.min_samples_split == 3
@@ -165,6 +166,18 @@ class TestParseConfig:
             ("version 1\nmethod louvain-sweep x ts=a,b\n", "bad float list"),
             ("version 1\nmethod linkcluster-sweep x thresholds=a-b\n", "bad range"),
             ("version 1\nmethod linkcluster-sweep x thresholds=a,b\n", "bad integer list"),
+            ("version 1\nmethod louvain-sweep x ts=\n", "empty grid"),
+            ("version 1\nmethod gce-sweep x alphas=\n", "empty grid"),
+            ("version 1\nmethod linkcluster-sweep x thresholds=\n", "empty grid"),
+            ("version 1\nmethod linkcluster-sweep x thresholds=5-3\n", "empty grid"),
+            ("version 1\nmethod louvain x t=2\n", r"cfg:2: markov time must be in \(0, 1\]"),
+            ("version 1\nmethod gce x alpha=-1\n", r"cfg:2: alpha must be positive"),
+            ("version 1\nmethod linkcluster x threshold=0\n", r"cfg:2: threshold must be between"),
+            ("version 1\nmethod linkcluster x threshold=2.5\n", "invalid literal for int"),
+            ("version 1\nmethod louvain-sweep x ts=0.5,0\n", "markov time must be"),
+            ("version 1\nmethod gce-sweep x alphas=1.0,0\n", "alpha must be positive"),
+            ("version 1\nmethod linkcluster-sweep x thresholds=0-3\n", "threshold must be between"),
+            ("version 1\nmethod linkcluster-sweep x thresholds=50,101\n", "threshold must be between"),
             ("version 1\nk two\n", "bad value for k"),
             ("version 1\nk 2 3\n", "takes exactly one value"),
         ],
@@ -193,14 +206,14 @@ class TestParseConfig:
 class TestMethodCover:
     def test_louvain_kind(self, barbell6):
         spec = MethodSpec("base", "louvain", {"t": 1.0, "multi_level": False, "dedup": False})
-        cover = method_cover(barbell6, spec, seed=0)
+        cover = method_cover(barbell6, spec)
         assert set(cover.communities) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
     def test_import_kind(self, tmp_path, barbell6):
         path = tmp_path / "cover.txt"
         path.write_text("0 1 2\n3 4 5\n")
         spec = MethodSpec("ext", "import", {"path": str(path), "dedup": False})
-        cover = method_cover(barbell6, spec, seed=0)
+        cover = method_cover(barbell6, spec)
         assert set(cover.communities) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
     @pytest.mark.parametrize(
@@ -225,7 +238,7 @@ class TestMethodCover:
     )
     def test_sweeps_match_combined_single_runs(self, barbell6, kind, opts, singles):
         spec = MethodSpec("sweep", kind, dict(opts, dedup=False))
-        got = method_cover(barbell6, spec, seed=0)
+        got = method_cover(barbell6, spec)
         expected = combine_runs(
             [detect_cover(barbell6, method, params) for method, params in singles]
         )
@@ -236,14 +249,14 @@ class TestMethodCover:
         path.write_text("0 1 2\n0 1 2 3\n")
         raw = MethodSpec("p", "import", {"path": str(path), "dedup": False})
         deduped = MethodSpec("q", "import", {"path": str(path), "dedup": True})
-        assert len(method_cover(barbell6, raw, seed=0)) == 2
-        assert method_cover(barbell6, deduped, seed=0).communities == [
+        assert len(method_cover(barbell6, raw)) == 2
+        assert method_cover(barbell6, deduped).communities == [
             frozenset({0, 1, 2})
         ]
 
     def test_unknown_kind_rejected(self, barbell6):
         with pytest.raises(ConfigError, match="unknown method kind"):
-            method_cover(barbell6, MethodSpec("x", "mystery", {}), seed=0)
+            method_cover(barbell6, MethodSpec("x", "mystery", {}))
 
 
 class TestCellSeed:
@@ -342,7 +355,7 @@ class TestRunBenchmark:
         assert cover_path.read_text() == original
 
     def test_parallel_run_matches_serial_bytes(self, tmp_path):
-        # two attributes engage the thread pool when jobs > 1
+        # jobs is accepted and ignored: the same cells give the same bytes
         extra = "attribute parity\n"
         self.run(tmp_path, "one", extra=extra)
         self.run(tmp_path, "two", extra=extra, jobs=3)

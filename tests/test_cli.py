@@ -113,6 +113,15 @@ class TestBench:
         assert main(["bench", str(cfg)]) == 1
         assert "commbench:" in capsys.readouterr().err
 
+    def test_out_of_range_method_option_exits_1(self, tmp_path, capsys):
+        _, edge_path, attr_path = two_clique_dataset(tmp_path)
+        cfg = tmp_path / "bench.cfg"
+        extra = "method linkcluster cut threshold=0\n"
+        cfg.write_text(bench_config_text(edge_path, attr_path, tmp_path / "out", extra))
+        assert main(["bench", str(cfg)]) == 1
+        assert "bench.cfg:14: threshold must be between" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_all_cells_failed_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "boom.cfg"
         cfg.write_text(

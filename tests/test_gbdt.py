@@ -11,7 +11,6 @@ from commbench import (
     LabeledDataset,
     TreeEnsemble,
     load_model,
-    predict,
     save_model,
     train_gbdt,
 )
@@ -219,7 +218,7 @@ class TestPrediction:
             n_features=1,
             trees=[[], []],
         )
-        assert predict(model, np.array([[0.0]])) == ["alpha"]
+        assert model.predict(np.array([[0.0]])) == ["alpha"]
 
     def test_feature_width_mismatch(self):
         data = binary_feature_data(rows_per_class=5)
