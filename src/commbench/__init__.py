@@ -20,7 +20,6 @@ from .graph import (
 )
 from .covers import (
     Cover,
-    Dendrogram,
     Partition,
     read_partition,
     serialize_cover,
@@ -34,7 +33,7 @@ from .detectors import (
 )
 from .detectors.louvain import LouvainResult, louvain, parameterized_modularity
 from .detectors.gce import gce, maximal_cliques
-from .detectors.linkclust import cut_link_dendrogram, edge_similarity, link_clustering
+from .detectors.linkclust import Dendrogram, cut_link_dendrogram, edge_similarity, link_clustering
 from .coverops import (
     AssignmentMatrix,
     CoverStats,

@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from urllib.parse import quote
 
@@ -155,35 +155,34 @@ def _parse_method(kind, name, pairs, where):
     return MethodSpec(name=name, kind=kind, opts=opts)
 
 
+# scalar directive -> (cast, GBDTParams or BenchmarkConfig field); absent
+# directives keep the dataclass defaults, seed sets both seeds, and jobs is
+# only checked
+_SCALARS = {
+    "seed": (int, "seed"),
+    "output": (str, "output_dir"),
+    "k": (int, "k"),
+    "folds-evaluated": (int, "folds_evaluated"),
+    "jobs": (int, "jobs"),
+    "trees": (int, "n_trees"),
+    "learning-rate": (float, "learning_rate"),
+    "min-samples-split": (int, "min_samples_split"),
+    "subsample": (float, "subsample"),
+    "max-depth": (int, "max_depth"),
+}
+
+
+def _fields_of(cls, values):
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in values.items() if key in names}
+
+
 def parse_config(path):
     """Parse the versioned key-value benchmark configuration file."""
     datasets = []
     methods = []
     attributes = []
-    scalars = {
-        "seed": 0,
-        "output": "bench-out",
-        "k": 10,
-        "folds-evaluated": 3,
-        "jobs": 1,
-        "trees": 1000,
-        "learning-rate": 0.005,
-        "min-samples-split": 5,
-        "subsample": 0.4,
-        "max-depth": 3,
-    }
-    casts = {
-        "seed": int,
-        "output": str,
-        "k": int,
-        "folds-evaluated": int,
-        "jobs": int,
-        "trees": int,
-        "learning-rate": float,
-        "min-samples-split": int,
-        "subsample": float,
-        "max-depth": int,
-    }
+    values = {}
     version_seen = False
     with open(path, encoding="utf-8") as fh:
         for lineno, rawline in enumerate(fh, start=1):
@@ -210,11 +209,12 @@ def parse_config(path):
                 if len(parts) < 3:
                     raise ConfigError(f"{where}: method needs a kind and a name")
                 methods.append(_parse_method(parts[1], parts[2], parts[3:], where))
-            elif key in scalars:
+            elif key in _SCALARS:
                 if len(parts) != 2:
                     raise ConfigError(f"{where}: {key} takes exactly one value")
+                cast, name = _SCALARS[key]
                 try:
-                    scalars[key] = casts[key](parts[1])
+                    values[name] = cast(parts[1])
                 except ValueError:
                     raise ConfigError(f"{where}: bad value for {key}: {parts[1]!r}") from None
             else:
@@ -232,36 +232,29 @@ def parse_config(path):
         raise ConfigError(f"{path}: method names must be unique")
     if len({d[0] for d in datasets}) != len(datasets):
         raise ConfigError(f"{path}: dataset names must be unique")
-    if scalars["k"] < 2:
-        raise ConfigError(f"{path}: k must be at least 2")
-    if not 1 <= scalars["folds-evaluated"] <= scalars["k"]:
-        raise ConfigError(f"{path}: folds-evaluated must be between 1 and k")
-    if scalars["jobs"] < 1:
-        raise ConfigError(f"{path}: jobs must be at least 1")
-    if scalars["jobs"] > 1:
-        log.warning("%s: jobs %d is ignored; cells run serially", path, scalars["jobs"])
-    classifier = GBDTParams(
-        learning_rate=scalars["learning-rate"],
-        n_trees=scalars["trees"],
-        min_samples_split=scalars["min-samples-split"],
-        subsample=scalars["subsample"],
-        max_depth=scalars["max-depth"],
-        seed=scalars["seed"],
-    )
-    try:
-        classifier.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return BenchmarkConfig(
+    if len(set(attributes)) != len(attributes):
+        raise ConfigError(f"{path}: attribute names must be unique")
+    jobs = values.pop("jobs", 1)
+    config = BenchmarkConfig(
         datasets=datasets,
         methods=methods,
         attributes=attributes,
-        classifier=classifier,
-        k=scalars["k"],
-        folds_evaluated=scalars["folds-evaluated"],
-        output_dir=scalars["output"],
-        seed=scalars["seed"],
+        classifier=GBDTParams(**_fields_of(GBDTParams, values)),
+        **_fields_of(BenchmarkConfig, values),
     )
+    if config.k < 2:
+        raise ConfigError(f"{path}: k must be at least 2")
+    if not 1 <= config.folds_evaluated <= config.k:
+        raise ConfigError(f"{path}: folds-evaluated must be between 1 and k")
+    if jobs < 1:
+        raise ConfigError(f"{path}: jobs must be at least 1")
+    if jobs > 1:
+        log.warning("%s: jobs %d is ignored; cells run serially", path, jobs)
+    try:
+        config.classifier.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return config
 
 
 def method_cover(graph, method):
@@ -311,7 +304,8 @@ def cell_seed(seed, network, method, attribute):
 
 
 def _safe(name):
-    return quote(name, safe="")
+    # "_" is encoded too, so "__" in a file name only ever separates names
+    return quote(name, safe="").replace("_", "%5F")
 
 
 def _cell_path(out, network, method, attribute):

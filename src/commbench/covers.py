@@ -1,12 +1,11 @@
-"""Community covers, partitions, and merge dendrograms, plus their file forms.
+"""Community covers and partitions, plus their file forms.
 
 A cover is an ordered list of node communities that may overlap. A partition
 assigns every node to exactly one community (indices are normalized to a
 dense 0..c-1 range, so two partitions with the same grouping compare equal).
-A dendrogram is a merge forest over arbitrary leaf items; link clustering
-uses graph edges as the leaves. The writers emit a canonical ordering -
-communities sorted by size then by their sorted member-label list - so
-detector output is byte-stable run to run.
+The writers emit a canonical ordering - communities sorted by size then by
+their sorted member-label list - so detector output is byte-stable run to
+run.
 """
 
 from __future__ import annotations
@@ -107,53 +106,6 @@ def dedupe_exact(communities):
             seen.add(fs)
             out.append(fs)
     return out
-
-
-class Dendrogram:
-    """Merge forest over leaves 0..L-1; merge i creates node id L+i.
-
-    Each merge is ``(child_a, child_b, height)`` with heights in [0, 1] and
-    non-decreasing along every root path. Children may be leaves or earlier
-    merges; every id is consumed at most once, so the structure is a forest.
-    """
-
-    __slots__ = ("leaves", "merges")
-
-    def __init__(self, leaves, merges):
-        self.leaves = list(leaves)
-        self.merges = list(merges)
-        nleaf = len(self.leaves)
-        heights = [0.0] * nleaf
-        used = set()
-        for k, (a, b, h) in enumerate(self.merges):
-            node_id = nleaf + k
-            if not 0.0 <= h <= 1.0:
-                raise DataError(f"merge height {h} outside [0, 1]")
-            for child in (a, b):
-                if not (0 <= child < node_id):
-                    raise DataError(f"merge {k} references unknown node {child}")
-                if child in used:
-                    raise DataError(f"node {child} merged twice")
-                used.add(child)
-                if h + 1e-12 < heights[child]:
-                    raise DataError("merge heights decrease along a root path")
-            heights.append(h)
-
-    def cut(self, height):
-        """Leaf clusters after applying every merge at or below the cut.
-
-        Returns lists of leaf indices, ordered by each cluster's smallest
-        leaf. Unmerged leaves come back as singleton clusters.
-        """
-        nleaf = len(self.leaves)
-        comp = {i: [i] for i in range(nleaf)}
-        for k, (a, b, h) in enumerate(self.merges):
-            if h <= height:
-                # children below this height were necessarily applied already
-                merged = comp.pop(a) + comp.pop(b)
-                comp[nleaf + k] = merged
-        clusters = sorted(comp.values(), key=min)
-        return [sorted(c) for c in clusters]
 
 
 def _cover_lines(cover, graph):

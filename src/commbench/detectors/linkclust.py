@@ -4,8 +4,9 @@ Two edges sharing a keystone node k, say (i, k) and (j, k), are scored with
 the Jaccard similarity of the *other* endpoints' inclusive neighborhoods
 N+(x) = N(x) + {x}; non-adjacent edges are never compared. Single-linkage
 agglomeration over the heights 1 - S builds a merge forest whose leaves are
-the graph's edges. Cutting the forest at a height and mapping every edge
-cluster to the nodes it spans yields an overlapping node cover; clusters
+the graph's edges, kept as the height-sorted list of the edge pairs that
+joined two clusters. Cutting it at a height and mapping every edge cluster
+to the nodes it spans yields an overlapping node cover; clusters
 spanning fewer than four nodes or holding fewer than three edges are
 dropped. Similarities ignore edge weights. Everything is deterministic:
 candidate pairs are processed in (height, edge-id, edge-id) order.
@@ -13,11 +14,75 @@ candidate pairs are processed in (height, edge-id, edge-id) order.
 
 from __future__ import annotations
 
-from ..covers import Cover, Dendrogram, dedupe_exact
+from ..covers import Cover, dedupe_exact
 from ..errors import DataError
 
 MIN_NODES = 4
 MIN_EDGES = 3
+
+
+def _find(parent, x):
+    """Root of x's set, compressing the path walked."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent, a, b):
+    """Join the sets of a and b under the smaller root; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
+class Dendrogram:
+    """Single-linkage merge forest over leaves 0..L-1, as a height-sorted list.
+
+    Each merge is ``(edge_a, edge_b, height)``: the leaf ids of the pair that
+    joined two clusters, with heights in [0, 1] and non-decreasing along the
+    list. A cut at height h is the components of the merges at or below h.
+    """
+
+    __slots__ = ("leaves", "merges")
+
+    def __init__(self, leaves, merges):
+        self.leaves = list(leaves)
+        self.merges = list(merges)
+        nleaf = len(self.leaves)
+        previous = 0.0
+        for k, (a, b, h) in enumerate(self.merges):
+            if not 0.0 <= h <= 1.0:
+                raise DataError(f"merge height {h} outside [0, 1]")
+            if h < previous:
+                raise DataError(f"merge {k} height {h} is below the previous {previous}")
+            previous = h
+            for leaf in (a, b):
+                if not 0 <= leaf < nleaf:
+                    raise DataError(f"merge {k} references unknown leaf {leaf}")
+
+    def cut(self, height):
+        """Leaf clusters after applying every merge at or below the cut.
+
+        Returns ascending lists of leaf indices, ordered by each cluster's
+        smallest leaf. Unmerged leaves come back as singleton clusters.
+        """
+        parent = list(range(len(self.leaves)))
+        for a, b, h in self.merges:
+            if h > height:
+                break
+            _union(parent, a, b)
+        clusters = {}
+        for leaf in range(len(parent)):
+            # every root is its set's smallest leaf, so parent[leaf] <= leaf
+            # and this pass has already resolved parent[leaf] to its root
+            root = parent[leaf] = parent[parent[leaf]]
+            clusters.setdefault(root, []).append(leaf)
+        return list(clusters.values())
 
 
 def edge_similarity(graph, edge_a, edge_b):
@@ -60,27 +125,10 @@ def link_clustering(graph):
                 pairs.append((1.0 - s, lo, hi))
     pairs.sort()
     parent = list(range(len(edges)))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    tree_id = list(range(len(edges)))  # union-find root -> dendrogram node id
     merges = []
-    next_id = len(edges)
     for h, ea, eb in pairs:
-        ra, rb = find(ea), find(eb)
-        if ra == rb:
-            continue
-        ca, cb = tree_id[ra], tree_id[rb]
-        merges.append((min(ca, cb), max(ca, cb), h))
-        parent[rb] = ra
-        tree_id[ra] = next_id
-        next_id += 1
+        if _union(parent, ea, eb):
+            merges.append((ea, eb, h))
     return Dendrogram(edges, merges)
 
 

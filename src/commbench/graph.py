@@ -215,7 +215,7 @@ def load_attributes(path, graph):
     The header's first column is the node id; remaining columns name the
     attributes. Empty cells (and rows shorter than the header) are missing
     values. Nodes absent from the file get all-missing rows; rows for labels
-    not in the graph, and duplicate rows, are errors.
+    not in the graph, duplicate rows and repeated attribute names are errors.
     """
     names = None
     columns = None
@@ -231,6 +231,8 @@ def load_attributes(path, graph):
                     raise DataError(f"{path}:{lineno}: node-id column missing from header")
                 names = fields[1:]
                 columns = {name: [MISSING] * graph.n for name in names}
+                if len(columns) != len(names):
+                    raise DataError(f"{path}:{lineno}: attribute names must be unique")
                 continue
             if len(fields) > len(names) + 1:
                 raise DataError(f"{path}:{lineno}: more fields than header columns")

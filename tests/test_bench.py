@@ -1,5 +1,6 @@
 """Benchmark orchestration: config parsing, cell grid, resume, reporting."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -191,6 +192,7 @@ class TestParseConfig:
         [
             ("method louvain dup\nmethod gce dup\n", "method names must be unique"),
             ("dataset net x y\n", "dataset names must be unique"),
+            ("attribute block\n", "attribute names must be unique"),
             ("k 1\n", "k must be at least 2"),
             ("folds-evaluated 20\n", "folds-evaluated must be"),
             ("jobs 0\n", "jobs must be at least 1"),
@@ -363,6 +365,21 @@ class TestRunBenchmark:
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
+
+    def test_double_underscore_names_keep_their_own_cells(self, tmp_path):
+        # (m, x__block) and (m__x, block) once shared one cache file name
+        _, edge_path, _ = two_clique_dataset(tmp_path)
+        attr_path = tmp_path / "blocks.tsv"
+        rows = [f"{i}\t{i // 12}\t{i // 12}\n" for i in range(24)]
+        attr_path.write_text("node\tblock\tx__block\n" + "".join(rows))
+        extra = "attribute x__block\nmethod louvain m t=1.0\nmethod louvain m__x t=1.0\n"
+        text = bench_config_text(edge_path, attr_path, tmp_path / "out", extra)
+        report = run_benchmark(parse_config(write_config(tmp_path, text)))
+        assert Counter(r[1:3] for r in report.records) == {
+            (method, attribute): 2
+            for method in ("flat", "m", "m__x")
+            for attribute in ("block", "x__block")
+        }
 
     def test_cell_failures_are_isolated(self, tmp_path):
         config, report = self.run(tmp_path, "out", extra="attribute dead\n")

@@ -149,6 +149,12 @@ class TestAttributeTable:
         with pytest.raises(DataError, match="duplicate row"):
             load_attributes(path, barbell6)
 
+    def test_duplicate_attribute_name_rejected(self, tmp_path, barbell6):
+        # a repeated column would otherwise overwrite the earlier one
+        path = self.write(tmp_path, "# comment\nnode\tx\tx\n0\tA\tB\n")
+        with pytest.raises(DataError, match=r"attrs\.tsv:2: attribute names must be unique"):
+            load_attributes(path, barbell6)
+
     def test_too_many_fields_rejected(self, tmp_path, barbell6):
         path = self.write(tmp_path, "id\tdorm\n0\tA\textra\n")
         with pytest.raises(DataError, match="more fields than header"):

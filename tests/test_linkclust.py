@@ -7,6 +7,7 @@ import pytest
 
 from commbench import (
     DataError,
+    Dendrogram,
     Graph,
     ResolutionParams,
     cut_link_dendrogram,
@@ -66,6 +67,29 @@ class TestDendrogram:
                   allow_self_loops=True)
         dend = link_clustering(g)
         assert dend.leaves == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "merges, message",
+        [
+            ([(0, 1, 0.5), (1, 2, 0.25)], "below the previous"),
+            ([(0, 1, 1.5)], r"outside \[0, 1\]"),
+            ([(0, 1, -0.1)], r"outside \[0, 1\]"),
+            ([(0, 3, 0.5)], "unknown leaf 3"),
+            ([(-1, 0, 0.5)], "unknown leaf -1"),
+        ],
+    )
+    def test_malformed_merges_rejected(self, merges, message):
+        with pytest.raises(DataError, match=message):
+            Dendrogram(["a", "b", "c"], merges)
+
+    def test_merges_span_the_forest_in_height_order(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            g, _ = random_graph(rng, max_n=12)
+            dend = link_clustering(g)
+            heights = [h for _, _, h in dend.merges]
+            assert heights == sorted(heights)
+            assert len(dend.merges) == len(dend.leaves) - len(dend.cut(1.0))
 
     def test_cut_matches_component_oracle(self):
         rng = random.Random(13)
