@@ -4,11 +4,14 @@ Everything here is written against the raw definitions over dense structures
 and brute-force enumeration, deliberately sharing no code or algorithmic
 shape with the package: quadratic pairwise sums instead of per-community
 accumulators, base-2 logarithms for NMI, restricted-growth-string partition
-enumeration, subset enumeration for cliques.
+enumeration, subset enumeration for cliques, and a recursive per-row tree
+grower that re-reads the rows of every node.
 """
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def adjacency_from_edges(n, edges):
@@ -148,3 +151,88 @@ def edge_components_oracle(edges, similarities, cut):
     for e in edges:
         comps.setdefault(find(e), set()).add(e)
     return {frozenset(c) for c in comps.values()}
+
+
+def _best_split_oracle(X, g, rows, binary_cols, cont_cols):
+    """Best (feature, threshold) by squared-error reduction over the rows, or None.
+
+    Binary columns first (lowest column on ties, threshold 0.5), then each
+    continuous column in order, which must beat the best gain so far; a gain
+    must exceed 1e-12.
+    """
+    gr = g[rows]
+    n_tot = rows.size
+    s_tot = gr.sum()
+    parent = s_tot * s_tot / n_tot
+    best_gain = 1e-12
+    best = None
+    if binary_cols.size:
+        B = X[rows][:, binary_cols]
+        c1 = B.sum(axis=0)
+        c0 = n_tot - c1
+        s1 = gr @ B
+        s0 = s_tot - s1
+        valid = (c1 > 0) & (c0 > 0)
+        score = np.full(c1.shape, -np.inf)
+        np.divide(s1 * s1, c1, out=score, where=valid)
+        score0 = np.zeros(c1.shape)
+        np.divide(s0 * s0, c0, out=score0, where=valid)
+        gains = np.where(valid, score + score0 - parent, -np.inf)
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = int(binary_cols[k]), 0.5
+    for f in cont_cols:
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        csum = np.cumsum(gr[order])
+        cuts = np.nonzero(vs[1:] != vs[:-1])[0]
+        if cuts.size == 0:
+            continue
+        nl = cuts + 1.0
+        sl = csum[cuts]
+        sr = s_tot - sl
+        gains = sl * sl / nl + sr * sr / (n_tot - nl) - parent
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = int(f), (vs[cuts[k]] + vs[cuts[k] + 1]) / 2.0
+    return best
+
+
+def regression_tree_oracle(
+    X, g, h, rows, max_depth, min_samples_split, binary_cols, cont_cols
+):
+    """Greedy tree grown recursively, node by node, from the rows themselves.
+
+    Returns preorder node lists (feature, threshold, left, right, value):
+    leaves have feature -1, children -1 and the Newton value
+    sum(g) / (sum(h) + 1e-12) clipped to [-4, 4]; splits have value 0.0 and
+    send rows with X[:, feature] <= threshold left.
+    """
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add(f, t, v):
+        for column, item in zip(
+            (feature, threshold, left, right, value), (f, t, -1, -1, v)
+        ):
+            column.append(item)
+        return len(feature) - 1
+
+    def grow(idx, depth):
+        split = None
+        if depth < max_depth and idx.size >= min_samples_split:
+            split = _best_split_oracle(X, g, idx, binary_cols, cont_cols)
+        if split is None:
+            v = g[idx].sum() / (h[idx].sum() + 1e-12)
+            return add(-1, 0.0, max(-4.0, min(4.0, v)))
+        f, t = split
+        node = add(f, t, 0.0)
+        mask = X[idx, f] <= t
+        left[node] = grow(idx[mask], depth + 1)
+        right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.asarray(rows), 0)
+    return feature, threshold, left, right, value

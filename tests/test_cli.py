@@ -1,10 +1,13 @@
 """CLI subcommands, output shapes, and the exit-code contract."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import commbench
 from commbench import Graph, write_edge_list
 from commbench.cli import main
 from conftest import BARBELL6_EDGES, make_micro
@@ -221,10 +224,15 @@ class TestTopLevel:
         assert err.value.code == 1
 
     def test_installed_entry_point(self):
+        # the child imports the same commbench as this process, installed or not
+        package_root = str(Path(commbench.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        path = os.pathsep.join(filter(None, [package_root, inherited]))
         proc = subprocess.run(
             [sys.executable, "-m", "commbench.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "commbench" in proc.stdout

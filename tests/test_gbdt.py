@@ -16,11 +16,13 @@ from commbench import (
 )
 from commbench.gbdt import (
     LEAF_CLIP,
+    MODEL_MAGIC,
     RegressionTree,
     fit_regression_tree,
     log_loss,
     seed_entropy,
 )
+from oracles import regression_tree_oracle
 
 FAST = GBDTParams(
     learning_rate=0.5, n_trees=30, min_samples_split=2, subsample=1.0, max_depth=2
@@ -209,7 +211,73 @@ class TestLeavesAndTrees:
         assert tree.predict(np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
 
 
+def random_tree_case(seed):
+    """Mixed binary and continuous columns over duplicated rows.
+
+    g and h are multiples of 1/64, so every sum is exact in any order.
+    """
+    rng = np.random.default_rng(seed)
+    n_binary, n_cont = int(rng.integers(0, 5)), int(rng.integers(0, 3))
+    pool = np.hstack(
+        [
+            rng.integers(0, 2, (12, n_binary)).astype(np.float64),
+            rng.integers(-4, 5, (12, n_cont)) / 4.0,
+        ]
+    )
+    n = int(rng.integers(1, 70))
+    X = pool[rng.integers(0, len(pool), n)]
+    order = rng.permutation(n_binary + n_cont)
+    X = X[:, order]
+    binary_cols = np.sort(np.nonzero(order < n_binary)[0])
+    cont_cols = np.sort(np.nonzero(order >= n_binary)[0])
+    g = rng.integers(-64, 65, n) / 64.0
+    h = rng.integers(0, 17, n) / 64.0
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    params = GBDTParams(
+        max_depth=int(rng.integers(1, 5)), min_samples_split=int(rng.integers(2, 7))
+    )
+    return X, g, h, rows, params, binary_cols, cont_cols
+
+
+class TestGrowerMatchesOracle:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_node_for_node(self, seed):
+        X, g, h, rows, params, binary_cols, cont_cols = random_tree_case(seed)
+        tree = fit_regression_tree(X, g, h, rows, params, binary_cols, cont_cols)
+        expected = regression_tree_oracle(
+            X, g, h, rows, params.max_depth, params.min_samples_split,
+            binary_cols, cont_cols,
+        )
+        names = ("feature", "threshold", "left", "right", "value")
+        for name, want in zip(names, expected):
+            assert getattr(tree, name).tolist() == want, name
+
+    def test_cases_split_on_both_column_kinds(self):
+        kinds = set()
+        for seed in range(50):
+            X, g, h, rows, params, binary_cols, cont_cols = random_tree_case(seed)
+            tree = fit_regression_tree(X, g, h, rows, params, binary_cols, cont_cols)
+            kinds.update(
+                "binary" if f in binary_cols else "continuous"
+                for f in tree.feature.tolist()
+                if f >= 0
+            )
+        assert kinds == {"binary", "continuous"}
+
+
 class TestPrediction:
+    def test_pattern_scores_equal_rows_scored_alone(self):
+        X, _, _, _, _, _, _ = random_tree_case(7)
+        rng = np.random.default_rng(7)
+        labels = [str(v) for v in rng.integers(0, 3, len(X))]
+        data = dataset_from(X, labels)
+        params = GBDTParams(n_trees=6, subsample=0.7, min_samples_split=2)
+        model = train_gbdt(data, params)
+        scores = model.decision_scores(X)
+        alone = np.vstack([model.decision_scores(X[i : i + 1]) for i in range(len(X))])
+        assert len(np.unique(X, axis=0)) < len(X)
+        assert np.array_equal(scores, alone)
+
     def test_argmax_tie_takes_first_class(self):
         model = TreeEnsemble(
             classes=["alpha", "beta"],
@@ -227,6 +295,17 @@ class TestPrediction:
             model.predict(np.zeros((2, 3)))
         with pytest.raises(DataError, match="feature width mismatch"):
             model.predict(np.zeros(4))
+
+
+def model_text(tree_lines):
+    """A two-class model file whose class-0 ensemble holds one tree of tree_lines."""
+    return (
+        f"{MODEL_MAGIC}\nlearning_rate 0.1\nn_features 1\nn_classes 2\n"
+        "class a\nclass b\nprior -0.5\nprior -0.5\n"
+        f"ensemble 0 trees 1\ntree nodes {len(tree_lines)}\n"
+        + "".join(line + "\n" for line in tree_lines)
+        + "ensemble 1 trees 0\n"
+    )
 
 
 class TestModelFile:
@@ -269,7 +348,7 @@ class TestModelFile:
     def test_bad_node_line_rejected(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text(
-            "commbench-gbdt 1\n"
+            f"{MODEL_MAGIC}\n"
             "learning_rate 0.1\n"
             "n_features 1\n"
             "n_classes 2\n"
@@ -279,6 +358,38 @@ class TestModelFile:
             "tree nodes 1\n"
             "branch 0 0.5 1 2\n"
         )
+        with pytest.raises(DataError, match="bad node line"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "tree_lines, line, message",
+        [
+            (["split 0 0.5 0 0"], 11, "children of node 0 must lie in 1..0"),
+            (["split 0 0.5 1 2", "split 0 0.5 1 2", "leaf 0.0"], 12, "node 1 .* 2..2"),
+            (["split 0 0.5 5 5"], 11, "children of node 0"),
+            (["split 0 0.5 1 5", "leaf 0.0", "leaf 0.0"], 11, "must lie in 1..2"),
+            (["split 7 0.5 1 2", "leaf 0.0", "leaf 0.0"], 11, "feature 7 outside 0..0"),
+            (["split -1 0.5 1 2", "leaf 0.0", "leaf 0.0"], 11, "feature -1 outside"),
+        ],
+    )
+    def test_bad_split_rejected(self, tmp_path, tree_lines, line, message):
+        path = tmp_path / "bad.model"
+        path.write_text(model_text(tree_lines))
+        with pytest.raises(DataError, match=f"bad.model:{line}: .*{message}"):
+            load_model(path)
+
+    def test_trailing_lines_rejected(self, tmp_path):
+        path = tmp_path / "bad.model"
+        path.write_text(model_text(["leaf 0.0"]) + "leaf 1.0\n")
+        with pytest.raises(DataError, match="bad.model:13: unexpected line"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "node_line", ["leaf", "leaf x", "split 0 0.5 1", "split a b c d"]
+    )
+    def test_malformed_node_rejected(self, tmp_path, node_line):
+        path = tmp_path / "bad.model"
+        path.write_text(model_text([node_line, "leaf 0.0", "leaf 0.0"]))
         with pytest.raises(DataError, match="bad node line"):
             load_model(path)
 
