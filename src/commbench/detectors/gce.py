@@ -36,7 +36,11 @@ def maximal_cliques(graph):
     adj = [set(j for j, _ in graph.adj[i]) for i in range(graph.n)]
     out = []
 
-    def expand(r, p, x):
+    # an explicit stack of search nodes [r, p, x, branches left], not
+    # recursion: a k-clique nests k search nodes deep
+    stack = []
+
+    def push(r, p, x):
         if not p and not x:
             out.append(sorted(r))
             return
@@ -47,12 +51,19 @@ def maximal_cliques(graph):
             if score > best:
                 best = score
                 pivot = u
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        stack.append([r, p, x, iter(sorted(p - adj[pivot]))])
 
-    expand(set(), set(range(graph.n)), set())
+    push(set(), set(range(graph.n)), set())
+    while stack:
+        top = stack[-1]
+        r, p, x, branches = top
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        top[1] = p - {v}
+        top[2] = x | {v}
+        push(r | {v}, p & adj[v], x & adj[v])
     return sorted(out, key=lambda c: (len(c), c))
 
 

@@ -10,15 +10,28 @@ to the nodes it spans yields an overlapping node cover; clusters
 spanning fewer than four nodes or holding fewer than three edges are
 dropped. Similarities ignore edge weights. Everything is deterministic:
 candidate pairs are processed in (height, edge-id, edge-id) order.
+
+The heights come from numpy arrays over all sum_k deg(k)(deg(k) - 1)/2 edge
+pairs, without sets: |N+(i) & N+(j)| is the number of keystones i and j
+share (how often the node pair turns up among the pairs) plus 2 when i and
+j are adjacent, |N+(i) | N+(j)| is deg(i) + deg(j) + 2 minus that, and the
+integer quotient is rounded exactly as Python's would be. The build peaks
+at about 60 bytes per pair, so a graph with more than ``MAX_EDGE_PAIRS``
+pairs (about 1.7 GiB) is refused with a ``DataError`` before any per-pair
+array is allocated.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..covers import Cover, dedupe_exact
 from ..errors import DataError
 
 MIN_NODES = 4
 MIN_EDGES = 3
+MAX_EDGE_PAIRS = 30_000_000  # ~60 bytes each at the build's peak
+WALK_CHUNK = 1 << 16
 
 
 def _find(parent, x):
@@ -105,31 +118,119 @@ def link_clustering(graph):
     if not edges:
         raise DataError("link clustering requires at least one edge")
     edges.sort()
-    incident = [[] for _ in range(graph.n)]  # node -> [(other endpoint, edge id)]
-    for eid, (i, j) in enumerate(edges):
-        incident[i].append((j, eid))
-        incident[j].append((i, eid))
-    inclusive = [
-        frozenset(u for u, _ in graph.adj[v]) | {v} for v in range(graph.n)
-    ]
-    pairs = []
-    for keystone in range(graph.n):
-        inc = incident[keystone]
-        for a in range(len(inc)):
-            i, ea = inc[a]
-            for b in range(a + 1, len(inc)):
-                j, eb = inc[b]
-                ni, nj = inclusive[i], inclusive[j]
-                s = len(ni & nj) / len(ni | nj)
-                lo, hi = (ea, eb) if ea < eb else (eb, ea)
-                pairs.append((1.0 - s, lo, hi))
-    pairs.sort()
-    parent = list(range(len(edges)))
+    deg = np.array([len(a) for a in graph.adj], dtype=np.int64)
+    npairs = int((deg * (deg - 1) // 2).sum())
+    if npairs > MAX_EDGE_PAIRS:
+        hub = graph.labels[int(np.argmax(deg))]
+        raise DataError(
+            f"link clustering would compare {npairs} edge pairs, above the "
+            f"bound of {MAX_EDGE_PAIRS}; node {hub!r} has the highest degree "
+            f"({int(deg.max())})"
+        )
+    pair, rank, heights = _pair_heights(
+        graph.n, np.array(edges, dtype=np.int32), deg
+    )
+    return Dendrogram(edges, _spanning_merges(len(edges), pair, rank, heights))
+
+
+def _spanning_merges(nedge, pair, rank, heights):
+    """Merges of a single-linkage walk over the pairs in (height, lo, hi) order.
+
+    The walk goes a slice at a time; a pair whose edges already share a
+    cluster at the slice's start cannot merge, so only the others reach the
+    Python union-find.
+    """
+    order = np.lexsort((pair, rank))
+    parent = list(range(nedge))
+    roots = np.arange(nedge)  # each leaf's root as of the slice start
     merges = []
-    for h, ea, eb in pairs:
-        if _union(parent, ea, eb):
-            merges.append((ea, eb, h))
-    return Dendrogram(edges, merges)
+    for start in range(0, len(order), WALK_CHUNK):
+        chunk = order[start:start + WALK_CHUNK]
+        lo, hi = np.divmod(pair[chunk], nedge)
+        live = roots[lo] != roots[hi]
+        if not live.any():
+            continue
+        lo, hi, chunk = lo[live], hi[live], chunk[live]
+        live_heights = heights[rank[chunk]].tolist()
+        for ea, eb, h in zip(lo.tolist(), hi.tolist(), live_heights):
+            if _union(parent, ea, eb):
+                merges.append((ea, eb, h))
+        # only the clusters this slice touched can have moved under a new root
+        touched = np.unique(roots[np.concatenate((lo, hi))])
+        remap = np.arange(nedge)
+        remap[touched] = [_find(parent, r) for r in touched.tolist()]
+        roots = remap[roots]
+    return merges
+
+
+def _pair_heights(n, edges, deg):
+    """Every two edges lo < hi sharing a node, with the height 1 - S of each.
+
+    Returns ``(pair, rank, heights)``: ``pair`` is ``lo * L + hi``,
+    ``heights`` the ascending distinct heights, ``rank`` each pair's index
+    into it. ``edges`` is the sorted (L, 2) int32 endpoint array, ``deg``
+    each node's count of distinct neighbours. The two edges end in other
+    endpoints i < j, and the node pair (i, j) comes up once per common
+    neighbour: |N+(i) & N+(j)| is that multiplicity plus 2 when i and j are
+    adjacent, and |N+(i) | N+(j)| is deg_i + deg_j + 2 minus it.
+    """
+    nedge = len(edges)
+    # half-edges (keystone, other endpoint, edge id), keystones ascending and
+    # edge ids ascending within each keystone: with the edges sorted, the
+    # (i, v) edges of a keystone v precede its (v, j) ones, so the half-edges
+    # keyed on the larger endpoint go first into the stable sort
+    keystone = np.concatenate((edges[:, 1], edges[:, 0]))
+    by_keystone = np.argsort(keystone, kind="stable")
+    del keystone
+    other = np.concatenate((edges[:, 0], edges[:, 1]))[by_keystone]
+    eid = np.tile(np.arange(nedge, dtype=np.int32), 2)[by_keystone]
+    del by_keystone
+    # half-edge a pairs with every later half-edge b of its keystone; within a
+    # keystone other endpoints and edge ids both ascend, so i < j and lo < hi
+    seg_end = np.repeat(np.cumsum(deg).astype(np.int32), deg)
+    partners = seg_end - 1 - np.arange(2 * nedge, dtype=np.int32)
+    del seg_end
+    first = np.repeat(np.arange(2 * nedge, dtype=np.int32), partners)
+    # second = first + 1 + position within the run, as a running sum of
+    # steps that are 1 inside a run and jump to the next half-edge's successor
+    step = np.ones(len(first), dtype=np.int32)
+    runs = np.flatnonzero(partners)
+    run_start = np.cumsum(partners[runs]) - partners[runs]
+    last = runs + partners[runs]
+    step[run_start] = runs + 1 - np.concatenate(([0], last[:-1]))
+    del partners, runs, run_start, last
+    second = np.cumsum(step, dtype=np.int32)
+    del step
+    node_pair = other[first].astype(np.int64) * n + other[second]
+    pair = eid[first].astype(np.int64) * nedge + eid[second]
+    del first, second, eid, other
+    # group the pairs by node pair; the group sizes are the shared keystones
+    by_node_pair = np.argsort(node_pair)
+    node_pair = node_pair[by_node_pair]
+    group_start = np.ones(len(pair), dtype=bool)
+    np.not_equal(node_pair[1:], node_pair[:-1], out=group_start[1:])
+    starts = np.flatnonzero(group_start)
+    del group_start
+    keys = node_pair[starts]
+    del node_pair
+    shared = np.diff(starts, append=len(pair)).astype(np.int32)
+    del starts
+    edge_keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
+    at = np.minimum(np.searchsorted(edge_keys, keys), nedge - 1)
+    adjacent = edge_keys[at] == keys
+    del at, edge_keys
+    i, j = np.divmod(keys, n)
+    del keys
+    inter = shared + 2 * adjacent
+    del adjacent
+    h = 1.0 - inter / (deg[i] + deg[j] + 2 - inter)
+    del i, j, inter
+    heights = np.unique(h)
+    group_rank = np.searchsorted(heights, h).astype(np.int32)
+    del h
+    rank = np.empty(len(pair), dtype=np.int32)
+    rank[by_node_pair] = np.repeat(group_rank, shared)
+    return pair, rank, heights
 
 
 def _check_threshold(threshold_percent):

@@ -464,6 +464,15 @@ def load_model(path):
         pos += 1
         return line
 
+    def fields(prefix, kind, *indices):
+        """The words at indices of the next line, which starts with prefix."""
+        line = take(prefix)
+        parts = line.split()
+        try:
+            return [kind(parts[i]) for i in indices]
+        except (ValueError, IndexError):
+            raise DataError(f"{path}:{pos}: bad {prefix} line {line!r}") from None
+
     def node(index, count):
         line = take("")
         parts = line.split()
@@ -476,7 +485,7 @@ def load_model(path):
             else:
                 raise ValueError
         except (ValueError, IndexError):
-            raise DataError(f"{path}: bad node line {line!r}") from None
+            raise DataError(f"{path}:{pos}: bad node line {line!r}") from None
         if not 0 <= f < n_features:
             raise DataError(
                 f"{path}:{pos}: split feature {f} outside 0..{n_features - 1}"
@@ -490,19 +499,19 @@ def load_model(path):
 
     if take(MODEL_MAGIC.split()[0]) != MODEL_MAGIC:
         raise DataError(f"{path}: unsupported model version")
-    learning_rate = float(take("learning_rate").split()[1])
-    n_features = int(take("n_features").split()[1])
-    n_classes = int(take("n_classes").split()[1])
+    [learning_rate] = fields("learning_rate", float, 1)
+    [n_features] = fields("n_features", int, 1)
+    [n_classes] = fields("n_classes", int, 1)
     classes = [take("class")[len("class "):] for _ in range(n_classes)]
-    priors = np.array([float(take("prior").split()[1]) for _ in range(n_classes)])
+    priors = np.array([fields("prior", float, 1)[0] for _ in range(n_classes)])
     trees = []
     for k in range(n_classes):
-        header = take("ensemble").split()
-        if int(header[1]) != k:
-            raise DataError(f"{path}: ensembles out of order")
+        index, ntrees = fields("ensemble", int, 1, 3)
+        if index != k:
+            raise DataError(f"{path}:{pos}: ensembles out of order")
         sequence = []
-        for _ in range(int(header[3])):
-            count = int(take("tree").split()[2])
+        for _ in range(ntrees):
+            [count] = fields("tree", int, 2)
             nodes = [node(i, count) for i in range(count)]
             sequence.append(RegressionTree(*zip(*nodes)))
         trees.append(sequence)

@@ -4,12 +4,14 @@ Everything here is written against the raw definitions over dense structures
 and brute-force enumeration, deliberately sharing no code or algorithmic
 shape with the package: quadratic pairwise sums instead of per-community
 accumulators, base-2 logarithms for NMI, restricted-growth-string partition
-enumeration, subset enumeration for cliques, and a recursive per-row tree
-grower that re-reads the rows of every node.
+enumeration, subset enumeration for cliques, a per-pair set-Jaccard walk
+for the link dendrogram, and a recursive per-row tree grower that re-reads
+the rows of every node.
 """
 
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,6 +153,49 @@ def edge_components_oracle(edges, similarities, cut):
     for e in edges:
         comps.setdefault(find(e), set()).add(e)
     return {frozenset(c) for c in comps.values()}
+
+
+def link_clustering_oracle(graph):
+    """Link dendrogram from a per-pair Python walk with set Jaccard scores.
+
+    Every two edges sharing a keystone are scored by building both other
+    endpoints' inclusive neighbourhoods as sets; the (height, lo, hi) tuples
+    are sorted and joined greedily with a union-find. Returns the leaves and
+    the ``(edge_a, edge_b, height)`` merges, as on ``Dendrogram``.
+    """
+    edges = sorted((i, j) for i, j, _ in graph.edges() if i != j)
+    incident = [[] for _ in range(graph.n)]  # node -> [(other endpoint, edge id)]
+    for eid, (i, j) in enumerate(edges):
+        incident[i].append((j, eid))
+        incident[j].append((i, eid))
+    inclusive = [
+        frozenset(u for u, _ in graph.adj[v]) | {v} for v in range(graph.n)
+    ]
+    pairs = []
+    for inc in incident:
+        for a in range(len(inc)):
+            i, ea = inc[a]
+            for b in range(a + 1, len(inc)):
+                j, eb = inc[b]
+                ni, nj = inclusive[i], inclusive[j]
+                s = len(ni & nj) / len(ni | nj)
+                pairs.append((1.0 - s, min(ea, eb), max(ea, eb)))
+    pairs.sort()
+    parent = list(range(len(edges)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = []
+    for h, ea, eb in pairs:
+        ra, rb = find(ea), find(eb)
+        if ra != rb:
+            parent[ra] = rb
+            merges.append((ea, eb, h))
+    return SimpleNamespace(leaves=edges, merges=merges)
 
 
 def _best_split_oracle(X, g, rows, binary_cols, cont_cols):

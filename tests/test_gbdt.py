@@ -385,12 +385,37 @@ class TestModelFile:
             load_model(path)
 
     @pytest.mark.parametrize(
+        "line, text, prefix",
+        [
+            (2, "learning_rate x", "learning_rate"),
+            (3, "n_features x", "n_features"),
+            (4, "n_classes", "n_classes"),
+            (7, "prior -0.5x", "prior"),
+            (9, "ensemble 0 trees", "ensemble"),
+            (10, "tree nodes one", "tree"),
+        ],
+    )
+    def test_bad_header_value_rejected(self, tmp_path, line, text, prefix):
+        lines = model_text(["leaf 0.0"]).splitlines()
+        lines[line - 1] = text
+        path = tmp_path / "bad.model"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"bad.model:{line}: bad {prefix} line"):
+            load_model(path)
+
+    def test_ensembles_out_of_order_rejected(self, tmp_path):
+        path = tmp_path / "bad.model"
+        path.write_text(model_text(["leaf 0.0"]).replace("ensemble 0", "ensemble 1", 1))
+        with pytest.raises(DataError, match="bad.model:9: ensembles out of order"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
         "node_line", ["leaf", "leaf x", "split 0 0.5 1", "split a b c d"]
     )
     def test_malformed_node_rejected(self, tmp_path, node_line):
         path = tmp_path / "bad.model"
         path.write_text(model_text([node_line, "leaf 0.0", "leaf 0.0"]))
-        with pytest.raises(DataError, match="bad node line"):
+        with pytest.raises(DataError, match="bad.model:11: bad node line"):
             load_model(path)
 
 

@@ -2,6 +2,8 @@
 
 import logging
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -26,6 +28,17 @@ class TestMaximalCliques:
     def test_isolated_node_is_singleton_clique(self):
         g = Graph(["a", "b", "c"], [(0, 1, 1.0)])
         assert maximal_cliques(g) == [[2], [0, 1]]
+
+    def test_large_clique_needs_no_recursion(self):
+        n = 300
+        g = Graph([str(i) for i in range(n)], [(i, j, 1.0) for i, j in combinations(range(n), 2)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            cliques = maximal_cliques(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cliques == [list(range(n))]
 
     def test_matches_subset_enumeration_oracle(self):
         rng = random.Random(5)

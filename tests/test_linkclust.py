@@ -1,6 +1,8 @@
 """Edge-similarity values, dendrogram structure, cuts, and the size filter."""
 
 import random
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -10,13 +12,16 @@ from commbench import (
     Dendrogram,
     Graph,
     ResolutionParams,
+    build_meta_graph,
     cut_link_dendrogram,
     detect_cover,
     edge_similarity,
+    generate_planted,
     link_clustering,
 )
-from conftest import random_graph
-from oracles import edge_components_oracle
+from commbench.detectors import linkclust
+from conftest import four_group_spec, random_graph
+from oracles import edge_components_oracle, link_clustering_oracle
 
 
 def path3_plus_k5():
@@ -45,6 +50,110 @@ class TestEdgeSimilarity:
         g1 = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
         g9 = Graph(["a", "b", "c"], [(0, 1, 9.0), (1, 2, 0.5)])
         assert edge_similarity(g1, (0, 1), (1, 2)) == edge_similarity(g9, (0, 1), (1, 2))
+
+
+def star_glued_to_clique(leaves, clique):
+    """Hub 0 with `leaves` pendant nodes, also a member of a `clique`-node clique."""
+    members = [0] + list(range(leaves + 1, leaves + clique))
+    edges = [(0, i, 1.0) for i in range(1, leaves + 1)]
+    edges += [(i, j, 1.0) for i, j in combinations(members, 2)]
+    return Graph([str(i) for i in range(leaves + clique)], edges)
+
+
+def disjoint_union(graphs, isolated=0):
+    """The graphs side by side, then `isolated` nodes with no edge."""
+    labels, edges = [], []
+    for g in graphs:
+        base = len(labels)
+        edges += [(base + i, base + j, w) for i, j, w in g.edges()]
+        labels += [str(base + i) for i in range(g.n)]
+    labels += [str(len(labels) + k) for k in range(isolated)]
+    return Graph(labels, edges, allow_self_loops=True)
+
+
+def pair_build_cases():
+    """(name, graph) pairs, each with at least one non-loop edge."""
+    rng = random.Random(41)
+    cases = []
+    for k in range(14):
+        g, _ = random_graph(rng, max_n=(6, 12, 25)[k % 3], allow_self_loops=k % 2 == 1)
+        cases.append((f"random{k}", g))
+    for leaves, clique in ((5, 4), (12, 5), (30, 6), (9, 9)):
+        cases.append((f"star{leaves}+k{clique}", star_glued_to_clique(leaves, clique)))
+    for k in range(5):
+        parts = [random_graph(rng, max_n=10)[0] for _ in range(2 + k % 2)]
+        cases.append((f"disjoint{k}", disjoint_union(parts, isolated=k)))
+    cases.append(("hub-pair", disjoint_union([star_glued_to_clique(20, 3)] * 2, 3)))
+    for k in range(5):
+        g, _ = random_graph(rng, max_n=30)
+        nodes = list(range(g.n))
+        rng.shuffle(nodes)
+        size = 2 + k % 3
+        blocks = [nodes[b:b + size] for b in range(0, g.n, size)]
+        meta = build_meta_graph(g, blocks)
+        if any(i != j for i, j, _ in meta.edges()):
+            cases.append((f"meta{k}", meta))
+    for seed in (3, 4):
+        cases.append((f"planted{seed}", generate_planted(four_group_spec(seed))[0]))
+    return cases
+
+
+class TestPairBuild:
+    CASES = pair_build_cases()
+
+    @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
+    def test_matches_per_pair_oracle(self, name, graph):
+        got = link_clustering(graph)
+        want = link_clustering_oracle(graph)
+        assert got.leaves == want.leaves
+        assert got.merges == want.merges  # exact floats, same order
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_walk_slices_match_oracle(self, chunk, monkeypatch):
+        # the default slice outgrows every case above; small ones carry
+        # cluster roots from slice to slice
+        monkeypatch.setattr(linkclust, "WALK_CHUNK", chunk)
+        for name, graph in self.CASES[::3]:
+            assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
+
+    def test_pair_count_bound_names_hub(self):
+        leaves = 1
+        while leaves * (leaves - 1) // 2 <= linkclust.MAX_EDGE_PAIRS:
+            leaves += 1
+        g = Graph(
+            ["hub"] + [f"leaf{i}" for i in range(leaves)],
+            [(0, i, 1.0) for i in range(1, leaves + 1)],
+        )
+        count = leaves * (leaves - 1) // 2
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(
+                DataError,
+                match=rf"{count} edge pairs.*bound of {linkclust.MAX_EDGE_PAIRS}"
+                rf".*'hub' has the highest degree \({leaves}\)",
+            ):
+                link_clustering(g)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 16 * 2**20  # one int32 per pair would already be 114 MB
+
+    def test_pair_count_bound_is_inclusive(self, barbell6, monkeypatch):
+        count = sum(len(a) * (len(a) - 1) // 2 for a in barbell6.adj)
+        monkeypatch.setattr(linkclust, "MAX_EDGE_PAIRS", count)
+        assert len(link_clustering(barbell6).merges) == 6
+        monkeypatch.setattr(linkclust, "MAX_EDGE_PAIRS", count - 1)
+        with pytest.raises(DataError, match=f"{count} edge pairs"):
+            link_clustering(barbell6)
+
+    def test_matching_has_no_pairs(self):
+        g = Graph([str(i) for i in range(6)], [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)])
+        dend = link_clustering(g)
+        assert dend.leaves == [(0, 1), (2, 3), (4, 5)]
+        assert dend.merges == []
 
 
 class TestDendrogram:
