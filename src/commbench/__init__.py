@@ -21,10 +21,8 @@ from .graph import (
 from .covers import (
     Cover,
     Partition,
-    read_partition,
     serialize_cover,
     write_cover,
-    write_partition,
 )
 from .detectors import (
     ResolutionParams,
@@ -49,7 +47,6 @@ from .dataset import (
     LabeledDataset,
     build_dataset,
     cross_validate,
-    neighbor_attribute_features,
     stratified_folds,
 )
 from .planted import PlantedPartitionSpec, generate_planted
@@ -117,12 +114,10 @@ __all__ = [
     "louvain",
     "maximal_cliques",
     "method_cover",
-    "neighbor_attribute_features",
     "nmi",
     "order_adjacency",
     "parameterized_modularity",
     "parse_config",
-    "read_partition",
     "run_benchmark",
     "sanity_check",
     "save_model",
@@ -133,5 +128,4 @@ __all__ = [
     "write_cover",
     "write_edge_list",
     "write_ordering",
-    "write_partition",
 ]

@@ -117,14 +117,6 @@ def assignment_matrix(cover, n):
     return AssignmentMatrix(mat, ids)
 
 
-def write_assignment_matrix(am, path):
-    """Sparse triplet form: one 'row col' line per set entry."""
-    rows, cols = np.nonzero(am.matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            fh.write(f"{r} {c}\n")
-
-
 @dataclass
 class CoverStats:
     """Size summary of a cover over a node universe.

@@ -1,4 +1,4 @@
-"""Community covers and partitions, plus their file forms.
+"""Community covers and partitions, plus the cover file form.
 
 A cover is an ordered list of node communities that may overlap. A partition
 assigns every node to exactly one community (indices are normalized to a
@@ -126,36 +126,3 @@ def serialize_cover(cover, graph):
 def write_cover(cover, graph, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_cover(cover, graph))
-
-
-def write_partition(partition, graph, path):
-    """Write 'label community-index' lines in node-index order."""
-    if partition.n != graph.n:
-        raise DataError("partition does not match graph node count")
-    with open(path, "w", encoding="utf-8") as fh:
-        for v, a in enumerate(partition.assignment):
-            fh.write(f"{graph.labels[v]} {a}\n")
-
-
-def read_partition(path, graph):
-    assignment = [None] * graph.n
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'label community'")
-            try:
-                i = graph.index_of(parts[0])
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            try:
-                assignment[i] = int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad community index {parts[1]!r}") from None
-    if any(a is None for a in assignment):
-        missing = next(v for v, a in enumerate(assignment) if a is None)
-        raise DataError(f"{path}: no community for node {graph.labels[missing]!r}")
-    return Partition(assignment)

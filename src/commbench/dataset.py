@@ -1,10 +1,9 @@
-"""Labeled feature datasets, ego-network feature builders, cross-validation.
+"""Labeled feature datasets and cross-validation.
 
-The canonical feature set is the binary community-membership matrix; the
-neighbor-attribute builder exists for enrichment experiments and follows the
-same column conventions. Stratified folds are dealt deterministically from a
-seeded shuffle, so per-fold class counts deviate from proportionality by at
-most one row per class.
+The features are the binary community-membership matrix, paired with one
+attribute's non-missing labels. Stratified folds are dealt deterministically
+from a seeded shuffle, so per-fold class counts deviate from proportionality
+by at most one row per class.
 """
 
 from __future__ import annotations
@@ -39,48 +38,6 @@ def build_dataset(matrix, attrs, attribute):
     features = matrix.matrix[keep].astype(np.float64)
     labels = np.array([class_index[column[i]] for i in keep], dtype=np.int64)
     return LabeledDataset(features, labels, classes, keep)
-
-
-def neighbor_attribute_features(graph, attrs, exclude):
-    """Ego-network features from every attribute except the target.
-
-    For each (attribute, value) pair this emits the fraction of a node's
-    neighbors carrying that value - neighbors with a missing value do not
-    count toward the denominator, and a node with no known-valued neighbor
-    gets 0 - plus a one-hot encoding of the node's own value. Returns the
-    matrix and its column names.
-    """
-    blocks = []
-    names = []
-    for name in attrs.names:
-        if name == exclude:
-            continue
-        values = attrs.categories(name)
-        if not values:
-            continue
-        column = attrs.column(name)
-        value_index = {v: k for k, v in enumerate(values)}
-        frac = np.zeros((graph.n, len(values)))
-        for i in range(graph.n):
-            known = 0
-            for j, _ in graph.adj[i]:
-                v = column[j]
-                if v is not MISSING:
-                    known += 1
-                    frac[i, value_index[v]] += 1.0
-            if known:
-                frac[i] /= known
-        own = np.zeros((graph.n, len(values)))
-        for i in range(graph.n):
-            v = column[i]
-            if v is not MISSING:
-                own[i, value_index[v]] = 1.0
-        blocks.extend([frac, own])
-        names.extend(f"frac:{name}={v}" for v in values)
-        names.extend(f"own:{name}={v}" for v in values)
-    if not blocks:
-        return np.zeros((graph.n, 0)), []
-    return np.hstack(blocks), names
 
 
 def stratified_folds(labels, k, seed):

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 
 from ..covers import Cover
 from ..errors import ConfigError, DataError
-from .gce import _check_alpha, gce, maximal_cliques
+from .gce import _check_alpha, gce, gce_sweep, maximal_cliques
 from .linkclust import (
     _check_threshold,
     cut_link_dendrogram,
     edge_similarity,
     link_clustering,
+    sweep_link_dendrogram,
 )
 from .louvain import LouvainResult, _check_markov_time, louvain, parameterized_modularity
 
@@ -37,6 +38,7 @@ __all__ = [
     "maximal_cliques",
     "link_clustering",
     "cut_link_dendrogram",
+    "sweep_link_dendrogram",
     "edge_similarity",
 ]
 
@@ -81,7 +83,10 @@ class DetectorKind:
     `run(graph, params, **flags)` returns one cover. The `<name>-sweep`
     method kind runs it over a grid of the resolution option (config key
     `sweep_key`, default `grid`); `sweep(graph, params_list)`, when set,
-    replaces the per-point runs with one that shares work across the grid.
+    replaces the per-point runs with one that shares work across the grid
+    and returns one cover per point, in grid order: GCE enumerates the
+    cliques once, link clustering builds one dendrogram and walks its merges
+    once. A sweep takes no flags and does not pass through `detect_cover`.
     `flags` maps each boolean option to its help text.
     """
 
@@ -106,12 +111,9 @@ def _louvain_cover(graph, params, multi_level=False):
 
 
 def _link_covers(graph, params_list):
-    """One link dendrogram, cut once per threshold."""
-    dendrogram = link_clustering(graph)
-    return [
-        cut_link_dendrogram(dendrogram, params.threshold_percent, graph)
-        for params in params_list
-    ]
+    """One link dendrogram, swept once over every threshold."""
+    thresholds = [params.threshold_percent for params in params_list]
+    return sweep_link_dendrogram(link_clustering(graph), thresholds, graph)
 
 
 def _link_cover(graph, params):
@@ -135,6 +137,7 @@ DETECTORS = {
         ),
         sweep_key="alphas",
         grid=(0.8, 1.0, 1.3, 1.5, 1.7, 2.2),
+        sweep=gce_sweep,
     ),
     "linkcluster": DetectorKind(
         run=_link_cover,

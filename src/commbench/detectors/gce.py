@@ -11,7 +11,9 @@ crossing its boundary; growth stops as soon as no addition strictly improves
 F. A finished candidate is discarded when its minimum-overlap distance
 1 - |C & A| / min(|C|, |A|) to an already accepted community is below 0.25.
 Seeds are processed largest first (ties by member list), frontier ties go to
-the lowest node index, so the whole run is deterministic.
+the lowest node index, so the whole run is deterministic. ``gce_sweep``
+enumerates the cliques once and grows the same seeds for every alpha of a
+grid; ``gce`` is its one-alpha case.
 """
 
 from __future__ import annotations
@@ -91,12 +93,13 @@ def _expand(graph, seed, alpha):
     while w_in:
         best_v = None
         best_vf = best_f
-        for v in sorted(w_in):
-            wv = w_in[v]
+        for v, wv in w_in.items():
             f = _fitness(
                 kin + 2.0 * wv, kout - wv + (graph.degrees[v] - wv), alpha
             )
-            if f > best_vf:
+            # ties between candidates go to the lowest index; merely matching
+            # the current fitness is no improvement
+            if f > best_vf or (f == best_vf and best_v is not None and v < best_v):
                 best_vf = f
                 best_v = v
         if best_v is None:
@@ -130,8 +133,13 @@ def _check_alpha(alpha):
 
 def gce(graph, params):
     """Detect overlapping communities by expanding maximal-clique seeds."""
-    alpha = params.alpha
-    _check_alpha(alpha)
+    return gce_sweep(graph, [params])[0]
+
+
+def gce_sweep(graph, params_list):
+    """One cover per alpha, all grown from one clique enumeration."""
+    for params in params_list:
+        _check_alpha(params.alpha)
     if graph.n == 0:
         raise DataError("cannot detect communities in an empty graph")
     cliques = maximal_cliques(graph)
@@ -141,9 +149,14 @@ def gce(graph, params):
         log.info("no 4-clique present; relaxing clique seed size to 3")
     seeds = [c for c in cliques if len(c) >= min_size]
     seeds.sort(key=lambda c: (-len(c), c))
-    accepted = []
-    for seed in seeds:
-        community = _expand(graph, seed, alpha)
-        if not _is_duplicate(community, accepted):
-            accepted.append(community)
-    return Cover(graph.n, accepted, provenance=f"gce(alpha={alpha:g})")
+    covers = []
+    for params in params_list:
+        accepted = []
+        for seed in seeds:
+            community = _expand(graph, seed, params.alpha)
+            if not _is_duplicate(community, accepted):
+                accepted.append(community)
+        covers.append(
+            Cover(graph.n, accepted, provenance=f"gce(alpha={params.alpha:g})")
+        )
+    return covers

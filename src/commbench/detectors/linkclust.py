@@ -11,6 +11,11 @@ spanning fewer than four nodes or holding fewer than three edges are
 dropped. Similarities ignore edge weights. Everything is deterministic:
 candidate pairs are processed in (height, edge-id, edge-id) order.
 
+``sweep_link_dendrogram`` makes every cover: it walks the merges once for a
+whole grid of cut heights, keeping each cluster's node set and edge count as
+it grows, so a sweep costs one build plus one walk, not one replay per
+threshold. ``cut_link_dendrogram`` is its one-threshold case.
+
 The heights come from numpy arrays over all sum_k deg(k)(deg(k) - 1)/2 edge
 pairs, without sets: |N+(i) & N+(j)| is the number of keystones i and j
 share (how often the node pair turns up among the pairs) plus 2 when i and
@@ -244,22 +249,59 @@ def _check_threshold(threshold_percent):
 
 def cut_link_dendrogram(dendrogram, threshold_percent, graph):
     """Cut the forest at threshold_percent/100 and span clusters onto nodes."""
-    _check_threshold(threshold_percent)
-    height = threshold_percent / 100.0
-    communities = []
-    for leaf_ids in dendrogram.cut(height):
-        if len(leaf_ids) < MIN_EDGES:
-            continue
-        nodes = set()
-        for eid in leaf_ids:
-            i, j = dendrogram.leaves[eid]
-            nodes.add(i)
-            nodes.add(j)
-        if len(nodes) < MIN_NODES:
-            continue
-        communities.append(frozenset(nodes))
-    return Cover(
-        graph.n,
-        dedupe_exact(communities),
-        provenance=f"linkcluster(threshold={threshold_percent})",
-    )
+    return sweep_link_dendrogram(dendrogram, [threshold_percent], graph)[0]
+
+
+def sweep_link_dendrogram(dendrogram, thresholds, graph):
+    """One cover per threshold percentage, from one walk over the merges.
+
+    The distinct thresholds are visited in ascending order while a union-find
+    (root = smallest leaf) applies the merges at or below each height; every
+    root keeps its cluster's node set and edge count. A cover holds the
+    clusters passing the size filter, ordered by root, with the frozenset of
+    each cached until its cluster next merges. Covers come back in the order
+    of ``thresholds``, repeats included.
+    """
+    thresholds = list(thresholds)
+    for threshold_percent in thresholds:
+        _check_threshold(threshold_percent)
+    leaves = dendrogram.leaves
+    merges = dendrogram.merges
+    parent = list(range(len(leaves)))
+    nodes = {}  # root -> node set, for clusters of two or more edges
+    edge_count = {}  # root -> edges, likewise
+    passing = {}  # root -> its frozenset once emitted, else None
+    covers = {}
+    k = 0
+    for threshold_percent in sorted(set(thresholds)):
+        height = threshold_percent / 100.0
+        while k < len(merges) and merges[k][2] <= height:
+            a, b, _ = merges[k]
+            k += 1
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra == rb:
+                continue
+            root, other = min(ra, rb), max(ra, rb)
+            parent[other] = root
+            big = nodes.pop(root, None) or set(leaves[root])
+            small = nodes.pop(other, None) or set(leaves[other])
+            if len(big) < len(small):
+                big, small = small, big
+            big |= small
+            nodes[root] = big
+            count = edge_count[root] = edge_count.get(root, 1) + edge_count.pop(other, 1)
+            passing.pop(other, None)
+            if count >= MIN_EDGES and len(big) >= MIN_NODES:
+                passing[root] = None  # new, or grown past its cached set
+        communities = []
+        for root in sorted(passing):
+            community = passing[root]
+            if community is None:
+                community = passing[root] = frozenset(nodes[root])
+            communities.append(community)
+        covers[threshold_percent] = Cover(
+            graph.n,
+            dedupe_exact(communities),
+            provenance=f"linkcluster(threshold={threshold_percent})",
+        )
+    return [covers[threshold_percent] for threshold_percent in thresholds]

@@ -75,11 +75,14 @@ def _one_level(graph, t):
             # the node's own loop contributes equally to every choice
             best_comm = old
             best_gain = t * w2c.get(old, 0.0) - tot[old] * ki * inv2m
-            for c in sorted(w2c):
+            for c, wc in w2c.items():
                 if c == old:
                     continue
-                gain = t * w2c[c] - tot[c] * ki * inv2m
-                if gain > best_gain:
+                gain = t * wc - tot[c] * ki * inv2m
+                # ties go to the lowest community index, but never displace old
+                if gain > best_gain or (
+                    gain == best_gain and best_comm != old and c < best_comm
+                ):
                     best_gain = gain
                     best_comm = c
             tot[best_comm] += ki

@@ -364,13 +364,6 @@ def _softmax(scores):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_loss(scores, y):
-    """Mean cross-entropy of softmax scores against integer labels."""
-    p = _softmax(scores)
-    picked = p[np.arange(len(y)), y]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
-
-
 def train_gbdt(data, params):
     """Train the boosted ensemble on a LabeledDataset."""
     params.validate()

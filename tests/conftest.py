@@ -70,6 +70,60 @@ def random_graph(rng, max_n=10, allow_self_loops=False, weighted=False):
     return Graph([str(i) for i in range(n)], edges, allow_self_loops=allow_self_loops), edges
 
 
+def tie_prone_graphs(rng):
+    """(name, graph) cases rich in exact gain and fitness ties.
+
+    Random graphs with unit, small-integer and float weights, plus symmetric
+    shapes (cycles, complete bipartite graphs, copies of one clique, grids)
+    whose equal weights make many candidates score exactly alike.
+    """
+    cases = []
+    for k in range(36):
+        n = rng.randint(3, 40)
+        p = rng.choice([0.1, 0.25, 0.5])
+        kind = ("unit", "integer", "float")[k % 3]
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    if kind == "unit":
+                        w = 1.0
+                    elif kind == "integer":
+                        w = float(rng.randint(1, 3))
+                    else:
+                        w = rng.uniform(0.1, 3.0)
+                    edges.append((i, j, w))
+        if not edges:
+            edges.append((0, 1, 1.0))
+        cases.append((f"{kind}{k}", Graph([str(i) for i in range(n)], edges)))
+    for n in (5, 8, 13):
+        edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+        cases.append((f"cycle{n}", Graph([str(i) for i in range(n)], edges)))
+    for a, b in ((2, 5), (3, 3), (4, 6)):
+        edges = [(i, a + j, 2.0) for i in range(a) for j in range(b)]
+        cases.append((f"k{a},{b}", Graph([str(i) for i in range(a + b)], edges)))
+    for copies, size in ((3, 4), (4, 5)):
+        edges = []
+        for c in range(copies):
+            members = range(c * size, (c + 1) * size)
+            edges += [(i, j, 1.0) for i, j in combinations(members, 2)]
+        # one bridge per neighbouring pair of copies, all alike
+        edges += [(c * size, (c + 1) * size, 1.0) for c in range(copies - 1)]
+        n = copies * size
+        cases.append((f"{copies}xk{size}", Graph([str(i) for i in range(n)], edges)))
+    for rows, cols in ((3, 4), (5, 5)):
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                v = r * cols + c
+                if c + 1 < cols:
+                    edges.append((v, v + 1, 1.0))
+                if r + 1 < rows:
+                    edges.append((v, v + cols, 1.0))
+        cases.append((f"grid{rows}x{cols}", Graph([str(i) for i in range(rows * cols)], edges)))
+    return cases
+
+
 def random_partition(rng, n):
     k = rng.randint(1, n)
     assignment = [rng.randrange(k) for _ in range(n)]

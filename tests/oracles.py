@@ -6,7 +6,8 @@ shape with the package: quadratic pairwise sums instead of per-community
 accumulators, base-2 logarithms for NMI, restricted-growth-string partition
 enumeration, subset enumeration for cliques, a per-pair set-Jaccard walk
 for the link dendrogram, and a recursive per-row tree grower that re-reads
-the rows of every node.
+the rows of every node. The Louvain move phase and the GCE expansion step are
+kept in their earlier form, which scans candidates in sorted order.
 """
 
 import math
@@ -281,3 +282,99 @@ def regression_tree_oracle(
 
     grow(np.asarray(rows), 0)
     return feature, threshold, left, right, value
+
+
+def log_loss_oracle(scores, y):
+    """Mean cross-entropy of each score row's softmax against its label."""
+    total = 0.0
+    for row, label in zip(np.asarray(scores, dtype=np.float64), y):
+        shift = float(row.max())
+        log_norm = shift + math.log(sum(math.exp(s - shift) for s in row))
+        total += log_norm - float(row[label])
+    return total / len(y)
+
+
+def louvain_level_oracle(graph, t):
+    """Louvain's local move phase, scanning neighbour communities sorted.
+
+    Returns (assignment, moved_any) as ``louvain._one_level`` does; a move
+    needs a strictly larger gain, so ties keep the lowest community index.
+    """
+    n = graph.n
+    if graph.m == 0:
+        return list(range(n)), False
+    inv2m = 1.0 / (2.0 * graph.m)
+    comm = list(range(n))
+    tot = list(graph.degrees)
+    moved_any = False
+    while True:
+        moved = False
+        for i in range(n):
+            ki = graph.degrees[i]
+            old = comm[i]
+            w2c = {}
+            for j, w in graph.adj[i]:
+                cj = comm[j]
+                w2c[cj] = w2c.get(cj, 0.0) + w
+            tot[old] -= ki
+            best_comm = old
+            best_gain = t * w2c.get(old, 0.0) - tot[old] * ki * inv2m
+            for c in sorted(w2c):
+                if c == old:
+                    continue
+                gain = t * w2c[c] - tot[c] * ki * inv2m
+                if gain > best_gain:
+                    best_gain = gain
+                    best_comm = c
+            tot[best_comm] += ki
+            if best_comm != old:
+                comm[i] = best_comm
+                moved = True
+                moved_any = True
+        if not moved:
+            break
+    return comm, moved_any
+
+
+def gce_expand_oracle(graph, seed, alpha):
+    """GCE's greedy seed expansion, scanning the frontier sorted.
+
+    Fitness is k_in / (k_in + k_out)^alpha (0 for an empty total); a node
+    joins only on a strict improvement, so ties keep the lowest node index.
+    """
+    def fitness(kin, kout):
+        total = kin + kout
+        return 0.0 if total <= 0.0 else kin / total**alpha
+
+    members = set(seed)
+    kin = 0.0
+    kout = 0.0
+    w_in = {}
+    for v in members:
+        for u, w in graph.adj[v]:
+            if u in members:
+                kin += w
+            else:
+                kout += w
+                w_in[u] = w_in.get(u, 0.0) + w
+    best_f = fitness(kin, kout)
+    while w_in:
+        best_v = None
+        best_vf = best_f
+        for v in sorted(w_in):
+            wv = w_in[v]
+            f = fitness(kin + 2.0 * wv, kout - wv + (graph.degrees[v] - wv))
+            if f > best_vf:
+                best_vf = f
+                best_v = v
+        if best_v is None:
+            break
+        wv = w_in.pop(best_v)
+        kin += 2.0 * wv
+        kout += graph.degrees[best_v] - 2.0 * wv
+        members.add(best_v)
+        for u, w in graph.adj[best_v]:
+            if u not in members:
+                w_in[u] = w_in.get(u, 0.0) + w
+        best_f = best_vf
+    return frozenset(members)

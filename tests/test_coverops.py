@@ -21,13 +21,8 @@ from commbench import (
     serialize_cover,
     write_cover,
 )
-from commbench.covers import dedupe_exact, read_partition, write_partition
-from commbench.coverops import (
-    DEDUP_EPSILON,
-    format_cover_stats,
-    parse_cover_stats,
-    write_assignment_matrix,
-)
+from commbench.covers import dedupe_exact
+from commbench.coverops import DEDUP_EPSILON, format_cover_stats, parse_cover_stats
 from commbench import Graph
 from conftest import random_cover_communities, random_partition
 from oracles import dedup_postcondition_holds, jaccard_oracle, nmi_oracle
@@ -153,30 +148,6 @@ class TestImportCover:
         assert "duplicate" in caplog.text
 
 
-class TestPartitionIO:
-    def test_round_trip(self, tmp_path, barbell6):
-        p = Partition([0, 0, 0, 1, 1, 1])
-        path = tmp_path / "part.txt"
-        write_partition(p, barbell6, path)
-        assert read_partition(path, barbell6) == p
-
-    def test_size_mismatch_rejected(self, tmp_path, barbell6):
-        with pytest.raises(DataError, match="does not match"):
-            write_partition(Partition([0, 1]), barbell6, tmp_path / "p.txt")
-
-    def test_missing_node_rejected(self, tmp_path, barbell6):
-        path = tmp_path / "p.txt"
-        path.write_text("0 0\n1 0\n2 0\n3 1\n4 1\n")
-        with pytest.raises(DataError, match="no community for node"):
-            read_partition(path, barbell6)
-
-    def test_bad_community_index_rejected(self, tmp_path, barbell6):
-        path = tmp_path / "p.txt"
-        path.write_text("0 zero\n")
-        with pytest.raises(DataError, match="bad community index"):
-            read_partition(path, barbell6)
-
-
 class TestDedup:
     def test_worked_example(self):
         cover = Cover(11, [{1, 2, 3, 4}, {1, 2, 3, 4, 5}, {7, 8, 9}, {6, 7, 8, 9}])
@@ -297,12 +268,6 @@ class TestAssignmentMatrix:
             assert am.matrix.sum(axis=0).tolist() == [len(c) for c in comms]
             for v in range(n):
                 assert am.matrix[v].sum() == sum(1 for c in comms if v in c)
-
-    def test_sparse_triplet_writer(self, tmp_path):
-        am = assignment_matrix(Cover(3, [{0, 2}, {1}]), 3)
-        path = tmp_path / "am.txt"
-        write_assignment_matrix(am, path)
-        assert path.read_text() == "0 0\n1 1\n2 0\n"
 
 
 class TestCoverStats:

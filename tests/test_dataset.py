@@ -1,4 +1,4 @@
-"""Dataset assembly, ego-network features, stratified folds, cross-validation."""
+"""Dataset assembly, stratified folds, cross-validation."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from commbench import (
     Cover,
     DataError,
     GBDTParams,
-    Graph,
     LabeledDataset,
     assignment_matrix,
     build_dataset,
     cross_validate,
-    neighbor_attribute_features,
     stratified_folds,
 )
 from commbench.dataset import fold_seed
@@ -63,41 +61,6 @@ class TestBuildDataset:
         attrs = table(2, color=["red", "red"])
         with pytest.raises(DataError, match="unknown attribute"):
             build_dataset(matrix, attrs, "size")
-
-
-class TestNeighborFeatures:
-    def test_hand_values_on_barbell(self, barbell6):
-        attrs = table(
-            6,
-            side=["L", "L", "L", "R", "R", MISSING],
-            target=["x"] * 6,
-        )
-        X, names = neighbor_attribute_features(barbell6, attrs, exclude="target")
-        assert names == ["frac:side=L", "frac:side=R", "own:side=L", "own:side=R"]
-        assert X.shape == (6, 4)
-        assert X[0].tolist() == [1.0, 0.0, 1.0, 0.0]
-        assert X[2, 0] == pytest.approx(2 / 3)
-        assert X[2, 1] == pytest.approx(1 / 3)
-        # node 3 has one L neighbor, one R neighbor, one unknown neighbor
-        assert X[3, 0] == pytest.approx(0.5)
-        assert X[3, 1] == pytest.approx(0.5)
-        # node 5 carries no value of its own
-        assert X[5].tolist() == [0.0, 1.0, 0.0, 0.0]
-
-    def test_no_known_neighbors_gives_zero_fractions(self):
-        g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
-        attrs = table(3, x=[MISSING, "v", MISSING], y=["p", "p", "q"])
-        X, names = neighbor_attribute_features(g, attrs, exclude="y")
-        assert names == ["frac:x=v", "own:x=v"]
-        assert X[1].tolist() == [0.0, 1.0]
-        assert X[0].tolist() == [1.0, 0.0]
-
-    def test_excluded_and_empty_attributes_skipped(self):
-        g = Graph(["a", "b"], [(0, 1, 1.0)])
-        attrs = table(2, only=[MISSING, MISSING], goal=["u", "v"])
-        X, names = neighbor_attribute_features(g, attrs, exclude="goal")
-        assert names == []
-        assert X.shape == (2, 0)
 
 
 class TestStratifiedFolds:

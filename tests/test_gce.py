@@ -9,8 +9,8 @@ import pytest
 
 from commbench import DataError, Graph, ResolutionParams, gce, generate_planted, maximal_cliques
 from commbench.detectors.gce import _expand, _fitness
-from conftest import four_group_spec, make_micro, random_graph
-from oracles import maximal_cliques_oracle
+from conftest import four_group_spec, make_micro, random_graph, tie_prone_graphs
+from oracles import gce_expand_oracle, maximal_cliques_oracle
 
 
 class TestMaximalCliques:
@@ -66,6 +66,20 @@ class TestFitnessExpansion:
 
     def test_empty_boundary_fitness(self):
         assert _fitness(0.0, 0.0, 1.5) == 0.0
+
+
+class TestExpansionMatchesOracle:
+    CASES = tie_prone_graphs(random.Random(67))
+
+    @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
+    def test_same_growth_as_sorted_scan(self, name, graph):
+        rng = random.Random(name)
+        seeds = [c for c in maximal_cliques(graph) if len(c) >= 2]
+        seeds += [rng.sample(range(graph.n), k) for k in (1, 2, 3)]
+        for alpha in (0.8, 1.0, 1.5, 2.2):
+            for seed in seeds:
+                want = gce_expand_oracle(graph, seed, alpha)
+                assert _expand(graph, seed, alpha) == want, (alpha, seed)
 
 
 class TestGce:

@@ -8,18 +8,25 @@ from itertools import combinations
 import pytest
 
 from commbench import (
+    Cover,
     DataError,
     Dendrogram,
     Graph,
+    MethodSpec,
+    PlantedPartitionSpec,
     ResolutionParams,
     build_meta_graph,
+    combine_runs,
     cut_link_dendrogram,
     detect_cover,
     edge_similarity,
     generate_planted,
     link_clustering,
+    method_cover,
 )
+from commbench.covers import dedupe_exact
 from commbench.detectors import linkclust
+from commbench.detectors.linkclust import sweep_link_dendrogram
 from conftest import four_group_spec, random_graph
 from oracles import edge_components_oracle, link_clustering_oracle
 
@@ -263,3 +270,94 @@ class TestCutCover:
     def test_detect_cover_dispatch(self, barbell6):
         cover = detect_cover(barbell6, "linkcluster", ResolutionParams(threshold_percent=90))
         assert cover.communities == [frozenset(range(6))]
+
+
+def cut_cover(dendrogram, threshold_percent, graph):
+    """One threshold's cover, spanned from the leaf lists of ``Dendrogram.cut``.
+
+    Clusters come in the order of their smallest leaf; those with fewer than
+    3 edges or 4 nodes are dropped, then exact duplicates.
+    """
+    communities = []
+    for leaf_ids in dendrogram.cut(threshold_percent / 100.0):
+        nodes = {v for eid in leaf_ids for v in dendrogram.leaves[eid]}
+        if len(leaf_ids) >= 3 and len(nodes) >= 4:
+            communities.append(frozenset(nodes))
+    return Cover(
+        graph.n,
+        dedupe_exact(communities),
+        provenance=f"linkcluster(threshold={threshold_percent})",
+    )
+
+
+class TestSweep:
+    # a planted graph large enough that many clusters pass at once and keep
+    # growing across the grid
+    CASES = TestPairBuild.CASES + [
+        (
+            "planted300",
+            generate_planted(
+                PlantedPartitionSpec(n=300, groups=6, p_in=0.3, p_out=0.02, seed=5)
+            )[0],
+        )
+    ]
+
+    @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
+    def test_matches_per_threshold_cuts(self, name, graph):
+        dend = link_clustering(graph)
+        grid = list(range(1, 101))
+        for t, got in zip(grid, sweep_link_dendrogram(dend, grid, graph)):
+            want = cut_cover(dend, t, graph)
+            assert got.communities == want.communities, t  # same order too
+            assert got.provenance == want.provenance
+
+    def test_unsorted_repeated_grid(self):
+        graph = self.CASES[-1][1]
+        dend = link_clustering(graph)
+        covers = sweep_link_dendrogram(dend, [50, 10, 50], graph)
+        assert [c.provenance for c in covers] == [
+            "linkcluster(threshold=50)",
+            "linkcluster(threshold=10)",
+            "linkcluster(threshold=50)",
+        ]
+        pooled = method_cover(
+            graph,
+            MethodSpec("m", "linkcluster-sweep", {"thresholds": (50, 10, 50), "dedup": False}),
+        )
+        want = combine_runs([cut_cover(dend, t, graph) for t in (50, 10, 50)])
+        assert pooled.communities == want.communities
+        assert pooled.provenance == want.provenance
+        assert pooled.provenance.startswith(
+            "linkcluster(threshold=50)+linkcluster(threshold=10)"
+        )
+
+    def test_one_threshold_is_the_cut(self):
+        # a lone threshold starts the walk from scratch, with no lower heights
+        for name, graph in self.CASES[::4]:
+            dend = link_clustering(graph)
+            for t in (1, 35, 70, 100):
+                want = cut_cover(dend, t, graph)
+                for got in (
+                    sweep_link_dendrogram(dend, [t], graph)[0],
+                    cut_link_dendrogram(dend, t, graph),
+                ):
+                    assert got.communities == want.communities, (name, t)
+                    assert got.provenance == want.provenance
+
+    def test_redundant_merges_are_skipped(self):
+        # a hand-built forest may join two leaves already in one cluster
+        leaves = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
+        merges = [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3), (2, 3, 0.4), (3, 4, 0.5)]
+        dend = Dendrogram(leaves, merges)
+        graph = Graph([str(i) for i in range(5)], [(i, j, 1.0) for i, j in leaves])
+        grid = [10, 20, 30, 40, 50]
+        got = sweep_link_dendrogram(dend, grid, graph)
+        assert [c.communities for c in got] == [
+            cut_cover(dend, t, graph).communities for t in grid
+        ]
+        assert got[3].communities == [frozenset(range(4))]
+
+    def test_bad_threshold_in_grid_rejected(self, barbell6):
+        dend = link_clustering(barbell6)
+        with pytest.raises(ValueError, match="between 1 and 100"):
+            sweep_link_dendrogram(dend, [50, 0], barbell6)

@@ -1,11 +1,21 @@
 """Louvain behavior: optimality on micro graphs, determinism, level structure."""
 
+import random
+
 import pytest
 
-from commbench import Cover, DataError, Graph, Partition, ResolutionParams, parameterized_modularity
-from commbench.detectors.louvain import louvain
-from conftest import MICRO_GRAPHS, make_micro
-from oracles import enumerate_partitions
+from commbench import (
+    Cover,
+    DataError,
+    Graph,
+    Partition,
+    ResolutionParams,
+    build_meta_graph,
+    parameterized_modularity,
+)
+from commbench.detectors.louvain import _blocks_of, _one_level, louvain
+from conftest import MICRO_GRAPHS, make_micro, tie_prone_graphs
+from oracles import enumerate_partitions, louvain_level_oracle
 
 
 def params(t):
@@ -109,3 +119,23 @@ class TestMultiLevelCover:
         res = louvain(barbell6, params(1.0), multi_level=True)
         comms = res.cover.communities
         assert len(comms) == len(set(comms))
+
+
+class TestMovePhaseMatchesOracle:
+    CASES = tie_prone_graphs(random.Random(61))
+
+    @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
+    def test_same_moves_as_sorted_scan(self, name, graph):
+        for t in (0.1, 0.5, 1.0):
+            assert _one_level(graph, t) == louvain_level_oracle(graph, t), t
+
+    def test_every_aggregation_level(self):
+        # meta-graphs add self-loops and summed weights to the ties
+        for name, graph in self.CASES:
+            current = graph
+            while True:
+                assignment, moved = _one_level(current, 1.0)
+                assert (assignment, moved) == louvain_level_oracle(current, 1.0), name
+                if not moved:
+                    break
+                current = build_meta_graph(current, _blocks_of(assignment))
