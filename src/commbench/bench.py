@@ -327,14 +327,15 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def _record_line(record):
+    """One network,method,attribute,fold,accuracy CSV line, without its newline."""
+    network, method, attribute, fold, accuracy = record
+    names = ",".join(_csv_quote(x) for x in (network, method, attribute))
+    return f"{names},{fold},{accuracy!r}"
+
+
 def _write_cell(path, rows):
-    lines = []
-    for network, method, attribute, fold, accuracy in rows:
-        lines.append(
-            ",".join(_csv_quote(x) for x in (network, method, attribute))
-            + f",{fold},{accuracy!r}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(map(_record_line, rows)) + "\n")
 
 
 def _csv_quote(value):
@@ -344,17 +345,15 @@ def _csv_quote(value):
 
 
 def _read_cell(path):
-    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        for record in csv.reader(fh):
-            if not record:
-                continue
-            if len(record) != 5:
-                raise DataError(f"{path}: bad cell row {record!r}")
-            rows.append(
-                (record[0], record[1], record[2], int(record[3]), float(record[4]))
-            )
-    return rows
+        reader = csv.reader(fh)
+        try:
+            return [
+                (network, method, attribute, int(fold), float(accuracy))
+                for network, method, attribute, fold, accuracy in filter(None, reader)
+            ]
+        except ValueError:
+            raise DataError(f"{path}:{reader.line_num}: bad cell row") from None
 
 
 @dataclass
@@ -407,7 +406,11 @@ def run_benchmark(config, force=False):
             have_stats = stats_path.exists() and not force
             if have_stats:
                 with open(stats_path, encoding="utf-8") as fh:
-                    stats[(net_name, method.name)] = parse_cover_stats(fh.readline())
+                    line = fh.readline()
+                try:
+                    stats[(net_name, method.name)] = parse_cover_stats(line)
+                except DataError as exc:
+                    raise DataError(f"{stats_path}:1: {exc}") from None
             for attribute in config.attributes:
                 if attribute in done:
                     records.extend(done[attribute])
@@ -482,12 +485,7 @@ def run_benchmark(config, force=False):
 
 
 def _write_report(out, config, records, stats, summary, histograms, failures):
-    lines = ["network,method,attribute,fold,accuracy"]
-    for network, method, attribute, fold, accuracy in records:
-        lines.append(
-            ",".join(_csv_quote(x) for x in (network, method, attribute))
-            + f",{fold},{accuracy!r}"
-        )
+    lines = ["network,method,attribute,fold,accuracy", *map(_record_line, records)]
     _atomic_write(out / "report.csv", "\n".join(lines) + "\n")
     lines = ["method\tattribute\tmean_accuracy\trecords"]
     for (method, attribute), (mean, count) in sorted(summary.items()):

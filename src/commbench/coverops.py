@@ -170,17 +170,17 @@ def format_cover_stats(stats):
 
 def parse_cover_stats(line):
     parts = line.rstrip("\n").split("\t")
-    if len(parts) != 4:
-        raise DataError(f"bad cover-stats line: {line!r}")
-    count = int(parts[0])
-    median = None if parts[1] == "NA" else float(parts[1])
-    uncovered = int(parts[2])
-    histogram = {}
-    if parts[3]:
-        for item in parts[3].split(","):
-            size, cnt = item.split(":")
-            histogram[int(size)] = int(cnt)
-    return CoverStats(count, median, histogram, uncovered)
+    try:
+        count, median, uncovered, sizes = parts
+        histogram = {}
+        if sizes:
+            for item in sizes.split(","):
+                size, cnt = item.split(":")
+                histogram[int(size)] = int(cnt)
+        median = None if median == "NA" else float(median)
+        return CoverStats(int(count), median, histogram, int(uncovered))
+    except ValueError:
+        raise DataError(f"bad cover-stats line: {line!r}") from None
 
 
 def nmi(p, q):

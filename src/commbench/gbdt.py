@@ -4,21 +4,27 @@ Multiclass boosting keeps one regression-tree sequence per class. Every
 round computes softmax probabilities over the accumulated scores, then fits
 each class's tree to that class's cross-entropy residuals (y - p) on a fresh
 row subsample of ceil(subsample * rows) drawn without replacement from one
-seeded stream. Tree structure is greedy squared-error reduction: binary 0/1
-columns split directly on the value, continuous columns on midpoints between
-consecutive observed values; a node splits only when it holds at least
-min_samples_split rows and some split has positive gain. Leaf values are a
-single Newton step sum(g)/sum(h) with h = p(1-p), clipped to [-4, 4], and
-scores advance by learning_rate times the tree output. Prediction is the
-argmax score with ties resolved by class-vocabulary order. Identical seeds
-give identical models and predictions, byte for byte.
+seeded stream. Tree structure is greedy squared-error reduction: a split on
+a column sends the rows holding 0 left and those holding 1 right, and a node
+splits only when it holds at least min_samples_split rows and some split has
+positive gain. Leaf values are a single Newton step sum(g)/sum(h) with
+h = p(1-p), clipped to [-4, 4], and scores advance by learning_rate times the
+tree output. Prediction is the argmax score with ties resolved by
+class-vocabulary order. Identical seeds give identical models and
+predictions, byte for byte.
+
+Features must be 0 or 1, because the benchmark's features are community
+memberships; training and scoring reject any other value (NaN included) with
+a DataError naming the column. Model files keep a threshold per split, 0.5 for
+every trained one, and a loaded tree sends a row left when its feature is at
+most that threshold.
 
 Rows with the same feature values (patterns) always reach the same leaf, so
 all work runs per pattern: a round's row subsamples become per-(class,
 pattern) row counts and g/h sums, the round's K trees grow together one depth
 at a time, and every split gain of a depth comes from one matrix product of
-per-node pattern sums with the patterns x binary-columns matrix. Training
-cost thus scales with distinct feature rows x columns, not rows x columns.
+per-node pattern sums with the patterns x columns matrix. Training cost thus
+scales with distinct feature rows x columns, not rows x columns.
 """
 
 from __future__ import annotations
@@ -117,21 +123,22 @@ def _leaf_values(trees, values):
         node = np.where(inner, child, node)
 
 
-def _binary_columns(X):
-    zero_or_one = X == 0.0
-    zero_or_one |= X == 1.0
-    return zero_or_one.all(axis=0)
+def _check_binary(X):
+    """Reject any feature other than 0 or 1, naming the first column holding one."""
+    bad = X != 0.0
+    bad &= X != 1.0  # NaN compares unequal to both
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        value = float(X[bad[:, j].argmax(), j])
+        raise DataError(f"feature column {j} holds {value!r}; features must be 0 or 1")
 
 
-def _pattern_ids(X, binary):
-    """Pattern id of every row (ids in first-seen order) and each pattern's first row.
+def _patterns(X):
+    """Pattern id of every row (ids in first-seen order) and the distinct rows.
 
-    Rows are keyed by their bytes: the bits of the binary columns, the raw
-    float64 bytes of the rest.
+    Rows are keyed by the packed bits of their 0/1 features.
     """
-    key = np.packbits((X == 1.0)[:, binary], axis=1)
-    if not binary.all():
-        key = np.hstack([key, np.ascontiguousarray(X[:, ~binary]).view(np.uint8)])
+    key = np.packbits(X == 1.0, axis=1)
     n, width = key.shape
     if width == 0:
         ids = np.zeros(n, dtype=np.intp)
@@ -144,91 +151,43 @@ def _pattern_ids(X, binary):
             dtype=np.intp,
             count=n,
         )
-    return ids, np.unique(ids, return_index=True)[1]
+    first = np.unique(ids, return_index=True)[1]
+    # with every row distinct, first is 0..n-1 and X itself holds the patterns
+    return ids, X if first.size == n else X[first]
 
 
-class _Patterns:
-    """The distinct rows of X, the pattern of each row, and the split columns."""
+def _best_splits(values, W, n_tot, s_tot):
+    """Best feature of each node, -1 where no split gains.
 
-    def __init__(self, X, binary, binary_cols, cont_cols):
-        self.ids, first = _pattern_ids(X, binary)
-        # with every row distinct, first is 0..n-1 and X itself holds the patterns
-        self.values = X if first.size == len(X) else X[first]  # (P, d)
-        self.binary_cols = np.asarray(binary_cols, dtype=np.intp)
-        self.cont_cols = np.asarray(cont_cols, dtype=np.intp)
-        whole = self.binary_cols.size == X.shape[1]
-        self.binary = self.values if whole else self.values[:, self.binary_cols]
-        self.cont = self.values[:, self.cont_cols]
-
-
-def _best_splits(pm, W, n_tot, s_tot):
-    """Best (feature, threshold) of each node, feature -1 where none gains.
-
-    W stacks the nodes' per-pattern row counts over their per-pattern g sums.
-    The binary columns are searched first, lowest column winning ties; a
-    continuous column, searched in column order, must beat the best so far.
+    W stacks the nodes' per-pattern row counts over their per-pattern g sums;
+    the lowest column wins ties.
     """
-    A = len(n_tot)
-    parent = s_tot * s_tot / n_tot
-    best_gain = np.full(A, GAIN_TOL)
-    best_feature = np.full(A, -1, dtype=np.intp)
-    best_threshold = np.zeros(A)
-    binary, cont = pm.binary, pm.cont
-    if binary.shape[1]:
-        C1, S1 = np.split(W @ binary, 2)
-        C0 = n_tot[:, None] - C1
-        S0 = s_tot[:, None] - S1
-        valid = (C1 > 0) & (C0 > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = S1 * S1 / C1 + S0 * S0 / C0 - parent[:, None]
-        gains[~valid] = -np.inf
-        j = gains.argmax(axis=1)
-        top = gains[np.arange(A), j]
-        won = top > best_gain
-        best_gain[won] = top[won]
-        best_feature[won] = pm.binary_cols[j[won]]
-        best_threshold[won] = 0.5
-    if cont.shape[1]:
-        columns = np.arange(cont.shape[1])
-        for a in range(A):
-            present = np.flatnonzero(W[a])
-            v = cont[present]
-            order = np.argsort(v, axis=0, kind="stable")
-            vs = np.take_along_axis(v, order, axis=0)
-            nl = np.cumsum(W[a, present][order], axis=0)[:-1]
-            sl = np.cumsum(W[A + a, present][order], axis=0)[:-1]
-            sr = s_tot[a] - sl
-            gains = np.where(
-                vs[1:] != vs[:-1],
-                sl * sl / nl + sr * sr / (n_tot[a] - nl) - parent[a],
-                -np.inf,
-            )
-            if gains.size == 0:
-                continue
-            cut = gains.argmax(axis=0)
-            top = gains[cut, columns]
-            j = int(top.argmax())
-            if top[j] > best_gain[a]:
-                best_gain[a] = top[j]
-                best_feature[a] = pm.cont_cols[j]
-                best_threshold[a] = (vs[cut[j], j] + vs[cut[j] + 1, j]) / 2.0
-    return best_feature, best_threshold
+    C1, S1 = np.split(W @ values, 2)
+    C0 = n_tot[:, None] - C1
+    S0 = s_tot[:, None] - S1
+    valid = (C1 > 0) & (C0 > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = S1 * S1 / C1 + S0 * S0 / C0 - (s_tot * s_tot / n_tot)[:, None]
+    gains[~valid] = -np.inf
+    j = gains.argmax(axis=1)
+    return np.where(gains[np.arange(len(j)), j] > GAIN_TOL, j, -1)
 
 
-def _grow(pm, cnt, G, H, params):
+def _grow(values, cnt, G, H, params):
     """Grow one tree per row of the (trees x patterns) row counts and g/h sums.
 
     The trees grow together, one depth at a time; a depth's nodes are numbered
     tree by tree, and the children of its i-th split node are nodes 2i and
-    2i + 1 of the next depth. Returns the trees and each pattern's leaf value
-    in each tree, as a (trees x patterns) matrix.
+    2i + 1 of the next depth. values holds the patterns' 0/1 features.
+    Returns the trees and each pattern's leaf value in each tree, as a
+    (trees x patterns) matrix.
     """
     S, P = cnt.shape
     cnt, G, H = (np.asarray(a, dtype=np.float64).ravel() for a in (cnt, G, H))
     pattern = np.tile(np.arange(P), S)
     node = np.repeat(np.arange(S), P)  # node of each (tree, pattern); -1 once at a leaf
     out = np.zeros(S * P)
-    chunk = max(1, WORK_ELEMENTS // (2 * max(P, pm.binary.shape[1])))
+    chunk = max(1, WORK_ELEMENTS // (2 * max(P, values.shape[1])))
     tree = np.arange(S)  # tree of each node at this depth
     levels = []
     for depth in range(params.max_depth + 1):
@@ -236,8 +195,7 @@ def _grow(pm, cnt, G, H, params):
         key = np.where(node >= 0, node, m)
         n_node, g_node, h_node = (np.bincount(key, w, m + 1)[:m] for w in (cnt, G, H))
         feature = np.full(m, -1, dtype=np.intp)
-        threshold = np.zeros(m)
-        if depth < params.max_depth:
+        if depth < params.max_depth and values.shape[1]:
             search = np.flatnonzero(n_node >= params.min_samples_split)
             rank = np.full(m + 1, -1)
             rank[search] = np.arange(search.size)
@@ -249,14 +207,14 @@ def _grow(pm, cnt, G, H, params):
                 W = np.zeros((2, part.size * P))
                 W[0, cell] = cnt[mine]
                 W[1, cell] = G[mine]
-                feature[part], threshold[part] = _best_splits(
-                    pm, W.reshape(2 * part.size, P), n_node[part], g_node[part]
+                feature[part] = _best_splits(
+                    values, W.reshape(2 * part.size, P), n_node[part], g_node[part]
                 )
         inner = feature >= 0
         value = np.where(
             inner, 0.0, np.clip(g_node / (h_node + 1e-12), -LEAF_CLIP, LEAF_CLIP)
         )
-        levels.append((tree, feature, threshold, value))
+        levels.append((tree, feature, value))
         inner_of = np.append(inner, False)[key]
         ended = (key < m) & ~inner_of
         out[ended] = value[key[ended]]
@@ -264,15 +222,18 @@ def _grow(pm, cnt, G, H, params):
             break
         moving = np.flatnonzero(inner_of)
         at = key[moving]
-        go_left = pm.values[pattern[moving], feature[at]] <= threshold[at]
+        go_right = values[pattern[moving], feature[at]] == 1.0  # 0 goes left
         node = np.full(S * P, -1)
-        node[moving] = 2 * (np.cumsum(inner) - 1)[at] + np.where(go_left, 0, 1)
+        node[moving] = 2 * (np.cumsum(inner) - 1)[at] + go_right
         tree = np.repeat(tree[inner], 2)
     return _preorder(S, levels), out.reshape(S, P)
 
 
 def _preorder(S, levels):
-    """Per-tree preorder RegressionTrees from the depth-by-depth node lists."""
+    """Per-tree preorder RegressionTrees from the depth-by-depth node lists.
+
+    Every split gets threshold 0.5, which sends 0 left and 1 right.
+    """
     # subtree sizes bottom-up, preorder positions top-down
     size = [None] * len(levels)
     below = np.zeros(0, dtype=np.intp)
@@ -293,33 +254,33 @@ def _preorder(S, levels):
     base = ends - size[0]
     total = int(ends[-1])
     feature = np.empty(total, dtype=np.intp)
-    threshold = np.empty(total)
     value = np.empty(total)
     left = np.full(total, -1, dtype=np.intp)
     right = np.full(total, -1, dtype=np.intp)
-    for d, (tree, f, t, v) in enumerate(levels):
+    for d, (tree, f, v) in enumerate(levels):
         at = base[tree] + pre[d]
         feature[at] = f
-        threshold[at] = t
         value[at] = v
         inner = f >= 0
         if inner.any():
             left[at[inner]] = pre[d + 1][0::2]
             right[at[inner]] = pre[d + 1][1::2]
+    threshold = np.where(feature >= 0, 0.5, 0.0)
     return [
         RegressionTree(*(a[lo:hi] for a in (feature, threshold, left, right, value)))
         for lo, hi in zip(base.tolist(), ends.tolist())
     ]
 
 
-def fit_regression_tree(X, g, h, rows, params, binary_cols, cont_cols):
-    """Fit one tree to gradients g with Newton leaves from hessians h."""
+def fit_regression_tree(X, g, h, rows, params):
+    """Fit one tree over 0/1 features to g, with Newton leaves from hessians h."""
     X = np.asarray(X, dtype=np.float64)
-    pm = _Patterns(X, _binary_columns(X), binary_cols, cont_cols)
-    at = pm.ids[rows]
-    P = len(pm.values)
+    _check_binary(X)
+    ids, values = _patterns(X)
+    at = ids[rows]
+    P = len(values)
     cnt, G, H = (np.bincount(at, w, P)[None, :] for w in (None, g[rows], h[rows]))
-    trees, _ = _grow(pm, cnt, G, H, params)
+    trees, _ = _grow(values, cnt, G, H, params)
     return trees[0]
 
 
@@ -339,8 +300,8 @@ class TreeEnsemble:
             raise DataError(
                 f"feature width mismatch: model expects {self.n_features} columns"
             )
-        ids, first = _pattern_ids(X, _binary_columns(X))
-        values = X[first]
+        _check_binary(X)
+        ids, values = _patterns(X)
         scores = np.tile(self.priors, (len(values), 1))
         step = max(1, WORK_ELEMENTS // max(1, len(values)))
         for k, sequence in enumerate(self.trees):
@@ -368,6 +329,7 @@ def train_gbdt(data, params):
     """Train the boosted ensemble on a LabeledDataset."""
     params.validate()
     X = np.asarray(data.features, dtype=np.float64)
+    _check_binary(X)
     y = np.asarray(data.labels)
     n, d = X.shape
     if n == 0:
@@ -385,9 +347,8 @@ def train_gbdt(data, params):
     if K <= 1:
         # a single observed class needs no trees; the prior decides
         return ensemble
-    binary = _binary_columns(X)
-    pm = _Patterns(X, binary, np.flatnonzero(binary), np.flatnonzero(~binary))
-    P = len(pm.values)
+    ids, values = _patterns(X)
+    P = len(values)
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(params.seed)))
     sub_size = max(1, math.ceil(params.subsample * n))
     # classes whose trees grow together: bounds the per-depth working set
@@ -400,7 +361,7 @@ def train_gbdt(data, params):
             rows = np.array(
                 [np.sort(rng.choice(n, size=sub_size, replace=False)) for _ in ks]
             )
-            at = pm.ids[rows]
+            at = ids[rows]
             pk = p[at, ks[:, None]]
             cell = (np.arange(ks.size)[:, None] * P + at).ravel()
             g = (y[rows] == ks[:, None]) - pk
@@ -408,7 +369,7 @@ def train_gbdt(data, params):
                 np.bincount(cell, w, ks.size * P).reshape(ks.size, P)
                 for w in (None, g.ravel(), (pk * (1.0 - pk)).ravel())
             )
-            trees, out = _grow(pm, cnt, G, H, params)
+            trees, out = _grow(values, cnt, G, H, params)
             scores[:, ks] += params.learning_rate * out.T
             for k, tree in zip(ks, trees):
                 ensemble.trees[k].append(tree)
@@ -449,25 +410,34 @@ def load_model(path):
         lines = fh.read().splitlines()
     pos = 0
 
-    def take(prefix):
+    def take(keyword=None):
+        """The next line; its first word must be keyword, when one is given."""
         nonlocal pos
-        if pos >= len(lines) or not lines[pos].startswith(prefix):
-            raise DataError(f"{path}: expected {prefix!r} at line {pos + 1}")
+        if pos >= len(lines):
+            what = keyword or "node"
+            raise DataError(f"{path}:{pos + 1}: expected a {what} line, found the end")
         line = lines[pos]
         pos += 1
+        if keyword is not None and line.split()[:1] != [keyword]:
+            raise DataError(
+                f"{path}:{pos}: bad {keyword} line {line!r}, expected {keyword!r} first"
+            )
         return line
 
-    def fields(prefix, kind, *indices):
-        """The words at indices of the next line, which starts with prefix."""
-        line = take(prefix)
-        parts = line.split()
+    def fields(keyword, *shape):
+        """Values of the next line: keyword, then a word per shape entry (str: as is)."""
+        line = take(keyword)
         try:
-            return [kind(parts[i]) for i in indices]
-        except (ValueError, IndexError):
-            raise DataError(f"{path}:{pos}: bad {prefix} line {line!r}") from None
+            # strict: a missing or extra word raises ValueError
+            pairs = list(zip(line.split()[1:], shape, strict=True))
+            if any(isinstance(want, str) and word != want for word, want in pairs):
+                raise ValueError
+            return [kind(word) for word, kind in pairs if not isinstance(kind, str)]
+        except ValueError:
+            raise DataError(f"{path}:{pos}: bad {keyword} line {line!r}") from None
 
     def node(index, count):
-        line = take("")
+        line = take()
         parts = line.split()
         try:
             if parts[0] == "leaf" and len(parts) == 2:
@@ -491,20 +461,20 @@ def load_model(path):
         return f, threshold, left, right, 0.0
 
     if take(MODEL_MAGIC.split()[0]) != MODEL_MAGIC:
-        raise DataError(f"{path}: unsupported model version")
-    [learning_rate] = fields("learning_rate", float, 1)
-    [n_features] = fields("n_features", int, 1)
-    [n_classes] = fields("n_classes", int, 1)
+        raise DataError(f"{path}:1: unsupported model version")
+    [learning_rate] = fields("learning_rate", float)
+    [n_features] = fields("n_features", int)
+    [n_classes] = fields("n_classes", int)
     classes = [take("class")[len("class "):] for _ in range(n_classes)]
-    priors = np.array([fields("prior", float, 1)[0] for _ in range(n_classes)])
+    priors = np.array([fields("prior", float)[0] for _ in range(n_classes)])
     trees = []
     for k in range(n_classes):
-        index, ntrees = fields("ensemble", int, 1, 3)
+        index, ntrees = fields("ensemble", int, "trees", int)
         if index != k:
             raise DataError(f"{path}:{pos}: ensembles out of order")
         sequence = []
         for _ in range(ntrees):
-            [count] = fields("tree", int, 2)
+            [count] = fields("tree", "nodes", int)
             nodes = [node(i, count) for i in range(count)]
             sequence.append(RegressionTree(*zip(*nodes)))
         trees.append(sequence)

@@ -25,8 +25,9 @@ MISSING = None
 class Graph:
     """Adjacency-list graph with positive edge weights.
 
-    Self-loop weight is stored separately from the neighbor lists, so
-    iteration over ``adj[i]`` only ever yields proper neighbors.
+    ``adj[i]`` holds node i's ``(neighbor, weight)`` pairs sorted by
+    neighbor. Self-loop weight is stored separately from the neighbor lists,
+    so iteration over ``adj[i]`` only ever yields proper neighbors.
     """
 
     __slots__ = ("labels", "adj", "loops", "degrees", "m", "allow_self_loops", "_index")
@@ -76,10 +77,6 @@ class Graph:
     @property
     def n(self):
         return len(self.labels)
-
-    def neighbors(self, i):
-        """Sorted ``(neighbor, weight)`` pairs of node i, loops excluded."""
-        return self.adj[i]
 
     def index_of(self, label):
         try:
@@ -200,13 +197,6 @@ class AttributeTable:
             return self._columns[name]
         except KeyError:
             raise DataError(f"unknown attribute {name!r}") from None
-
-    def value(self, name, i):
-        return self.column(name)[i]
-
-    def categories(self, name):
-        """Sorted distinct non-missing values of an attribute."""
-        return sorted({v for v in self.column(name) if v is not MISSING})
 
 
 def load_attributes(path, graph):

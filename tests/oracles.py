@@ -199,21 +199,18 @@ def link_clustering_oracle(graph):
     return SimpleNamespace(leaves=edges, merges=merges)
 
 
-def _best_split_oracle(X, g, rows, binary_cols, cont_cols):
+def _best_split_oracle(X, g, rows):
     """Best (feature, threshold) by squared-error reduction over the rows, or None.
 
-    Binary columns first (lowest column on ties, threshold 0.5), then each
-    continuous column in order, which must beat the best gain so far; a gain
-    must exceed 1e-12.
+    Every column is 0/1 (lowest column on ties, threshold 0.5); a gain must
+    exceed 1e-12.
     """
     gr = g[rows]
     n_tot = rows.size
     s_tot = gr.sum()
     parent = s_tot * s_tot / n_tot
-    best_gain = 1e-12
-    best = None
-    if binary_cols.size:
-        B = X[rows][:, binary_cols]
+    if X.shape[1]:
+        B = X[rows]
         c1 = B.sum(axis=0)
         c0 = n_tot - c1
         s1 = gr @ B
@@ -225,31 +222,12 @@ def _best_split_oracle(X, g, rows, binary_cols, cont_cols):
         np.divide(s0 * s0, c0, out=score0, where=valid)
         gains = np.where(valid, score + score0 - parent, -np.inf)
         k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best = int(binary_cols[k]), 0.5
-    for f in cont_cols:
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        csum = np.cumsum(gr[order])
-        cuts = np.nonzero(vs[1:] != vs[:-1])[0]
-        if cuts.size == 0:
-            continue
-        nl = cuts + 1.0
-        sl = csum[cuts]
-        sr = s_tot - sl
-        gains = sl * sl / nl + sr * sr / (n_tot - nl) - parent
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best = int(f), (vs[cuts[k]] + vs[cuts[k] + 1]) / 2.0
-    return best
+        if gains[k] > 1e-12:
+            return k, 0.5
+    return None
 
 
-def regression_tree_oracle(
-    X, g, h, rows, max_depth, min_samples_split, binary_cols, cont_cols
-):
+def regression_tree_oracle(X, g, h, rows, max_depth, min_samples_split):
     """Greedy tree grown recursively, node by node, from the rows themselves.
 
     Returns preorder node lists (feature, threshold, left, right, value):
@@ -269,7 +247,7 @@ def regression_tree_oracle(
     def grow(idx, depth):
         split = None
         if depth < max_depth and idx.size >= min_samples_split:
-            split = _best_split_oracle(X, g, idx, binary_cols, cont_cols)
+            split = _best_split_oracle(X, g, idx)
         if split is None:
             v = g[idx].sum() / (h[idx].sum() + 1e-12)
             return add(-1, 0.0, max(-4.0, min(4.0, v)))

@@ -9,6 +9,7 @@ from commbench import (
     AllCellsFailedError,
     ConfigError,
     Cover,
+    DataError,
     Graph,
     MethodSpec,
     PlantedPartitionSpec,
@@ -339,6 +340,27 @@ class TestRunBenchmark:
         # a fresh directory reproduces the same bytes
         self.run(tmp_path, "outB")
         assert (tmp_path / "outB" / "report.csv").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            (
+                "cells/twoclique__flat__block.csv",
+                "twoclique,flat,block,0,1.0\ntwoclique,flat,block,x,0.5\n",
+                r"twoclique__flat__block\.csv:2: bad cell row",
+            ),
+            (
+                "stats/twoclique__flat.tsv",
+                "3\t2.0\tx\t1:3\n",
+                r"twoclique__flat\.tsv:1: bad cover-stats line",
+            ),
+        ],
+    )
+    def test_malformed_cache_file_is_a_data_error(self, tmp_path, name, text, message):
+        self.run(tmp_path, "out")
+        (tmp_path / "out" / name).write_text(text)
+        with pytest.raises(DataError, match=message):
+            self.run(tmp_path, "out")
 
     def test_persisted_cover_is_reused_until_forced(self, tmp_path):
         self.run(tmp_path, "out")

@@ -313,6 +313,13 @@ class TestCoverStats:
         with pytest.raises(DataError, match="cover-stats"):
             parse_cover_stats("3\t2.0\t1")
 
+    @pytest.mark.parametrize(
+        "line", ["x\t2.0\t1\t1:3", "3\t2.0x\t1\t1:3", "3\t2.0\tx\t1:3", "3\tNA\t1\t1-3"]
+    )
+    def test_parse_rejects_malformed_value(self, line):
+        with pytest.raises(DataError, match="bad cover-stats line"):
+            parse_cover_stats(line)
+
 
 class TestNMI:
     def test_identical_partitions_score_one(self):

@@ -1,6 +1,7 @@
 """Boosted-tree trainer: splits, leaves, determinism, model file round-trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,10 +75,10 @@ class TestParams:
 
 class TestTraining:
     def test_single_observed_class_needs_no_trees(self):
-        data = dataset_from([[0.0], [1.0], [0.5]], ["only"] * 3)
+        data = dataset_from([[0.0], [1.0], [1.0]], ["only"] * 3)
         model = train_gbdt(data, FAST)
         assert model.trees == [[]]
-        assert model.predict(np.array([[9.0], [-3.0]])) == ["only", "only"]
+        assert model.predict(np.array([[0.0], [1.0]])) == ["only", "only"]
 
     def test_empty_dataset_rejected(self):
         data = LabeledDataset(
@@ -109,14 +110,6 @@ class TestTraining:
             y += [name] * 10
         model = train_gbdt(dataset_from(X, y), FAST)
         assert model.predict(np.eye(3)) == ["left", "mid", "right"]
-
-    def test_continuous_split_uses_midpoint(self):
-        data = dataset_from([[0.1], [0.2], [0.9], [1.1]], ["lo", "lo", "hi", "hi"])
-        model = train_gbdt(data, FAST)
-        first = model.trees[0][0]
-        assert first.feature[0] == 0
-        assert first.threshold[0] == pytest.approx((0.2 + 0.9) / 2)
-        assert model.predict(np.array([[0.0], [2.0]])) == ["lo", "hi"]
 
     def test_training_reduces_log_loss(self):
         data = binary_feature_data()
@@ -157,10 +150,52 @@ class TestTraining:
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         g = np.array([-0.5, -0.5, 0.5, 0.5])
         h = np.full(4, 0.25)
-        tree = fit_regression_tree(
-            X, g, h, np.arange(4), FAST, np.array([0, 1]), np.array([], dtype=int)
-        )
+        tree = fit_regression_tree(X, g, h, np.arange(4), FAST)
         assert tree.feature[0] == 0
+
+
+NON_BINARY = [0.5, 2.0, -1.0, math.nan]
+
+
+def features_holding(value):
+    """0/1 features but value in column 1, and 3.0 in column 2 of an earlier row."""
+    X = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    X[2, 1] = value
+    return X
+
+
+def rejects_column_1(value):
+    return pytest.raises(DataError, match=re.escape(f"feature column 1 holds {value!r}"))
+
+
+class TestBinaryFeatureContract:
+    """Any feature but 0 or 1 is a DataError naming the first column holding one."""
+
+    @pytest.mark.parametrize("value", NON_BINARY)
+    @pytest.mark.parametrize("labels", [["a", "b", "a", "b"], ["a"] * 4])
+    def test_train_rejects(self, value, labels):
+        data = dataset_from(features_holding(value), labels)
+        with rejects_column_1(value):
+            train_gbdt(data, FAST)
+
+    @pytest.mark.parametrize("value", NON_BINARY)
+    def test_fit_regression_tree_rejects(self, value):
+        ones = np.ones(4)
+        with rejects_column_1(value):
+            fit_regression_tree(features_holding(value), ones, ones, np.arange(4), FAST)
+
+    @pytest.mark.parametrize("value", NON_BINARY)
+    def test_predict_rejects(self, value):
+        X = features_holding(value)
+        clean = features_holding(0.0)
+        clean[0, 2] = 1.0
+        model = train_gbdt(dataset_from(clean, ["a", "b", "a", "b"]), FAST)
+        with rejects_column_1(value):
+            model.predict(X)
+
+    def test_negative_zero_is_zero(self):
+        model = train_gbdt(binary_feature_data(), FAST)
+        assert model.predict(np.array([[-0.0], [1.0]])) == ["no", "yes"]
 
 
 class TestLeavesAndTrees:
@@ -169,13 +204,7 @@ class TestLeavesAndTrees:
         params = GBDTParams(min_samples_split=2)
         for gradient, expected in [(100.0, LEAF_CLIP), (-100.0, -LEAF_CLIP)]:
             tree = fit_regression_tree(
-                X,
-                np.array([gradient]),
-                np.array([0.0]),
-                np.array([0]),
-                params,
-                np.array([], dtype=int),
-                np.array([0]),
+                X, np.array([gradient]), np.array([0.0]), np.array([0]), params
             )
             assert tree.value[0] == expected
 
@@ -186,21 +215,17 @@ class TestLeavesAndTrees:
             np.array([0.2, 0.2]),
             np.arange(2),
             GBDTParams(min_samples_split=5),
-            np.array([], dtype=int),
-            np.array([0]),
         )
         assert tree.value[0] == pytest.approx(0.4 / 0.4, rel=1e-9)
 
     def test_constant_column_cannot_split(self):
-        # all rows share one feature value, so no cut exists on either kind
+        # all rows share one feature value, so no cut exists
         tree = fit_regression_tree(
-            np.full((6, 1), 3.5),
+            np.full((6, 1), 1.0),
             np.array([1.0, -1.0] * 3),
             np.full(6, 0.25),
             np.arange(6),
             GBDTParams(min_samples_split=2),
-            np.array([], dtype=int),
-            np.array([0]),
         )
         assert tree.feature == [-1]
 
@@ -210,62 +235,39 @@ class TestLeavesAndTrees:
 
 
 def random_tree_case(seed):
-    """Mixed binary and continuous columns over duplicated rows.
+    """0/1 columns over duplicated rows.
 
     g and h are multiples of 1/64, so every sum is exact in any order.
     """
     rng = np.random.default_rng(seed)
-    n_binary, n_cont = int(rng.integers(0, 5)), int(rng.integers(0, 3))
-    pool = np.hstack(
-        [
-            rng.integers(0, 2, (12, n_binary)).astype(np.float64),
-            rng.integers(-4, 5, (12, n_cont)) / 4.0,
-        ]
-    )
+    pool = rng.integers(0, 2, (12, int(rng.integers(0, 7)))).astype(np.float64)
     n = int(rng.integers(1, 70))
     X = pool[rng.integers(0, len(pool), n)]
-    order = rng.permutation(n_binary + n_cont)
-    X = X[:, order]
-    binary_cols = np.sort(np.nonzero(order < n_binary)[0])
-    cont_cols = np.sort(np.nonzero(order >= n_binary)[0])
     g = rng.integers(-64, 65, n) / 64.0
     h = rng.integers(0, 17, n) / 64.0
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     params = GBDTParams(
         max_depth=int(rng.integers(1, 5)), min_samples_split=int(rng.integers(2, 7))
     )
-    return X, g, h, rows, params, binary_cols, cont_cols
+    return X, g, h, rows, params
 
 
 class TestGrowerMatchesOracle:
     @pytest.mark.parametrize("seed", range(50))
     def test_node_for_node(self, seed):
-        X, g, h, rows, params, binary_cols, cont_cols = random_tree_case(seed)
-        tree = fit_regression_tree(X, g, h, rows, params, binary_cols, cont_cols)
+        X, g, h, rows, params = random_tree_case(seed)
+        tree = fit_regression_tree(X, g, h, rows, params)
         expected = regression_tree_oracle(
-            X, g, h, rows, params.max_depth, params.min_samples_split,
-            binary_cols, cont_cols,
+            X, g, h, rows, params.max_depth, params.min_samples_split
         )
         names = ("feature", "threshold", "left", "right", "value")
         for name, want in zip(names, expected):
             assert getattr(tree, name).tolist() == want, name
 
-    def test_cases_split_on_both_column_kinds(self):
-        kinds = set()
-        for seed in range(50):
-            X, g, h, rows, params, binary_cols, cont_cols = random_tree_case(seed)
-            tree = fit_regression_tree(X, g, h, rows, params, binary_cols, cont_cols)
-            kinds.update(
-                "binary" if f in binary_cols else "continuous"
-                for f in tree.feature.tolist()
-                if f >= 0
-            )
-        assert kinds == {"binary", "continuous"}
-
 
 class TestPrediction:
     def test_pattern_scores_equal_rows_scored_alone(self):
-        X, _, _, _, _, _, _ = random_tree_case(7)
+        X, _, _, _, _ = random_tree_case(7)
         rng = np.random.default_rng(7)
         labels = [str(v) for v in rng.integers(0, 3, len(X))]
         data = dataset_from(X, labels)
@@ -317,7 +319,7 @@ class TestModelFile:
         assert back.n_features == model.n_features
         assert back.learning_rate == model.learning_rate
         assert np.array_equal(back.priors, model.priors)
-        grid = np.array([[0.0], [1.0], [0.5]])
+        grid = np.array([[0.0], [1.0]])
         assert np.array_equal(back.decision_scores(grid), model.decision_scores(grid))
         assert back.predict(data.features) == model.predict(data.features)
 
@@ -391,6 +393,12 @@ class TestModelFile:
             (7, "prior -0.5x", "prior"),
             (9, "ensemble 0 trees", "ensemble"),
             (10, "tree nodes one", "tree"),
+            (3, "n_features 1 2", "n_features"),
+            (5, "classy", "class"),
+            (9, "ensembles 0 trees 1", "ensemble"),
+            (9, "ensemble 0 tree 1", "ensemble"),
+            (10, "treetop nodes 1", "tree"),
+            (10, "tree node 1", "tree"),
         ],
     )
     def test_bad_header_value_rejected(self, tmp_path, line, text, prefix):

