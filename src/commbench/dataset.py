@@ -19,7 +19,7 @@ from .graph import MISSING
 
 @dataclass
 class LabeledDataset:
-    features: np.ndarray  # (rows, columns) float64
+    features: np.ndarray  # (rows, columns) uint8, each 0 or 1
     labels: np.ndarray  # (rows,) int class indices
     classes: list  # class vocabulary, sorted
     rows: list  # node index per dataset row
@@ -35,7 +35,7 @@ def build_dataset(matrix, attrs, attribute):
         raise DataError(f"attribute {attribute!r} has no labeled rows")
     classes = sorted({column[i] for i in keep})
     class_index = {c: k for k, c in enumerate(classes)}
-    features = matrix.matrix[keep].astype(np.float64)
+    features = matrix.matrix[keep]
     labels = np.array([class_index[column[i]] for i in keep], dtype=np.int64)
     return LabeledDataset(features, labels, classes, keep)
 

@@ -15,16 +15,21 @@ predictions, byte for byte.
 
 Features must be 0 or 1, because the benchmark's features are community
 memberships; training and scoring reject any other value (NaN included) with
-a DataError naming the column. Model files keep a threshold per split, 0.5 for
-every trained one, and a loaded tree sends a row left when its feature is at
-most that threshold.
+a DataError naming the column, and then work on bools. Model files keep a
+threshold per split, 0.5 for every trained one, and a loaded tree sends a row
+left when its feature is at most that threshold.
 
 Rows with the same feature values (patterns) always reach the same leaf, so
 all work runs per pattern: a round's row subsamples become per-(class,
-pattern) row counts and g/h sums, the round's K trees grow together one depth
-at a time, and every split gain of a depth comes from one matrix product of
-per-node pattern sums with the patterns x columns matrix. Training cost thus
-scales with distinct feature rows x columns, not rows x columns.
+pattern) row counts and g/h sums, and the round's K trees grow together one
+depth at a time. The split search touches only the nonzero features (the
+sparse-feature idea of LightGBM, Ke et al., NeurIPS 2017): each sampled
+(tree, pattern) entry is paired once per round with its pattern's 1-columns,
+and a depth's per-(node, column) row counts and g sums of the rows holding 1
+are two scatter-adds over those pairs. Patterns reach a bin in ascending
+order, so equal columns give equal sums and ties go to the lowest column.
+A depth's split search thus costs the sampled patterns' 1-entries plus one
+gain per (node, column), not patterns x columns.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ from .errors import DataError
 
 LEAF_CLIP = 4.0
 GAIN_TOL = 1e-12
-MODEL_MAGIC = "commbench-gbdt 2"
-# elements of the largest working matrix: (class-nodes x patterns) sums,
-# (class-nodes x columns) gains, (patterns x trees) predictions
+MODEL_MAGIC = "commbench-gbdt 3"
+# elements of the largest working array: (tree, pattern) entries and their
+# (entry, 1-column) pairs, (nodes x columns) split sums and gains,
+# (patterns x trees) predictions
 WORK_ELEMENTS = 1 << 20
 
 _SEED_MASK = (1 << 63) - 1
@@ -91,9 +97,6 @@ class RegressionTree:
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
 
-    def predict(self, X):
-        return _leaf_values([self], np.asarray(X, dtype=np.float64))[:, 0]
-
 
 def _leaf_values(trees, values):
     """(rows x trees) leaf values: all trees descend together, a depth a step."""
@@ -124,21 +127,26 @@ def _leaf_values(trees, values):
 
 
 def _check_binary(X):
-    """Reject any feature other than 0 or 1, naming the first column holding one."""
-    bad = X != 0.0
-    bad &= X != 1.0  # NaN compares unequal to both
+    """The features X as a bool matrix.
+
+    Any value other than 0 or 1 is a DataError naming the first column holding one.
+    """
+    X = np.asarray(X)
+    ones = X != 0
+    bad = ones & (X != 1)  # NaN compares unequal to both
     if bad.any():
         j = int(bad.any(axis=0).argmax())
         value = float(X[bad[:, j].argmax(), j])
         raise DataError(f"feature column {j} holds {value!r}; features must be 0 or 1")
+    return ones
 
 
 def _patterns(X):
     """Pattern id of every row (ids in first-seen order) and the distinct rows.
 
-    Rows are keyed by the packed bits of their 0/1 features.
+    Rows of the bool matrix X are keyed by their packed bits.
     """
-    key = np.packbits(X == 1.0, axis=1)
+    key = np.packbits(X, axis=1)
     n, width = key.shape
     if width == 0:
         ids = np.zeros(n, dtype=np.intp)
@@ -156,13 +164,20 @@ def _patterns(X):
     return ids, X if first.size == n else X[first]
 
 
-def _best_splits(values, W, n_tot, s_tot):
+def _ones(values):
+    """The patterns' 1-columns as CSR: pattern p's are cols[start[p]:start[p + 1]]."""
+    rows, cols = np.nonzero(values)
+    start = np.zeros(len(values) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=len(values)), out=start[1:])
+    return start, cols
+
+
+def _best_splits(C1, S1, n_tot, s_tot):
     """Best feature of each node, -1 where no split gains.
 
-    W stacks the nodes' per-pattern row counts over their per-pattern g sums;
-    the lowest column wins ties.
+    C1 and S1 hold each (node, column)'s row count and g sum over the rows
+    holding 1; the lowest column wins ties.
     """
-    C1, S1 = np.split(W @ values, 2)
     C0 = n_tot[:, None] - C1
     S0 = s_tot[:, None] - S1
     valid = (C1 > 0) & (C0 > 0)
@@ -173,43 +188,57 @@ def _best_splits(values, W, n_tot, s_tot):
     return np.where(gains[np.arange(len(j)), j] > GAIN_TOL, j, -1)
 
 
-def _grow(values, cnt, G, H, params):
+def _grow(values, ones, cnt, G, H, params):
     """Grow one tree per row of the (trees x patterns) row counts and g/h sums.
 
     The trees grow together, one depth at a time; a depth's nodes are numbered
     tree by tree, and the children of its i-th split node are nodes 2i and
-    2i + 1 of the next depth. values holds the patterns' 0/1 features.
-    Returns the trees and each pattern's leaf value in each tree, as a
-    (trees x patterns) matrix.
+    2i + 1 of the next depth. values holds the patterns' features as bools and
+    ones their 1-columns (see _ones). Returns the trees and each pattern's leaf
+    value in each tree, as a (trees x patterns) matrix.
     """
     S, P = cnt.shape
-    cnt, G, H = (np.asarray(a, dtype=np.float64).ravel() for a in (cnt, G, H))
+    d = values.shape[1]
     pattern = np.tile(np.arange(P), S)
     node = np.repeat(np.arange(S), P)  # node of each (tree, pattern); -1 once at a leaf
     out = np.zeros(S * P)
-    chunk = max(1, WORK_ELEMENTS // (2 * max(P, values.shape[1])))
+    # only sampled entries add to the sums; each is paired with its pattern's
+    # 1-columns in entry order, so every split-sum bin adds its patterns in
+    # ascending order
+    sampled = np.flatnonzero(np.ravel(cnt) > 0)
+    cnt, G, H = (np.ravel(a)[sampled] for a in (cnt, G, H))
+    start, cols = ones
+    first = start[pattern[sampled]]
+    width = start[pattern[sampled] + 1] - first
+    pair = np.repeat(np.arange(sampled.size), width)  # sampled entry of each pair
+    slot = np.arange(pair.size) + np.repeat(first - np.cumsum(width) + width, width)
+    column = cols[slot]
+    pair_cnt, pair_g = cnt[pair], G[pair]
+    chunk = max(1, WORK_ELEMENTS // max(1, d))  # nodes per (nodes x columns) block
     tree = np.arange(S)  # tree of each node at this depth
     levels = []
     for depth in range(params.max_depth + 1):
         m = tree.size
         key = np.where(node >= 0, node, m)
-        n_node, g_node, h_node = (np.bincount(key, w, m + 1)[:m] for w in (cnt, G, H))
+        sampled_key = key[sampled]
+        n_node, g_node, h_node = (
+            np.bincount(sampled_key, w, m + 1)[:m] for w in (cnt, G, H)
+        )
         feature = np.full(m, -1, dtype=np.intp)
-        if depth < params.max_depth and values.shape[1]:
+        if depth < params.max_depth and d:
             search = np.flatnonzero(n_node >= params.min_samples_split)
             rank = np.full(m + 1, -1)
             rank[search] = np.arange(search.size)
-            entry_rank = rank[key]
+            pair_rank = rank[sampled_key][pair]
             for a0 in range(0, search.size, chunk):
                 part = search[a0 : a0 + chunk]
-                mine = np.flatnonzero((entry_rank >= a0) & (entry_rank < a0 + chunk))
-                cell = (entry_rank[mine] - a0) * P + pattern[mine]
-                W = np.zeros((2, part.size * P))
-                W[0, cell] = cnt[mine]
-                W[1, cell] = G[mine]
-                feature[part] = _best_splits(
-                    values, W.reshape(2 * part.size, P), n_node[part], g_node[part]
+                mine = np.flatnonzero((pair_rank >= a0) & (pair_rank < a0 + chunk))
+                cell = (pair_rank[mine] - a0) * d + column[mine]
+                C1, S1 = (
+                    np.bincount(cell, w[mine], part.size * d).reshape(part.size, d)
+                    for w in (pair_cnt, pair_g)
                 )
+                feature[part] = _best_splits(C1, S1, n_node[part], g_node[part])
         inner = feature >= 0
         value = np.where(
             inner, 0.0, np.clip(g_node / (h_node + 1e-12), -LEAF_CLIP, LEAF_CLIP)
@@ -222,7 +251,7 @@ def _grow(values, cnt, G, H, params):
             break
         moving = np.flatnonzero(inner_of)
         at = key[moving]
-        go_right = values[pattern[moving], feature[at]] == 1.0  # 0 goes left
+        go_right = values.ravel()[pattern[moving] * d + feature[at]]  # 0 goes left
         node = np.full(S * P, -1)
         node[moving] = 2 * (np.cumsum(inner) - 1)[at] + go_right
         tree = np.repeat(tree[inner], 2)
@@ -274,13 +303,11 @@ def _preorder(S, levels):
 
 def fit_regression_tree(X, g, h, rows, params):
     """Fit one tree over 0/1 features to g, with Newton leaves from hessians h."""
-    X = np.asarray(X, dtype=np.float64)
-    _check_binary(X)
-    ids, values = _patterns(X)
+    ids, values = _patterns(_check_binary(X))
     at = ids[rows]
     P = len(values)
     cnt, G, H = (np.bincount(at, w, P)[None, :] for w in (None, g[rows], h[rows]))
-    trees, _ = _grow(values, cnt, G, H, params)
+    trees, _ = _grow(values, _ones(values), cnt, G, H, params)
     return trees[0]
 
 
@@ -295,13 +322,12 @@ class TreeEnsemble:
     trees: list = field(default_factory=list)  # trees[k] is class k's sequence
 
     def decision_scores(self, X):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise DataError(
                 f"feature width mismatch: model expects {self.n_features} columns"
             )
-        _check_binary(X)
-        ids, values = _patterns(X)
+        ids, values = _patterns(_check_binary(X))
         scores = np.tile(self.priors, (len(values), 1))
         step = max(1, WORK_ELEMENTS // max(1, len(values)))
         for k, sequence in enumerate(self.trees):
@@ -328,8 +354,7 @@ def _softmax(scores):
 def train_gbdt(data, params):
     """Train the boosted ensemble on a LabeledDataset."""
     params.validate()
-    X = np.asarray(data.features, dtype=np.float64)
-    _check_binary(X)
+    X = _check_binary(data.features)
     y = np.asarray(data.labels)
     n, d = X.shape
     if n == 0:
@@ -348,11 +373,13 @@ def train_gbdt(data, params):
         # a single observed class needs no trees; the prior decides
         return ensemble
     ids, values = _patterns(X)
+    ones = _ones(values)
     P = len(values)
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(params.seed)))
     sub_size = max(1, math.ceil(params.subsample * n))
-    # classes whose trees grow together: bounds the per-depth working set
-    step = max(1, WORK_ELEMENTS // (2**params.max_depth * P))
+    # classes whose trees grow together: bounds the per-depth (tree, pattern)
+    # entries and the round's (entry, 1-column) pairs
+    step = max(1, WORK_ELEMENTS // max(2**params.max_depth * P, ones[1].size))
     scores = np.tile(priors, (P, 1))
     for _ in range(params.n_trees):
         p = _softmax(scores)
@@ -369,7 +396,7 @@ def train_gbdt(data, params):
                 np.bincount(cell, w, ks.size * P).reshape(ks.size, P)
                 for w in (None, g.ravel(), (pk * (1.0 - pk)).ravel())
             )
-            trees, out = _grow(values, cnt, G, H, params)
+            trees, out = _grow(values, ones, cnt, G, H, params)
             scores[:, ks] += params.learning_rate * out.T
             for k, tree in zip(ks, trees):
                 ensemble.trees[k].append(tree)

@@ -34,7 +34,7 @@ class TestBuildDataset:
         assert data.rows == [0, 2, 3]
         assert data.classes == ["blue", "red"]
         assert data.labels.tolist() == [1, 0, 1]
-        assert data.features.dtype == np.float64
+        assert data.features.dtype == np.uint8
         assert data.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 
     def test_classes_sorted_regardless_of_row_order(self):

@@ -15,6 +15,7 @@ from commbench import (
     save_model,
     train_gbdt,
 )
+from commbench import gbdt
 from commbench.gbdt import (
     LEAF_CLIP,
     MODEL_MAGIC,
@@ -33,7 +34,7 @@ def dataset_from(X, raw_labels):
     classes = sorted(set(raw_labels))
     index = {c: k for k, c in enumerate(classes)}
     return LabeledDataset(
-        features=np.asarray(X, dtype=np.float64),
+        features=np.asarray(X),
         labels=np.array([index[c] for c in raw_labels], dtype=np.int64),
         classes=classes,
         rows=list(range(len(raw_labels))),
@@ -145,6 +146,21 @@ class TestTraining:
         save_model(train_gbdt(data, params), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+    def test_feature_dtype_leaves_model_unchanged(self, tmp_path, dtype):
+        X, _, _, _, _ = wide_tree_case(5)
+        labels = [str(v) for v in np.random.default_rng(5).integers(0, 3, len(X))]
+        params = GBDTParams(n_trees=4, subsample=0.6, min_samples_split=2, seed=1)
+        model = train_gbdt(dataset_from(X, labels), params)
+        typed = train_gbdt(dataset_from(X.astype(dtype), labels), params)
+        save_model(model, tmp_path / "float.model")
+        save_model(typed, tmp_path / "typed.model")
+        assert (tmp_path / "float.model").read_bytes() == (
+            tmp_path / "typed.model"
+        ).read_bytes()
+        scores = model.decision_scores(X)
+        assert np.array_equal(model.decision_scores(X.astype(dtype)), scores)
+
     def test_tie_split_prefers_lowest_feature(self):
         # two identical perfectly separating columns: gains tie exactly
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
@@ -193,6 +209,12 @@ class TestBinaryFeatureContract:
         with rejects_column_1(value):
             model.predict(X)
 
+    def test_integer_features_checked(self):
+        X = features_holding(0.0).astype(np.uint8)
+        X[2, 1] = 2
+        with rejects_column_1(2.0):
+            train_gbdt(dataset_from(X, ["a", "b", "a", "b"]), FAST)
+
     def test_negative_zero_is_zero(self):
         model = train_gbdt(binary_feature_data(), FAST)
         assert model.predict(np.array([[-0.0], [1.0]])) == ["no", "yes"]
@@ -230,8 +252,16 @@ class TestLeavesAndTrees:
         assert tree.feature == [-1]
 
     def test_empty_tree_predicts_zero(self):
-        tree = RegressionTree()
-        assert tree.predict(np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
+        leaf = RegressionTree([-1], [0.0], [-1], [-1], [2.0])
+        model = TreeEnsemble(
+            classes=["a", "b"],
+            priors=np.array([0.25, -0.5]),
+            learning_rate=0.5,
+            n_features=2,
+            trees=[[RegressionTree(), leaf, RegressionTree()], [RegressionTree()]],
+        )
+        scores = model.decision_scores(np.zeros((3, 2)))
+        assert scores.tolist() == [[1.25, -0.5]] * 3
 
 
 def random_tree_case(seed):
@@ -252,10 +282,37 @@ def random_tree_case(seed):
     return X, g, h, rows, params
 
 
+def wide_tree_case(seed):
+    """Hundreds of 0/1 columns at about 1% density, a third of them copies.
+
+    Copied columns tie exactly wherever they split, and so do columns that
+    agree on a node's rows. g and h are multiples of 1/64, as above.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(200, 500))
+    pool = rng.random((int(rng.integers(20, 150)), d)) < 0.01
+    copies = rng.choice(d, d // 3, replace=False)
+    pool[:, copies] = pool[:, rng.integers(0, d, copies.size)]
+    n = int(rng.integers(30, 300))
+    X = pool[rng.integers(0, len(pool), n)].astype(np.float64)
+    g = rng.integers(-64, 65, n) / 64.0
+    h = rng.integers(0, 17, n) / 64.0
+    rows = np.sort(rng.choice(n, size=int(rng.integers(n // 2, n + 1)), replace=False))
+    params = GBDTParams(
+        max_depth=int(rng.integers(2, 5)), min_samples_split=int(rng.integers(2, 5))
+    )
+    return X, g, h, rows, params
+
+
 class TestGrowerMatchesOracle:
-    @pytest.mark.parametrize("seed", range(50))
-    def test_node_for_node(self, seed):
-        X, g, h, rows, params = random_tree_case(seed)
+    @pytest.mark.parametrize(
+        "case",
+        [random_tree_case(seed) for seed in range(50)]
+        + [wide_tree_case(seed) for seed in range(20)],
+        ids=[str(seed) for seed in range(50)] + [f"wide{seed}" for seed in range(20)],
+    )
+    def test_node_for_node(self, case):
+        X, g, h, rows, params = case
         tree = fit_regression_tree(X, g, h, rows, params)
         expected = regression_tree_oracle(
             X, g, h, rows, params.max_depth, params.min_samples_split
@@ -263,6 +320,24 @@ class TestGrowerMatchesOracle:
         names = ("feature", "threshold", "left", "right", "value")
         for name, want in zip(names, expected):
             assert getattr(tree, name).tolist() == want, name
+
+
+class TestWorkBound:
+    def test_chunked_training_matches_unchunked(self, tmp_path, monkeypatch):
+        # one class per group, one node per split-search block, one tree per
+        # scoring step
+        X, _, _, _, _ = wide_tree_case(3)
+        labels = [str(v) for v in np.random.default_rng(3).integers(0, 4, len(X))]
+        data = dataset_from(X, labels)
+        params = GBDTParams(n_trees=5, subsample=0.7, min_samples_split=2, seed=9)
+        whole = tmp_path / "whole.model"
+        save_model(train_gbdt(data, params), whole)
+        whole_scores = load_model(whole).decision_scores(X)
+        monkeypatch.setattr(gbdt, "WORK_ELEMENTS", 16)
+        chunked = tmp_path / "chunked.model"
+        save_model(train_gbdt(data, params), chunked)
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert np.array_equal(load_model(chunked).decision_scores(X), whole_scores)
 
 
 class TestPrediction:
