@@ -12,13 +12,28 @@ F. A finished candidate is discarded when its minimum-overlap distance
 1 - |C & A| / min(|C|, |A|) to an already accepted community is below 0.25.
 Seeds are processed largest first (ties by member list), frontier ties go to
 the lowest node index, so the whole run is deterministic. ``gce_sweep``
-enumerates the cliques once and grows the same seeds for every alpha of a
+lists the seed cliques once and grows the same seeds for every alpha of a
 grid; ``gce`` is its one-alpha case.
+
+``maximal_cliques`` lists only the cliques of a minimum size. It visits the
+nodes in degeneracy order (Eppstein, Loffler and Strash, ISAAC 2010): each
+node v roots one Bron-Kerbosch search over its later neighbours, with its
+earlier ones excluded, so the candidate set never exceeds the degeneracy.
+Before the search, the candidates shrink to their (min_size - 2)-core, and
+excluded nodes with fewer than min_size - 1 candidate neighbours are
+dropped; a branch that cannot reach min_size members is cut, and a root is
+skipped when one earlier neighbour is adjacent to all its later ones. The
+pivot is Tomita's (the node with the most candidate neighbours), and its scan
+stops at a node adjacent to every candidate. A search that passes
+``MAX_CLIQUE_SEARCH`` search nodes is refused with a ``DataError`` naming the
+degeneracy and the highest-degree node.
 """
 
 from __future__ import annotations
 
 import logging
+from itertools import chain
+from operator import itemgetter
 
 from ..covers import Cover
 from ..errors import DataError
@@ -27,45 +42,127 @@ log = logging.getLogger(__name__)
 
 MIN_CLIQUE = 4
 DUPLICATE_DISTANCE = 0.25
+# the 4-cliques of the benchmark's 10,000-node graph (detect-10k) take about
+# 2,000 search nodes; a graph with 3^12 maximal cliques reaches this bound in
+# about a second on two cores
+MAX_CLIQUE_SEARCH = 250_000
 
 
-def maximal_cliques(graph):
-    """Enumerate all maximal cliques (Bron-Kerbosch with pivoting).
+def _degeneracy_order(adj):
+    """Smallest-last node order and core numbers (Batagelj and Zaversnik).
 
-    Returns sorted member lists; the enumeration order is deterministic but
-    unspecified. Isolated nodes come back as singleton cliques.
+    Each node has at most its core number of neighbours later in the order.
     """
-    adj = [set(j for j, _ in graph.adj[i]) for i in range(graph.n)]
-    out = []
+    n = len(adj)
+    deg = [len(a) for a in adj]
+    # bucket sort by degree: start[d] is where degree d's block begins
+    start = [0] * (max(deg, default=0) + 2)
+    for d in deg:
+        start[d + 1] += 1
+    for d in range(1, len(start)):
+        start[d] += start[d - 1]
+    order = [0] * n
+    pos = [0] * n
+    fill = start[:]
+    for v in range(n):
+        pos[v] = fill[deg[v]]
+        order[pos[v]] = v
+        fill[deg[v]] += 1
+    for i in range(n):
+        v = order[i]
+        for u in adj[v]:
+            du = deg[u]
+            if du > deg[v]:
+                # swap u to the front of its bucket, then move the boundary
+                # past it: u now sits in bucket du - 1
+                first = start[du]
+                w = order[first]
+                if w != u:
+                    pu = pos[u]
+                    order[first], order[pu] = u, w
+                    pos[u], pos[w] = first, pu
+                start[du] += 1
+                deg[u] = du - 1
+    return order, deg
 
+
+def _core(adj, nodes, k):
+    """The largest subset of nodes in which each has at least k neighbours."""
+    while True:
+        weak = {u for u in nodes if len(adj[u] & nodes) < k}
+        if not weak:
+            return nodes
+        nodes = nodes - weak
+
+
+def maximal_cliques(graph, min_size=1):
+    """Enumerate the maximal cliques with at least ``min_size`` members.
+
+    Returns sorted member lists ordered by (size, members). Isolated nodes
+    are singleton cliques. Raises ``DataError`` once the search passes
+    ``MAX_CLIQUE_SEARCH`` search nodes.
+    """
+    adj = [set(map(itemgetter(0), a)) for a in graph.adj]
+    order, core = _degeneracy_order(adj)
+    out = []
     # an explicit stack of search nodes [r, p, x, branches left], not
     # recursion: a k-clique nests k search nodes deep
     stack = []
+    searched = 0
 
     def push(r, p, x):
-        if not p and not x:
-            out.append(sorted(r))
+        nonlocal searched
+        searched += 1
+        if searched > MAX_CLIQUE_SEARCH:
+            hub = max(range(graph.n), key=lambda u: len(adj[u]))
+            raise DataError(
+                f"maximal clique search passed {MAX_CLIQUE_SEARCH} search "
+                f"nodes; the graph has degeneracy {max(core)} and node "
+                f"{graph.labels[hub]!r} has the highest degree ({len(adj[hub])})"
+            )
+        if not p:
+            if not x:
+                out.append(sorted(r))
             return
-        pivot = -1
+        # Tomita's pivot, the node with the most neighbours in p. x goes
+        # first: a node of x adjacent to all of p ends the branch at once.
+        # No node can beat one that covers the rest of p, so stop there.
         best = -1
-        for u in sorted(p | x):
+        for u in chain(x, p):
             score = len(adj[u] & p)
             if score > best:
-                best = score
-                pivot = u
-        stack.append([r, p, x, iter(sorted(p - adj[pivot]))])
+                best, pivot = score, u
+                if score + (u in p) == len(p):
+                    break
+        stack.append([r, p, x, iter(p - adj[pivot])])
 
-    push(set(), set(range(graph.n)), set())
-    while stack:
-        top = stack[-1]
-        r, p, x, branches = top
-        v = next(branches, None)
-        if v is None:
-            stack.pop()
+    done = set()
+    for v in order:
+        later = adj[v] - done
+        earlier = adj[v] & done
+        done.add(v)
+        # an earlier neighbour of every later one extends every clique v
+        # roots; the check keeps a large clique's later roots cheap
+        if any(later <= adj[u] for u in earlier):
             continue
-        top[1] = p - {v}
-        top[2] = x | {v}
-        push(r | {v}, p & adj[v], x & adj[v])
+        # a node of a large enough clique has min_size - 2 neighbours in it
+        # besides v; one that extends such a clique has min_size - 1
+        p = _core(adj, later, min_size - 2)
+        if len(p) + 1 < min_size:
+            continue
+        push((v,), p, {u for u in earlier if len(adj[u] & p) >= min_size - 1})
+        while stack:
+            top = stack[-1]
+            r, p, x, branches = top
+            w = next(branches, None)
+            if w is None:
+                stack.pop()
+                continue
+            pw = p & adj[w]
+            if len(r) + 1 + len(pw) >= min_size:
+                push(r + (w,), pw, x & adj[w])
+            p.discard(w)
+            x.add(w)
     return sorted(out, key=lambda c: (len(c), c))
 
 
@@ -142,12 +239,10 @@ def gce_sweep(graph, params_list):
         _check_alpha(params.alpha)
     if graph.n == 0:
         raise DataError("cannot detect communities in an empty graph")
-    cliques = maximal_cliques(graph)
-    min_size = MIN_CLIQUE
-    if not any(len(c) >= MIN_CLIQUE for c in cliques):
-        min_size = 3
+    seeds = maximal_cliques(graph, MIN_CLIQUE)
+    if not seeds:
         log.info("no 4-clique present; relaxing clique seed size to 3")
-    seeds = [c for c in cliques if len(c) >= min_size]
+        seeds = maximal_cliques(graph, 3)
     seeds.sort(key=lambda c: (-len(c), c))
     covers = []
     for params in params_list:

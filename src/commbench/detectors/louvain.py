@@ -111,7 +111,6 @@ def _blocks_of(assignment):
 @dataclass
 class LouvainResult:
     levels: list  # Partition per aggregation level over original nodes, coarsest last
-    objectives: list  # r(t) of each level
     cover: Cover | None  # union of all levels' communities when multi_level
 
 
@@ -144,7 +143,6 @@ def louvain(graph, params, multi_level=False):
             dense[assignment[members[0]]] = k
         node_map = [dense[assignment[node_map[v]]] for v in range(graph.n)]
         current = build_meta_graph(current, blocks)
-    objectives = [parameterized_modularity(graph, p, t) for p in levels]
     cover = None
     if multi_level:
         comms = []
@@ -155,4 +153,4 @@ def louvain(graph, params, multi_level=False):
             dedupe_exact(comms),
             provenance=f"louvain(t={t:g},multilevel)",
         )
-    return LouvainResult(levels, objectives, cover)
+    return LouvainResult(levels, cover)

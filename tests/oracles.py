@@ -7,7 +7,9 @@ accumulators, base-2 logarithms for NMI, restricted-growth-string partition
 enumeration, subset enumeration for cliques, a per-pair set-Jaccard walk
 for the link dendrogram, and a recursive per-row tree grower that re-reads
 the rows of every node. The Louvain move phase and the GCE expansion step are
-kept in their earlier form, which scans candidates in sorted order.
+kept in their earlier form, which scans candidates in sorted order, and so is
+the all-sizes Bron-Kerbosch enumerator GCE used before its clique search
+took a minimum size.
 """
 
 import math
@@ -131,6 +133,65 @@ def maximal_cliques_oracle(n, neighbor_sets):
         if not any(c < other for other in cliques):
             maximal.append(frozenset(c))
     return set(maximal)
+
+
+def core_numbers_oracle(n, neighbor_sets):
+    """Each node's core number: the largest k whose k-core holds it.
+
+    The k-core is found afresh for every k by deleting nodes of degree below
+    k until none is left.
+    """
+    core = [0] * n
+    for k in range(1, n):
+        alive = set(range(n))
+        while True:
+            weak = {v for v in alive if len(neighbor_sets[v] & alive) < k}
+            if not weak:
+                break
+            alive -= weak
+        for v in alive:
+            core[v] = k
+    return core
+
+
+def bron_kerbosch_oracle(graph):
+    """Enumerate all maximal cliques (Bron-Kerbosch with pivoting).
+
+    Returns sorted member lists; the enumeration order is deterministic but
+    unspecified. Isolated nodes come back as singleton cliques.
+    """
+    adj = [set(j for j, _ in graph.adj[i]) for i in range(graph.n)]
+    out = []
+
+    # an explicit stack of search nodes [r, p, x, branches left], not
+    # recursion: a k-clique nests k search nodes deep
+    stack = []
+
+    def push(r, p, x):
+        if not p and not x:
+            out.append(sorted(r))
+            return
+        pivot = -1
+        best = -1
+        for u in sorted(p | x):
+            score = len(adj[u] & p)
+            if score > best:
+                best = score
+                pivot = u
+        stack.append([r, p, x, iter(sorted(p - adj[pivot]))])
+
+    push(set(), set(range(graph.n)), set())
+    while stack:
+        top = stack[-1]
+        r, p, x, branches = top
+        v = next(branches, None)
+        if v is None:
+            stack.pop()
+            continue
+        top[1] = p - {v}
+        top[2] = x | {v}
+        push(r | {v}, p & adj[v], x & adj[v])
+    return sorted(out, key=lambda c: (len(c), c))
 
 
 def edge_components_oracle(edges, similarities, cut):

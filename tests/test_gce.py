@@ -8,9 +8,41 @@ from itertools import combinations
 import pytest
 
 from commbench import DataError, Graph, ResolutionParams, gce, generate_planted, maximal_cliques
-from commbench.detectors.gce import _expand, _fitness
-from conftest import four_group_spec, make_micro, random_graph, tie_prone_graphs
-from oracles import gce_expand_oracle, maximal_cliques_oracle
+from commbench.detectors.gce import (
+    MAX_CLIQUE_SEARCH,
+    MIN_CLIQUE,
+    _degeneracy_order,
+    _expand,
+    _fitness,
+)
+from conftest import MICRO_GRAPHS, four_group_spec, make_micro, random_graph, tie_prone_graphs
+from oracles import (
+    bron_kerbosch_oracle,
+    core_numbers_oracle,
+    gce_expand_oracle,
+    maximal_cliques_oracle,
+)
+
+
+def clique_cases():
+    """(name, graph) cases from sparse to dense, micro and planted graphs."""
+    rng = random.Random(9)
+    cases = tie_prone_graphs(rng)
+    for k in range(12):
+        n = rng.randint(8, 24)
+        p = (0.3, 0.6, 0.8)[k % 3]
+        edges = [(i, j, 1.0) for i, j in combinations(range(n), 2) if rng.random() < p]
+        cases.append((f"dense{k}", Graph([str(i) for i in range(n)], edges)))
+    cases += [(name, make_micro(name)) for name in sorted(MICRO_GRAPHS)]
+    cases.append(("planted", generate_planted(four_group_spec(seed=0))[0]))
+    return cases
+
+
+def moon_moser(k):
+    """The complement of k disjoint triangles: 3^k maximal cliques of size k."""
+    n = 3 * k
+    edges = [(i, j, 1.0) for i, j in combinations(range(n), 2) if i // 3 != j // 3]
+    return Graph([str(i) for i in range(n)], edges)
 
 
 class TestMaximalCliques:
@@ -42,12 +74,57 @@ class TestMaximalCliques:
 
     def test_matches_subset_enumeration_oracle(self):
         rng = random.Random(5)
-        for _ in range(25):
-            g, _ = random_graph(rng, max_n=9)
+        graphs = [random_graph(rng, max_n=9)[0] for _ in range(25)]
+        graphs += [moon_moser(3)] + [make_micro(name) for name in sorted(MICRO_GRAPHS)]
+        for g in graphs:
             adj = [set(j for j, _ in g.adj[i]) for i in range(g.n)]
             want = maximal_cliques_oracle(g.n, adj)
-            got = {frozenset(c) for c in maximal_cliques(g)}
-            assert got == want
+            for k in range(1, 6):
+                got = {frozenset(c) for c in maximal_cliques(g, k)}
+                assert got == {c for c in want if len(c) >= k}, k
+
+    CASES = clique_cases()
+
+    @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
+    def test_min_size_matches_bron_kerbosch_oracle(self, name, graph):
+        want = bron_kerbosch_oracle(graph)
+        for k in range(1, 6):
+            assert maximal_cliques(graph, k) == [c for c in want if len(c) >= k], k
+
+    def test_degeneracy_order_and_core_numbers(self):
+        for name, graph in self.CASES:
+            adj = [set(j for j, _ in graph.adj[i]) for i in range(graph.n)]
+            order, core = _degeneracy_order(adj)
+            assert sorted(order) == list(range(graph.n)), name
+            assert core == core_numbers_oracle(graph.n, adj), name
+            pos = {v: i for i, v in enumerate(order)}
+            for v in order:
+                later = sum(pos[u] > pos[v] for u in adj[v])
+                assert later <= core[v], (name, v)
+
+    def test_clique_takes_one_search_node_per_member(self, monkeypatch):
+        # the first root walks the clique down one member at a time; every
+        # later root is skipped, as an earlier node covers its candidates
+        n = 300
+        g = Graph([str(i) for i in range(n)], [(i, j, 1.0) for i, j in combinations(range(n), 2)])
+        module = sys.modules["commbench.detectors.gce"]
+        monkeypatch.setattr(module, "MAX_CLIQUE_SEARCH", n)
+        assert maximal_cliques(g) == [list(range(n))]
+        monkeypatch.setattr(module, "MAX_CLIQUE_SEARCH", n - 1)
+        with pytest.raises(DataError, match=f"passed {n - 1} search nodes"):
+            maximal_cliques(g)
+
+    def test_moon_moser_graph_exceeds_search_bound(self):
+        # every maximal clique is a leaf of the search, so 3^k of them must
+        # pass the bound; all 36 nodes have degree 33
+        assert 3**12 > MAX_CLIQUE_SEARCH
+        g = moon_moser(12)
+        with pytest.raises(
+            DataError,
+            match=rf"passed {MAX_CLIQUE_SEARCH} search nodes; the graph has "
+            r"degeneracy 33 and node '0' has the highest degree \(33\)",
+        ):
+            maximal_cliques(g, MIN_CLIQUE)
 
 
 class TestFitnessExpansion:

@@ -31,7 +31,7 @@ class TestMicroOptimality:
                 parameterized_modularity(g, Partition(a), t)
                 for a in enumerate_partitions(g.n)
             )
-            got = louvain(g, params(t)).objectives[-1]
+            got = parameterized_modularity(g, louvain(g, params(t)).levels[-1], t)
             assert got == pytest.approx(best, abs=1e-12), (name, t)
 
     def test_barbell_argmax_structures(self, barbell6):
@@ -49,7 +49,9 @@ class TestDeterminismAndStructure:
         a = louvain(barbell6, params(1.0))
         b = louvain(barbell6, params(1.0))
         assert [p.assignment for p in a.levels] == [p.assignment for p in b.levels]
-        assert a.objectives == b.objectives
+        assert [parameterized_modularity(barbell6, p, 1.0) for p in a.levels] == [
+            parameterized_modularity(barbell6, p, 1.0) for p in b.levels
+        ]
 
     def test_levels_project_to_original_nodes(self):
         g = make_micro("kite7")
@@ -61,7 +63,10 @@ class TestDeterminismAndStructure:
         for name in ("kite7", "cycle6", "barbell6"):
             g = make_micro(name)
             for t in (0.2, 0.5, 1.0):
-                obj = louvain(g, params(t)).objectives
+                obj = [
+                    parameterized_modularity(g, level, t)
+                    for level in louvain(g, params(t)).levels
+                ]
                 assert all(b >= a - 1e-12 for a, b in zip(obj, obj[1:]))
 
     def test_coarser_levels_nest(self):
@@ -80,7 +85,7 @@ class TestDeterminismAndStructure:
         res = louvain(g, params(0.5))
         assert len(res.levels) == 1
         assert res.levels[-1].n_communities == 3
-        assert res.objectives == [0.5]
+        assert [parameterized_modularity(g, p, 0.5) for p in res.levels] == [0.5]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError, match="empty graph"):
