@@ -21,14 +21,11 @@ from .graph import (
 from .covers import (
     Cover,
     Partition,
+    import_cover,
     serialize_cover,
     write_cover,
 )
-from .detectors import (
-    ResolutionParams,
-    detect_cover,
-    import_cover,
-)
+from .detectors import ResolutionParams, detect_cover
 from .detectors.louvain import LouvainResult, louvain, parameterized_modularity
 from .detectors.gce import gce, maximal_cliques
 from .detectors.linkclust import Dendrogram, cut_link_dendrogram, edge_similarity, link_clustering

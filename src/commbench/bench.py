@@ -6,7 +6,8 @@ classifier with stratified cross-validation on one attribute. Failures are
 isolated per cell and logged, never fatal - unless every cell fails. Each
 cell's fold rows are written atomically to a file of their own, so an
 interrupted run resumes by skipping completed cells (unless forced); covers
-and cover statistics are persisted per (network, method) the same way. The
+and cover statistics are persisted per (network, method) the same way, and
+every cell, fresh or resumed, is built from the cover file it reads back. The
 final report is a deterministic fold over the cell rows, so a finished
 output directory is byte-for-byte reproducible from the same config.
 
@@ -35,14 +36,13 @@ from .coverops import (
     nmi,
     parse_cover_stats,
 )
-from .covers import Cover, Partition, serialize_cover
+from .covers import Partition, import_cover, serialize_cover
 from .dataset import build_dataset, cross_validate
 # unused link_clustering and cut_link_dendrogram: perfbench/tracing.py wraps them here
 from .detectors import (  # noqa: F401
     DETECTORS,
     cut_link_dendrogram,
     detect_cover,
-    import_cover,
     link_clustering,
 )
 from .errors import AllCellsFailedError, CommbenchError, ConfigError, DataError
@@ -283,15 +283,6 @@ def method_cover(graph, method):
     return cover
 
 
-def _canonical_cover(cover, graph, name):
-    """Stable community order (size, member labels) shared with the file form."""
-    ordered = sorted(
-        cover.communities,
-        key=lambda fs: (len(fs), sorted(graph.labels[v] for v in fs)),
-    )
-    return Cover(cover.n, ordered, provenance=name)
-
-
 def cell_seed(seed, network, method, attribute):
     """Stable per-cell classifier seed."""
     entropy = seed_entropy(
@@ -425,24 +416,23 @@ def run_benchmark(config, force=False):
                 continue
             cover_path = _cover_path(out, net_name, method.name)
             try:
-                if cover_path.exists() and not force:
-                    cover = import_cover(cover_path, graph)
-                else:
-                    cover = method_cover(graph, method)
-                cover = _canonical_cover(cover, graph, method.name)
+                # fresh or resumed, every cell is built from the cover file
+                if force or not cover_path.exists():
+                    _atomic_write(
+                        cover_path,
+                        f"# cover {method.name} on {net_name}\n"
+                        + serialize_cover(method_cover(graph, method), graph),
+                    )
+                cover = import_cover(cover_path, graph)
             except (CommbenchError, OSError, ValueError) as exc:
                 log.error("method %s on %s failed: %s", method.name, net_name, exc)
                 for attribute in missing:
                     failures.append((net_name, method.name, attribute, f"detect: {exc}"))
                 continue
-            _atomic_write(
-                cover_path,
-                f"# cover {method.name} on {net_name}\n" + serialize_cover(cover, graph),
-            )
-            st = cover_stats(cover, graph.n)
+            st = cover_stats(cover)
             stats[(net_name, method.name)] = st
             _atomic_write(stats_path, format_cover_stats(st) + "\n")
-            matrix = assignment_matrix(cover, graph.n)
+            matrix = assignment_matrix(cover)
 
             for attribute in missing:
                 cell = (net_name, method.name, attribute)

@@ -14,8 +14,8 @@ import sys
 from . import __version__
 from .bench import parse_config, run_benchmark, sanity_check
 from .coverops import combine_runs, cover_stats, format_cover_stats
-from .covers import serialize_cover, write_cover
-from .detectors import DETECTORS, ResolutionParams, detect_cover, import_cover
+from .covers import import_cover, serialize_cover, write_cover
+from .detectors import DETECTORS, ResolutionParams, detect_cover
 from .errors import AllCellsFailedError, CommbenchError, ConfigError
 from .graph import load_attributes, load_edge_list
 from .ordering import order_adjacency, write_ordering
@@ -166,7 +166,7 @@ def cmd_stats(args):
     graph = load_edge_list(args.graph)
     cover = import_cover(args.cover, graph)
     print("communities\tmedian_smallest\tuncovered\tsizes")
-    print(format_cover_stats(cover_stats(cover, graph.n)))
+    print(format_cover_stats(cover_stats(cover)))
     return 0
 
 

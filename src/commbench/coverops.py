@@ -90,31 +90,23 @@ def combine_runs(covers):
     for c in covers:
         if c.provenance and c.provenance not in tags:
             tags.append(c.provenance)
-    merged = Cover(n, _canonical_order(distinct), provenance="+".join(tags))
-    return dedup(merged, DEDUP_EPSILON)
+    return dedup(Cover(n, distinct, provenance="+".join(tags)), DEDUP_EPSILON)
 
 
 @dataclass
 class AssignmentMatrix:
-    """Binary node-by-community membership matrix with column provenance."""
+    """Binary node-by-community membership matrix."""
 
     matrix: np.ndarray  # (n, c) uint8
-    column_ids: list
 
 
-def assignment_matrix(cover, n):
+def assignment_matrix(cover):
     """Expand a cover into its n x c binary membership matrix."""
-    if n <= 0:
-        raise DataError("assignment matrix needs a positive node count")
-    mat = np.zeros((n, len(cover.communities)), dtype=np.uint8)
+    mat = np.zeros((cover.n, len(cover.communities)), dtype=np.uint8)
     for col, community in enumerate(cover.communities):
         for v in community:
-            if not (0 <= v < n):
-                raise DataError(f"community member {v} outside universe 0..{n - 1}")
             mat[v, col] = 1
-    prefix = cover.provenance or "community"
-    ids = [f"{prefix}[{k}]" for k in range(len(cover.communities))]
-    return AssignmentMatrix(mat, ids)
+    return AssignmentMatrix(mat)
 
 
 @dataclass
@@ -133,13 +125,11 @@ class CoverStats:
     uncovered_nodes: int
 
 
-def cover_stats(cover, n):
+def cover_stats(cover):
     smallest = {}
     for community in cover.communities:
         size = len(community)
         for v in community:
-            if not (0 <= v < n):
-                raise DataError(f"community member {v} outside universe 0..{n - 1}")
             current = smallest.get(v)
             if current is None or size < current:
                 smallest[v] = size
@@ -157,7 +147,7 @@ def cover_stats(cover, n):
         community_count=len(cover.communities),
         median_smallest=median,
         size_histogram=dict(sorted(histogram.items())),
-        uncovered_nodes=n - len(smallest),
+        uncovered_nodes=cover.n - len(smallest),
     )
 
 

@@ -1,16 +1,22 @@
-"""Community covers and partitions, plus the cover file form.
+"""Community covers and partitions, plus the cover text format.
 
 A cover is an ordered list of node communities that may overlap. A partition
 assigns every node to exactly one community (indices are normalized to a
 dense 0..c-1 range, so two partitions with the same grouping compare equal).
-The writers emit a canonical ordering - communities sorted by size then by
-their sorted member-label list - so detector output is byte-stable run to
-run.
+
+This module owns the cover text format, writer and reader both. The writer
+emits a canonical ordering - communities sorted by size then by their sorted
+member-label list - so detector output is byte-stable run to run, and
+import_cover reads a file back in its line order.
 """
 
 from __future__ import annotations
 
+import logging
+
 from .errors import DataError
+
+log = logging.getLogger(__name__)
 
 
 class Partition:
@@ -108,21 +114,54 @@ def dedupe_exact(communities):
     return out
 
 
-def _cover_lines(cover, graph):
-    keyed = []
-    for fs in cover.communities:
-        members = sorted(graph.labels[v] for v in fs)
-        keyed.append((len(fs), members))
-    keyed.sort(key=lambda kv: (kv[0], kv[1]))
-    return [" ".join(members) for _, members in keyed]
-
-
 def serialize_cover(cover, graph):
     """Canonical text form: one community per line, labels space-separated."""
-    lines = _cover_lines(cover, graph)
-    return "\n".join(lines) + ("\n" if lines else "")
+    keyed = sorted((len(fs), sorted(graph.labels[v] for v in fs)) for fs in cover)
+    return "".join(" ".join(members) + "\n" for _, members in keyed)
 
 
 def write_cover(cover, graph, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_cover(cover, graph))
+
+
+def import_cover(path, graph):
+    """Read a cover file, in its line order.
+
+    One community per line, node labels space-separated; '#' lines are
+    comments. Unknown labels are errors, exact-duplicate lines are dropped
+    with a warning. A file without any content line at all is an error; a
+    file holding only comments imports as an empty cover (the explicit way
+    to feed downstream stages a cover with zero communities).
+    """
+    communities = []
+    seen = set()
+    dropped = 0
+    any_line = False
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            any_line = True
+            if line.startswith("#"):
+                continue
+            members = set()
+            for lab in line.split():
+                try:
+                    members.add(graph.index_of(lab))
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+            fs = frozenset(members)
+            if fs in seen:
+                dropped += 1
+                continue
+            seen.add(fs)
+            communities.append(fs)
+    if not any_line:
+        raise DataError(f"{path}: empty cover file")
+    if dropped:
+        log.warning("%s: dropped %d exact-duplicate communities", path, dropped)
+    if not communities:
+        log.warning("%s: imported cover has zero communities", path)
+    return Cover(graph.n, communities, provenance=f"import({path})")

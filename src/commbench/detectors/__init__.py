@@ -2,18 +2,16 @@
 
 Every detector consumes a Graph and a ResolutionParams and produces a Cover
 over the same node universe; identical inputs give byte-identical serialized
-covers. Externally computed covers enter through import_cover and flow
-through the same downstream operations.
+covers.
 """
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..covers import Cover
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError
 from .gce import _check_alpha, gce, gce_sweep, maximal_cliques
 from .linkclust import (
     _check_threshold,
@@ -24,13 +22,10 @@ from .linkclust import (
 )
 from .louvain import LouvainResult, _check_markov_time, louvain, parameterized_modularity
 
-log = logging.getLogger(__name__)
-
 __all__ = [
     "DETECTORS",
     "ResolutionParams",
     "detect_cover",
-    "import_cover",
     "louvain",
     "parameterized_modularity",
     "LouvainResult",
@@ -162,45 +157,3 @@ def detect_cover(graph, method, params, **flags):
     except KeyError:
         raise ConfigError(f"unknown detector {method!r}") from None
     return kind.run(graph, params, **{f: flags[f] for f in kind.flags if f in flags})
-
-
-def import_cover(path, graph):
-    """Read an externally produced cover file.
-
-    One community per line, node labels space-separated; '#' lines are
-    comments. Unknown labels are errors, exact-duplicate lines are dropped
-    with a warning. A file without any content line at all is an error; a
-    file holding only comments imports as an empty cover (the explicit way
-    to feed downstream stages a cover with zero communities).
-    """
-    communities = []
-    seen = set()
-    dropped = 0
-    any_line = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            any_line = True
-            if line.startswith("#"):
-                continue
-            members = set()
-            for lab in line.split():
-                try:
-                    members.add(graph.index_of(lab))
-                except DataError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-            fs = frozenset(members)
-            if fs in seen:
-                dropped += 1
-                continue
-            seen.add(fs)
-            communities.append(fs)
-    if not any_line:
-        raise DataError(f"{path}: empty cover file")
-    if dropped:
-        log.warning("%s: dropped %d exact-duplicate communities", path, dropped)
-    if not communities:
-        log.warning("%s: imported cover has zero communities", path)
-    return Cover(graph.n, communities, provenance=f"import({path})")

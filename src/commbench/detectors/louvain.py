@@ -95,19 +95,6 @@ def _one_level(graph, t):
     return comm, moved_any
 
 
-def _blocks_of(assignment):
-    """Community member lists in first-appearance order."""
-    order = {}
-    blocks = []
-    for v, a in enumerate(assignment):
-        k = order.get(a)
-        if k is None:
-            k = order[a] = len(blocks)
-            blocks.append([])
-        blocks[k].append(v)
-    return blocks
-
-
 @dataclass
 class LouvainResult:
     levels: list  # Partition per aggregation level over original nodes, coarsest last
@@ -131,18 +118,13 @@ def louvain(graph, params, multi_level=False):
     node_map = list(range(graph.n))
     while True:
         assignment, moved = _one_level(current, t)
-        projected = Partition([assignment[node_map[v]] for v in range(graph.n)])
+        level = Partition(assignment)
+        node_map = [level.assignment[u] for u in node_map]
+        if moved or not levels:
+            levels.append(Partition(node_map))
         if not moved:
-            if not levels:
-                levels.append(projected)
             break
-        levels.append(projected)
-        blocks = _blocks_of(assignment)
-        dense = {}
-        for k, members in enumerate(blocks):
-            dense[assignment[members[0]]] = k
-        node_map = [dense[assignment[node_map[v]]] for v in range(graph.n)]
-        current = build_meta_graph(current, blocks)
+        current = build_meta_graph(current, level.communities())
     cover = None
     if multi_level:
         comms = []

@@ -118,8 +118,8 @@ def load_edge_list(path, allow_self_loops=False):
 
     Lines starting with '#' and blank lines are skipped. Each data line is
     "u v" or "u v w" with w > 0; labels map to dense indices in first-seen
-    order. Duplicate edges and (for plain graphs) self-loops are rejected
-    with the offending line number.
+    order. A label starting with '#', duplicate edges and (for plain graphs)
+    self-loops are rejected with the offending line number.
     """
     labels = []
     index = {}
@@ -147,6 +147,9 @@ def load_edge_list(path, allow_self_loops=False):
                 raise DataError(f"{path}:{lineno}: weight must be positive, got {w:g}")
             for lab in (u, v):
                 if lab not in index:
+                    if lab.startswith("#"):
+                        # cover and attribute files would read it as a comment
+                        raise DataError(f"{path}:{lineno}: node label {lab!r} starts with '#'")
                     index[lab] = len(labels)
                     labels.append(lab)
             i, j = index[u], index[v]

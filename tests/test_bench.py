@@ -378,6 +378,29 @@ class TestRunBenchmark:
         assert restored.summary[("flat", "block")][0] == 1.0
         assert cover_path.read_text() == original
 
+    def test_resume_reads_cached_cover_without_rewriting_it(self, tmp_path):
+        self.run(tmp_path, "fresh")
+        self.run(tmp_path, "out")
+        cover_path = tmp_path / "out" / "covers" / "twoclique__flat.txt"
+        before = cover_path.stat()
+        (tmp_path / "out" / "cells" / "twoclique__flat__block.csv").unlink()
+        _, report = self.run(tmp_path, "out")
+        assert len(report.records) == 2
+        after = cover_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert (tmp_path / "out" / "report.csv").read_bytes() == (
+            tmp_path / "fresh" / "report.csv"
+        ).read_bytes()
+
+    def test_failed_cover_write_is_a_detect_failure(self, tmp_path):
+        # a directory squats on the cover file name, so writing it fails
+        (tmp_path / "out" / "covers" / "twoclique__blocked.txt").mkdir(parents=True)
+        extra = "method louvain blocked t=1.0\n"
+        _, report = self.run(tmp_path, "out", extra=extra, force=True)
+        assert [f[:3] for f in report.failures] == [("twoclique", "blocked", "block")]
+        assert report.failures[0][3].startswith("detect:")
+        assert report.summary[("flat", "block")][0] == 1.0
+
     def test_parallel_run_matches_serial_bytes(self, tmp_path):
         # jobs is accepted and ignored: the same cells give the same bytes
         extra = "attribute parity\n"

@@ -118,7 +118,7 @@ class TestImportCover:
         g = Graph(["a", "b"], [(0, 1, 1.0)])
         path = tmp_path / "empty.txt"
         path.write_text("# produced upstream\n# nothing detected\n")
-        with caplog.at_level(logging.WARNING, logger="commbench.detectors"):
+        with caplog.at_level(logging.WARNING, logger="commbench.covers"):
             cover = import_cover(path, g)
         assert len(cover) == 0
         assert cover.n == 2
@@ -142,7 +142,7 @@ class TestImportCover:
         g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
         path = tmp_path / "dup.txt"
         path.write_text("a b\nb a\nc\n")
-        with caplog.at_level(logging.WARNING, logger="commbench.detectors"):
+        with caplog.at_level(logging.WARNING, logger="commbench.covers"):
             cover = import_cover(path, g)
         assert len(cover) == 2
         assert "duplicate" in caplog.text
@@ -241,29 +241,15 @@ class TestCombineRuns:
 
 class TestAssignmentMatrix:
     def test_hand_matrix(self):
-        cover = Cover(4, [{0, 1}, {1, 2, 3}], provenance="louvain(t=1)")
-        am = assignment_matrix(cover, 4)
+        am = assignment_matrix(Cover(4, [{0, 1}, {1, 2, 3}]))
         assert am.matrix.dtype == np.uint8
         assert am.matrix.tolist() == [[1, 0], [1, 1], [0, 1], [0, 1]]
-        assert am.column_ids == ["louvain(t=1)[0]", "louvain(t=1)[1]"]
-
-    def test_default_column_prefix(self):
-        am = assignment_matrix(Cover(2, [{0}]), 2)
-        assert am.column_ids == ["community[0]"]
-
-    def test_universe_must_be_positive(self):
-        with pytest.raises(DataError, match="positive node count"):
-            assignment_matrix(Cover(2, [{0}]), 0)
-
-    def test_member_outside_requested_universe(self):
-        with pytest.raises(DataError, match="outside universe"):
-            assignment_matrix(Cover(5, [{4}]), 3)
 
     def test_column_sums_are_community_sizes(self, rng):
         for _ in range(30):
             n = rng.randint(2, 12)
             comms = random_cover_communities(rng, n)
-            am = assignment_matrix(Cover(n, comms), n)
+            am = assignment_matrix(Cover(n, comms))
             assert am.matrix.shape == (n, len(comms))
             assert am.matrix.sum(axis=0).tolist() == [len(c) for c in comms]
             for v in range(n):
@@ -273,7 +259,7 @@ class TestAssignmentMatrix:
 class TestCoverStats:
     def test_odd_median_and_uncovered(self):
         cover = Cover(6, [{0, 1, 2, 3}, {0, 1}, {4}])
-        stats = cover_stats(cover, 6)
+        stats = cover_stats(cover)
         assert stats.community_count == 3
         # smallest containing sizes: [1, 2, 2, 4, 4] -> median 2
         assert stats.median_smallest == 2.0
@@ -281,32 +267,28 @@ class TestCoverStats:
         assert stats.size_histogram == {1: 1, 2: 1, 4: 1}
 
     def test_even_median_averages_middles(self):
-        stats = cover_stats(Cover(4, [{0, 1}, {0, 2, 3}]), 4)
+        stats = cover_stats(Cover(4, [{0, 1}, {0, 2, 3}]))
         assert stats.median_smallest == pytest.approx(2.5)
 
     def test_empty_cover_has_no_median(self):
-        stats = cover_stats(Cover(5, []), 5)
+        stats = cover_stats(Cover(5, []))
         assert stats.median_smallest is None
         assert stats.uncovered_nodes == 5
         assert stats.community_count == 0
         assert stats.size_histogram == {}
 
-    def test_member_outside_universe(self):
-        with pytest.raises(DataError, match="outside universe"):
-            cover_stats(Cover(9, [{8}]), 4)
-
     def test_format_parse_round_trip(self):
-        for cover, n in [
-            (Cover(6, [{0, 1, 2, 3}, {0, 1}, {4}]), 6),
-            (Cover(4, [{0, 1}, {0, 2, 3}]), 4),
-            (Cover(5, []), 5),
+        for cover in [
+            Cover(6, [{0, 1, 2, 3}, {0, 1}, {4}]),
+            Cover(4, [{0, 1}, {0, 2, 3}]),
+            Cover(5, []),
         ]:
-            stats = cover_stats(cover, n)
+            stats = cover_stats(cover)
             back = parse_cover_stats(format_cover_stats(stats) + "\n")
             assert back == stats
 
     def test_format_hand_line(self):
-        line = format_cover_stats(cover_stats(Cover(6, [{0, 1, 2, 3}, {0, 1}, {4}]), 6))
+        line = format_cover_stats(cover_stats(Cover(6, [{0, 1, 2, 3}, {0, 1}, {4}])))
         assert line == "3\t2.0\t1\t1:1,2:1,4:1"
 
     def test_parse_rejects_malformed_line(self):

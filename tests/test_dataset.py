@@ -28,7 +28,7 @@ def table(n, **columns):
 
 class TestBuildDataset:
     def test_missing_rows_excluded(self):
-        matrix = assignment_matrix(Cover(4, [{0, 1}, {2, 3}]), 4)
+        matrix = assignment_matrix(Cover(4, [{0, 1}, {2, 3}]))
         attrs = table(4, color=["red", MISSING, "blue", "red"])
         data = build_dataset(matrix, attrs, "color")
         assert data.rows == [0, 2, 3]
@@ -38,26 +38,26 @@ class TestBuildDataset:
         assert data.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 
     def test_classes_sorted_regardless_of_row_order(self):
-        matrix = assignment_matrix(Cover(3, [{0, 1, 2}]), 3)
+        matrix = assignment_matrix(Cover(3, [{0, 1, 2}]))
         attrs = table(3, grade=["z", "a", "m"])
         data = build_dataset(matrix, attrs, "grade")
         assert data.classes == ["a", "m", "z"]
         assert data.labels.tolist() == [2, 0, 1]
 
     def test_size_mismatch_rejected(self):
-        matrix = assignment_matrix(Cover(3, [{0}]), 3)
+        matrix = assignment_matrix(Cover(3, [{0}]))
         attrs = table(4, color=["red"] * 4)
         with pytest.raises(DataError, match="disagree on n"):
             build_dataset(matrix, attrs, "color")
 
     def test_all_missing_attribute_rejected(self):
-        matrix = assignment_matrix(Cover(2, [{0, 1}]), 2)
+        matrix = assignment_matrix(Cover(2, [{0, 1}]))
         attrs = table(2, color=[MISSING, MISSING])
         with pytest.raises(DataError, match="no labeled rows"):
             build_dataset(matrix, attrs, "color")
 
     def test_unknown_attribute_rejected(self):
-        matrix = assignment_matrix(Cover(2, [{0, 1}]), 2)
+        matrix = assignment_matrix(Cover(2, [{0, 1}]))
         attrs = table(2, color=["red", "red"])
         with pytest.raises(DataError, match="unknown attribute"):
             build_dataset(matrix, attrs, "size")

@@ -90,6 +90,16 @@ class TestEdgeListIO:
         assert g.labels == ["x", "y", "z"]
         assert g.m == 3.5
 
+    def test_label_starting_with_hash_reports_line(self, tmp_path):
+        # cover and attribute files skip '#' lines, so such a node would be
+        # lost from every community and attribute row written for it
+        path = tmp_path / "g.edges"
+        path.write_text("a c\nc d\na #b\n#b c\n")
+        with pytest.raises(DataError, match=r"g\.edges:3: node label '#b' starts with '#'"):
+            load_edge_list(path)
+        path.write_text("a c\nc d#\n")
+        assert load_edge_list(path).labels == ["a", "c", "d#"]
+
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("a b c d\n")

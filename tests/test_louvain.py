@@ -13,7 +13,7 @@ from commbench import (
     build_meta_graph,
     parameterized_modularity,
 )
-from commbench.detectors.louvain import _blocks_of, _one_level, louvain
+from commbench.detectors.louvain import _one_level, louvain
 from conftest import MICRO_GRAPHS, make_micro, tie_prone_graphs
 from oracles import enumerate_partitions, louvain_level_oracle
 
@@ -143,4 +143,4 @@ class TestMovePhaseMatchesOracle:
                 assert (assignment, moved) == louvain_level_oracle(current, 1.0), name
                 if not moved:
                     break
-                current = build_meta_graph(current, _blocks_of(assignment))
+                current = build_meta_graph(current, Partition(assignment).communities())
