@@ -18,6 +18,7 @@ threads made the interpreter-bound training slower, not faster.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
@@ -312,10 +313,16 @@ def _cover_path(out, network, method):
 
 
 def _atomic_write(path, text):
+    """Write text to path through a temporary file, removed if any step fails."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _record_line(record):

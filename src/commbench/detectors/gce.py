@@ -1,8 +1,10 @@
 """Greedy clique expansion for overlapping communities.
 
-Maximal cliques of at least four nodes seed candidate communities (the
-minimum relaxes to three when the graph has no 4-clique at all). Each seed
-grows by the single frontier node that most improves the fitness
+The method is Lee, Reid, McDaid and Hurley's (arXiv:1002.1827), without
+their seed pruning. Maximal cliques of at least four nodes seed candidate
+communities (the minimum relaxes to three when the graph has no 4-clique at
+all). Each seed grows by the single frontier node that most improves the
+fitness
 
     F(S) = k_in / (k_in + k_out)^alpha
 
@@ -14,6 +16,20 @@ Seeds are processed largest first (ties by member list), frontier ties go to
 the lowest node index, so the whole run is deterministic. ``gce_sweep``
 lists the seed cliques once and grows the same seeds for every alpha of a
 grid; ``gce`` is its one-alpha case.
+
+An expansion step scores one frontier node per degree, not the whole
+frontier, while every value the fitness is computed from is an integer.
+Adding node v, of degree d_v and weight w_v into S, gives (k_in + 2 w_v) /
+(k_in + k_out + d_v)^alpha. When k_in, k_out, w_v and d_v are integers and
+4m < 2^52, every sum in it is exact, so all nodes of one degree share one
+denominator, and numerators at least 2 apart stay ordered after rounding:
+the heaviest node of a degree, the lowest index on ties, is the only one of
+its degree that can win. Each degree keeps a lazy heap of (-w_v, v); w_v
+only grows, so every update pushes a new entry and stale tops are dropped.
+Once a non-integer value turns up, the expansion scans the whole frontier
+from then on: the rounding of the denominator can then rank a node a few
+units in the last place lighter above the heaviest. Unweighted graphs never
+leave the heaps.
 
 ``maximal_cliques`` lists only the cliques of a minimum size. It visits the
 nodes in degeneracy order (Eppstein, Loffler and Strash, ISAAC 2010): each
@@ -32,6 +48,7 @@ degeneracy and the highest-degree node.
 from __future__ import annotations
 
 import logging
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
 
@@ -173,8 +190,40 @@ def _fitness(kin, kout, alpha):
     return kin / total**alpha
 
 
-def _expand(graph, seed, alpha):
-    """Grow a seed greedily while fitness strictly improves."""
+def _integer_degrees(graph):
+    """True when every degree is an integer and 4m < 2^52.
+
+    The graph's half of the condition under which _expand scores one
+    frontier node per degree (see the module docstring).
+    """
+    return 4.0 * graph.m < 2.0**52 and all(map(float.is_integer, graph.degrees))
+
+
+def _tops(buckets, w_in):
+    """The heaviest frontier node of each degree, the lowest index on ties.
+
+    Drops the stale entries on top of each heap and the heaps left empty.
+    """
+    tops = []
+    for d in list(buckets):
+        heap = buckets[d]
+        while heap and w_in.get(heap[0][1]) != -heap[0][0]:
+            heappop(heap)
+        if heap:
+            tops.append(heap[0][1])
+        else:
+            del buckets[d]
+    return tops
+
+
+def _expand(graph, seed, alpha, integer_degrees=False):
+    """Grow a seed greedily while fitness strictly improves.
+
+    With ``integer_degrees`` (see _integer_degrees), a step scores one
+    frontier node per degree for as long as k_in, k_out and every weight
+    into the community are integers; otherwise it scans the whole frontier.
+    """
+    degrees = graph.degrees
     members = set(seed)
     kin = 0.0
     kout = 0.0
@@ -186,14 +235,27 @@ def _expand(graph, seed, alpha):
             else:
                 kout += w
                 w_in[u] = w_in.get(u, 0.0) + w
+    buckets = None
+    if (
+        integer_degrees
+        and kin.is_integer()
+        and kout.is_integer()
+        and all(map(float.is_integer, w_in.values()))
+    ):
+        # per degree, a lazy max-heap of (-weight in, node): an entry is
+        # current while w_in still holds its weight, which only grows
+        buckets = {}
+        for u, w in w_in.items():
+            buckets.setdefault(degrees[u], []).append((-w, u))
+        for heap in buckets.values():
+            heapify(heap)
     best_f = _fitness(kin, kout, alpha)
     while w_in:
         best_v = None
         best_vf = best_f
-        for v, wv in w_in.items():
-            f = _fitness(
-                kin + 2.0 * wv, kout - wv + (graph.degrees[v] - wv), alpha
-            )
+        for v in w_in if buckets is None else _tops(buckets, w_in):
+            wv = w_in[v]
+            f = _fitness(kin + 2.0 * wv, kout - wv + (degrees[v] - wv), alpha)
             # ties between candidates go to the lowest index; merely matching
             # the current fitness is no improvement
             if f > best_vf or (f == best_vf and best_v is not None and v < best_v):
@@ -203,11 +265,17 @@ def _expand(graph, seed, alpha):
             break
         wv = w_in.pop(best_v)
         kin += 2.0 * wv
-        kout += graph.degrees[best_v] - 2.0 * wv
+        kout += degrees[best_v] - 2.0 * wv
         members.add(best_v)
         for u, w in graph.adj[best_v]:
             if u not in members:
-                w_in[u] = w_in.get(u, 0.0) + w
+                wu = w_in[u] = w_in.get(u, 0.0) + w
+                if buckets is None:
+                    continue
+                if wu.is_integer():
+                    heappush(buckets.setdefault(degrees[u], []), (-wu, u))
+                else:
+                    buckets = None  # w_in stays complete: scan from now on
         assert best_vf > best_f, "accepted expansion step must improve fitness"
         best_f = best_vf
     return frozenset(members)
@@ -244,11 +312,12 @@ def gce_sweep(graph, params_list):
         log.info("no 4-clique present; relaxing clique seed size to 3")
         seeds = maximal_cliques(graph, 3)
     seeds.sort(key=lambda c: (-len(c), c))
+    integer_degrees = _integer_degrees(graph)
     covers = []
     for params in params_list:
         accepted = []
         for seed in seeds:
-            community = _expand(graph, seed, params.alpha)
+            community = _expand(graph, seed, params.alpha, integer_degrees)
             if not _is_duplicate(community, accepted):
                 accepted.append(community)
         covers.append(

@@ -1,11 +1,12 @@
 """Shared fixtures: micro graphs, planted-fixture specs, random generators."""
 
+import math
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
-from commbench import Graph, PlantedPartitionSpec
+from commbench import Graph, PlantedPartitionSpec, generate_planted
 
 # Acceptance results are gathered here so a terminal-summary hook can print
 # one line per criterion even though pytest captures test stdout.
@@ -122,6 +123,96 @@ def tie_prone_graphs(rng):
                     edges.append((v, v + cols, 1.0))
         cases.append((f"grid{rows}x{cols}", Graph([str(i) for i in range(rows * cols)], edges)))
     return cases
+
+
+def float_planted_graph(seed):
+    """A 300-node, 6-group planted graph with weights drawn from [0.1, 3)."""
+    spec = PlantedPartitionSpec(n=300, groups=6, p_in=0.15, p_out=0.01, seed=seed)
+    graph = generate_planted(spec)[0]
+    rng = random.Random(seed)
+    edges = [(i, j, rng.uniform(0.1, 3.0)) for i, j, _ in graph.edges()]
+    return Graph(graph.labels, edges)
+
+
+def near_equal_graph(rng):
+    """A dense random graph whose weights differ only in their last bits.
+
+    Nodes 0-3 form a clique of weight 2 with unit edges out; every other
+    weight is one base value moved up by 0 to 3 units in the last place, so
+    frontier weights tie or nearly tie and the rounding of the fitness
+    decides between them. A self-loop on every node lifts all degrees to one
+    integer, so that nodes share a degree.
+    """
+    n = rng.randint(8, 16)
+    base = rng.uniform(0.5, 2.0)
+    edges = []
+    for i, j in combinations(range(n), 2):
+        if j < 4:
+            edges.append((i, j, 2.0))
+        elif rng.random() < 0.5:
+            w = 1.0 if i < 4 else base
+            for _ in range(0 if i < 4 else rng.randint(0, 3)):
+                w = math.nextafter(w, math.inf)
+            edges.append((i, j, w))
+    sums = [sum(w for _, w in adj) for adj in Graph([str(i) for i in range(n)], edges).adj]
+    degree = math.floor(max(sums)) + 1.0
+    for i, s in enumerate(sums):
+        loop = (degree - s) / 2.0
+        while s + 2.0 * loop != degree:
+            loop = math.nextafter(loop, math.inf if s + 2.0 * loop < degree else -math.inf)
+        edges.append((i, i, loop))
+    return Graph([str(i) for i in range(n)], edges, allow_self_loops=True)
+
+
+def heavy_tailed_graph(n, seed):
+    """A degree-corrected planted graph with heavy-tailed degrees and blocks.
+
+    Karrer and Newman's degree-corrected block model (PRE 2011), sampled
+    Chung-Lu style: block sizes follow a 1/s^2 law on 10..500, expected
+    degrees a power law with exponent 2.5 on [5, 1000], and each node's
+    expected degree splits 0.8 inside its block and 0.2 across. Endpoints
+    are drawn in proportion to those shares; loops, repeats and draws that
+    land on the wrong side of a block boundary are dropped.
+    """
+    rng = random.Random(seed)
+    sizes = range(10, 501)
+    size_weights = list(accumulate(1.0 / s**2 for s in sizes))
+    blocks = []
+    while sum(blocks) < n:
+        blocks += rng.choices(sizes, cum_weights=size_weights)
+    blocks[-1] -= sum(blocks) - n
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    # inverse-transform draws from the power law truncated to [lo, hi]
+    lo, hi = 5.0**-1.5, 1000.0**-1.5
+    degree = [(lo + rng.random() * (hi - lo)) ** (-1 / 1.5) for _ in range(n)]
+    edges = set()
+
+    def draw(nodes, share, inside):
+        weights = [share * degree[v] for v in nodes]
+        cum = list(accumulate(weights))
+        for _ in range(round(cum[-1] / 2)):
+            i, j = rng.choices(nodes, cum_weights=cum, k=2)
+            if i != j and (block_of[i] == block_of[j]) == inside:
+                edges.add((min(i, j), max(i, j)))
+
+    start = 0
+    for size in blocks:
+        draw(range(start, start + size), 0.8, True)
+        start += size
+    draw(range(n), 0.2, False)
+    return Graph([str(v) for v in range(n)], [(i, j, 1.0) for i, j in sorted(edges)])
+
+
+class CountingList(list):
+    """A list that counts how often one of its items is read by index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
 
 
 def random_partition(rng, n):

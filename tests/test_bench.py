@@ -400,6 +400,7 @@ class TestRunBenchmark:
         assert [f[:3] for f in report.failures] == [("twoclique", "blocked", "block")]
         assert report.failures[0][3].startswith("detect:")
         assert report.summary[("flat", "block")][0] == 1.0
+        assert not list((tmp_path / "out").rglob("*.tmp"))
 
     def test_parallel_run_matches_serial_bytes(self, tmp_path):
         # jobs is accepted and ignored: the same cells give the same bytes

@@ -1,5 +1,6 @@
 """Boosted-tree trainer: splits, leaves, determinism, model file round-trip."""
 
+import hashlib
 import math
 import re
 
@@ -145,6 +146,21 @@ class TestTraining:
         save_model(train_gbdt(data, params), a)
         save_model(train_gbdt(data, params), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_model_bytes_are_pinned(self, tmp_path):
+        # trees of depths 0-3 over 25 rounds of 4 classes. numpy's exp and log
+        # differ in the last bit between its AVX-512 and baseline x86-64
+        # kernels, so each has its own digest; a change to either digest
+        # changes the trained model and needs a MODEL_MAGIC bump
+        X, _, _, _, _ = wide_tree_case(11)
+        labels = [str(v) for v in np.random.default_rng(11).integers(0, 4, len(X))]
+        params = GBDTParams(n_trees=25, subsample=0.6, min_samples_split=2, seed=3)
+        save_model(train_gbdt(dataset_from(X, labels), params), tmp_path / "m.model")
+        digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
+        assert digest in (
+            "499f4139a20850a5374fe31f2773fb1136f6b0236a7c06e67894e1986a423ff6",
+            "e00a484f259f0fc72c29e0cc5ecdd7a2a0c50e3a84efa986b37b94f8960a3a35",
+        )
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
     def test_feature_dtype_leaves_model_unchanged(self, tmp_path, dtype):

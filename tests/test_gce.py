@@ -1,6 +1,7 @@
 """Clique seeding and greedy fitness expansion."""
 
 import logging
+import math
 import random
 import sys
 from itertools import combinations
@@ -13,9 +14,18 @@ from commbench.detectors.gce import (
     MIN_CLIQUE,
     _degeneracy_order,
     _expand,
+    _integer_degrees,
     _fitness,
 )
-from conftest import MICRO_GRAPHS, four_group_spec, make_micro, random_graph, tie_prone_graphs
+from conftest import (
+    MICRO_GRAPHS,
+    four_group_spec,
+    heavy_tailed_graph,
+    make_micro,
+    near_equal_graph,
+    random_graph,
+    tie_prone_graphs,
+)
 from oracles import (
     bron_kerbosch_oracle,
     core_numbers_oracle,
@@ -153,10 +163,61 @@ class TestExpansionMatchesOracle:
         rng = random.Random(name)
         seeds = [c for c in maximal_cliques(graph) if len(c) >= 2]
         seeds += [rng.sample(range(graph.n), k) for k in (1, 2, 3)]
+        by_degree = _integer_degrees(graph)
         for alpha in (0.8, 1.0, 1.5, 2.2):
             for seed in seeds:
                 want = gce_expand_oracle(graph, seed, alpha)
                 assert _expand(graph, seed, alpha) == want, (alpha, seed)
+                assert _expand(graph, seed, alpha, by_degree) == want, (alpha, seed)
+
+    def test_integer_degrees_below_the_bound(self):
+        assert _integer_degrees(make_micro("k4"))
+        assert not _integer_degrees(make_micro("wpath3"))  # weight 0.5
+        big = 2.0**50
+        assert _integer_degrees(Graph(["a", "b"], [(0, 1, big - 1.0)]))
+        assert not _integer_degrees(Graph(["a", "b"], [(0, 1, big)]))
+
+    def test_lighter_node_can_score_higher_off_integers(self):
+        # with non-integer sums the rounding of k_in + k_out + d can rank a
+        # node one unit in the last place lighter above the heavier one of
+        # the same degree; that is why such expansions scan the whole frontier
+        rng = random.Random(3)
+        for _ in range(1000):
+            kin, kout = rng.uniform(1, 50), rng.uniform(1, 50)
+            d = rng.uniform(2, 10)
+            light = rng.uniform(0.5, d / 2)
+            heavy = math.nextafter(light, math.inf)
+            f_light, f_heavy = (
+                _fitness(kin + 2.0 * w, kout - w + (d - w), 1.5) for w in (light, heavy)
+            )
+            if f_light > f_heavy:
+                return
+        pytest.fail("no rounding inversion found")
+
+    def test_near_equal_weights_match_the_scan(self):
+        # all degrees equal, weights a few units in the last place apart: the
+        # integer check must send these expansions to the whole-frontier scan
+        for k in range(60):
+            rng = random.Random(k)
+            graph = near_equal_graph(rng)
+            assert _integer_degrees(graph)
+            # the weight-2 clique starts on integers, the rest does not
+            seeds = [[0, 1, 2, 3]] + [c for c in maximal_cliques(graph) if len(c) >= 2]
+            for alpha in (0.8, 1.0, 1.5, 2.2):
+                for seed in seeds:
+                    want = gce_expand_oracle(graph, seed, alpha)
+                    assert _expand(graph, seed, alpha, True) == want, (k, alpha, seed)
+
+    def test_heavy_tailed_graph(self):
+        # communities of a few hundred nodes; the largest seeds come first
+        graph = heavy_tailed_graph(2000, 11)
+        assert _integer_degrees(graph)
+        seeds = maximal_cliques(graph, MIN_CLIQUE)
+        seeds.sort(key=lambda c: (-len(c), c))
+        for alpha in (0.8, 1.5):
+            for seed in seeds[:40]:
+                want = gce_expand_oracle(graph, seed, alpha)
+                assert _expand(graph, seed, alpha, True) == want, (alpha, seed)
 
 
 class TestGce:

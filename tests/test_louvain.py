@@ -14,7 +14,14 @@ from commbench import (
     parameterized_modularity,
 )
 from commbench.detectors.louvain import _one_level, louvain
-from conftest import MICRO_GRAPHS, make_micro, tie_prone_graphs
+from conftest import (
+    MICRO_GRAPHS,
+    CountingList,
+    float_planted_graph,
+    heavy_tailed_graph,
+    make_micro,
+    tie_prone_graphs,
+)
 from oracles import enumerate_partitions, louvain_level_oracle
 
 
@@ -128,11 +135,40 @@ class TestMultiLevelCover:
 
 class TestMovePhaseMatchesOracle:
     CASES = tie_prone_graphs(random.Random(61))
+    # large enough that the skip test fires: from the fourth sweep on, most
+    # nodes of the float-weighted graph keep their community unscanned
+    LARGE = [
+        ("float-planted300", float_planted_graph(3)),
+        ("heavy-tailed2000", heavy_tailed_graph(2000, 11)),
+    ]
 
     @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
     def test_same_moves_as_sorted_scan(self, name, graph):
         for t in (0.1, 0.5, 1.0):
             assert _one_level(graph, t) == louvain_level_oracle(graph, t), t
+
+    @pytest.mark.parametrize("name, graph", LARGE, ids=[name for name, _ in LARGE])
+    def test_large_graph_every_level(self, name, graph):
+        for t in (0.1, 0.5, 1.0):
+            current = graph
+            while True:
+                assignment, moved = _one_level(current, t)
+                assert (assignment, moved) == louvain_level_oracle(current, t), (t, current)
+                if not moved:
+                    break
+                current = build_meta_graph(current, Partition(assignment).communities())
+
+    def test_skipped_nodes_are_not_scanned(self):
+        # the oracle reads every node's neighbours in every sweep; the skip
+        # test must spare some of those reads and still give its answer
+        reads = {}
+        for run in (_one_level, louvain_level_oracle):
+            graph = float_planted_graph(3)
+            graph.adj = CountingList(graph.adj)
+            reads[run] = (run(graph, 0.1), graph.adj.reads)
+        (got, fast), (want, slow) = reads[_one_level], reads[louvain_level_oracle]
+        assert got == want
+        assert fast < 0.9 * slow
 
     def test_every_aggregation_level(self):
         # meta-graphs add self-loops and summed weights to the ties
