@@ -25,7 +25,7 @@ from .covers import (
     serialize_cover,
     write_cover,
 )
-from .detectors import ResolutionParams, detect_cover
+from .detectors import detect_cover
 from .detectors.louvain import LouvainResult, louvain, parameterized_modularity
 from .detectors.gce import gce, maximal_cliques
 from .detectors.linkclust import Dendrogram, cut_link_dendrogram, edge_similarity, link_clustering
@@ -84,7 +84,6 @@ __all__ = [
     "MethodSpec",
     "Partition",
     "PlantedPartitionSpec",
-    "ResolutionParams",
     "SanityResult",
     "TreeEnsemble",
     "accuracy_histogram",

@@ -90,9 +90,9 @@ def _parse_bool(raw, where):
     raise ConfigError(f"{where}: expected true/false, got {raw!r}")
 
 
-def _parse_grid(raw, option, where):
+def _parse_grid(raw, spec, where):
     """Comma list of option values; integer grids also take a "lo-hi" range."""
-    if option.type is int and "-" in raw and "," not in raw:
+    if spec.type is int and "-" in raw and "," not in raw:
         lo, _, hi = raw.partition("-")
         try:
             values = tuple(range(int(lo), int(hi) + 1))
@@ -100,14 +100,14 @@ def _parse_grid(raw, option, where):
             raise ConfigError(f"{where}: bad range {raw!r}") from None
     else:
         try:
-            values = tuple(option.type(x) for x in raw.split(",")) if raw else ()
+            values = tuple(spec.type(x) for x in raw.split(",")) if raw else ()
         except ValueError:
-            noun = "integer" if option.type is int else "float"
+            noun = "integer" if spec.type is int else "float"
             raise ConfigError(f"{where}: bad {noun} list {raw!r}") from None
     if not values:
         raise ConfigError(f"{where}: empty grid")
     for value in values:
-        option.check(value)
+        spec.check(value)
     return values
 
 
@@ -135,15 +135,14 @@ def _parse_method(kind, name, pairs, where):
             opts["path"] = raw.pop("path")
         else:
             _, spec, is_sweep = detector
-            option = spec.option
             if is_sweep:
                 grid = raw.pop(spec.sweep_key, None)
                 opts[spec.sweep_key] = (
-                    spec.grid if grid is None else _parse_grid(grid, option, where)
+                    spec.grid if grid is None else _parse_grid(grid, spec, where)
                 )
             else:
-                opts[option.key] = option.type(raw.pop(option.key, option.default))
-                option.check(opts[option.key])
+                opts[spec.key] = spec.type(raw.pop(spec.key, spec.default))
+                spec.check(opts[spec.key])
             for flag in spec.flags:
                 opts[flag] = _parse_bool(raw.pop(flag, "false"), where)
     except KeyError as exc:
@@ -269,15 +268,14 @@ def method_cover(graph, method):
             raise ConfigError(f"unknown method kind {method.kind!r}")
         name, spec, is_sweep = detector
         flags = {flag: opts[flag] for flag in spec.flags}
-        option = spec.option
         if not is_sweep:
-            cover = detect_cover(graph, name, option.params(opts[option.key]), **flags)
+            cover = detect_cover(graph, name, opts[spec.key], **flags)
         else:
-            grid = [option.params(value) for value in opts[spec.sweep_key]]
+            grid = opts[spec.sweep_key]
             if spec.sweep is not None:
                 covers = spec.sweep(graph, grid)
             else:
-                covers = [detect_cover(graph, name, params, **flags) for params in grid]
+                covers = [detect_cover(graph, name, value, **flags) for value in grid]
             cover = combine_runs(covers)
     if opts.get("dedup"):
         cover = dedup(cover)
@@ -535,7 +533,7 @@ class SanityResult:
     ratio: float
 
 
-def sanity_check(method, params, spec, **flags):
+def sanity_check(method, value, spec, **flags):
     """Detect on a planted graph and compare against the planted partition.
 
     The cover is flattened by best match before NMI; the count ratio
@@ -543,7 +541,7 @@ def sanity_check(method, params, spec, **flags):
     acceptable. An empty cover is an error.
     """
     graph, truth, _ = generate_planted(spec)
-    cover = detect_cover(graph, method, params, **flags)
+    cover = detect_cover(graph, method, value, **flags)
     if not cover.communities:
         raise DataError("detector produced an empty cover")
     flattened = flatten_cover(cover)

@@ -15,7 +15,7 @@ from . import __version__
 from .bench import parse_config, run_benchmark, sanity_check
 from .coverops import combine_runs, cover_stats, format_cover_stats
 from .covers import import_cover, serialize_cover, write_cover
-from .detectors import DETECTORS, ResolutionParams, detect_cover
+from .detectors import DETECTORS, detect_cover
 from .errors import AllCellsFailedError, CommbenchError, ConfigError
 from .graph import load_attributes, load_edge_list
 from .ordering import order_adjacency, write_ordering
@@ -29,12 +29,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_option(sub, option, what):
+def _add_option(sub, kind, what):
     sub.add_argument(
-        f"--{option.key}",
-        type=option.type,
-        default=option.default,
-        help=f"{what}: {option.help} (default {option.default})",
+        f"--{kind.key}",
+        type=kind.type,
+        default=kind.default,
+        help=f"{what}: {kind.help} (default {kind.default})",
     )
 
 
@@ -42,7 +42,7 @@ def _add_detector_options(sub):
     """--method plus every detector's resolution option and flags."""
     sub.add_argument("--method", required=True, choices=list(DETECTORS))
     for name, kind in DETECTORS.items():
-        _add_option(sub, kind.option, name)
+        _add_option(sub, kind, name)
         for flag, text in kind.flags.items():
             sub.add_argument(
                 "--" + flag.replace("_", "-"), action="store_true", help=f"{name}: {text}"
@@ -50,12 +50,9 @@ def _add_detector_options(sub):
 
 
 def _detector_args(args):
-    """(ResolutionParams, flags) from the options _add_detector_options added."""
-    kinds = DETECTORS.values()
-    params = ResolutionParams(
-        **{kind.option.field: getattr(args, kind.option.key) for kind in kinds}
-    )
-    return params, {flag: getattr(args, flag) for kind in kinds for flag in kind.flags}
+    """(value, flags) of the --method detector, from _add_detector_options."""
+    kind = DETECTORS[args.method]
+    return getattr(args, kind.key), {flag: getattr(args, flag) for flag in kind.flags}
 
 
 def build_parser():
@@ -102,7 +99,7 @@ def build_parser():
     p.add_argument("graph", help="edge list file")
     p.add_argument("attributes", help="attribute table file")
     p.add_argument("--attribute", required=True, help="blocking attribute name")
-    _add_option(p, DETECTORS["louvain"].option, "orderings")
+    _add_option(p, DETECTORS["louvain"], "orderings")
     p.add_argument("--out", default="ordering", help="output prefix (default 'ordering')")
     p.set_defaults(func=cmd_order)
 
@@ -111,8 +108,8 @@ def build_parser():
 
 def cmd_detect(args):
     graph = load_edge_list(args.graph, allow_self_loops=args.allow_self_loops)
-    params, flags = _detector_args(args)
-    cover = detect_cover(graph, args.method, params, **flags)
+    value, flags = _detector_args(args)
+    cover = detect_cover(graph, args.method, value, **flags)
     if args.out:
         write_cover(cover, graph, args.out)
     else:
@@ -153,8 +150,8 @@ def cmd_sanity(args):
         hierarchy=args.hierarchy,
         p_mid=args.p_mid,
     )
-    params, flags = _detector_args(args)
-    result = sanity_check(args.method, params, spec, **flags)
+    value, flags = _detector_args(args)
+    result = sanity_check(args.method, value, spec, **flags)
     print(f"nmi {result.nmi!r}")
     print(f"detected {result.detected_communities}")
     print(f"planted {result.planted_communities}")
@@ -173,8 +170,7 @@ def cmd_stats(args):
 def cmd_order(args):
     graph = load_edge_list(args.graph)
     attrs = load_attributes(args.attributes, graph)
-    params = DETECTORS["louvain"].option.params(args.t)
-    ordering = order_adjacency(graph, attrs, args.attribute, params)
+    ordering = order_adjacency(graph, attrs, args.attribute, args.t)
     order_path = f"{args.out}.order"
     ranges_path = f"{args.out}.ranges"
     write_ordering(ordering, graph, order_path, ranges_path)

@@ -48,6 +48,7 @@ degeneracy and the highest-degree node.
 from __future__ import annotations
 
 import logging
+import math
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
@@ -292,19 +293,20 @@ def _is_duplicate(community, accepted):
 
 
 def _check_alpha(alpha):
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    # an infinite alpha scores every candidate 0, so no seed would grow
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-def gce(graph, params):
+def gce(graph, alpha):
     """Detect overlapping communities by expanding maximal-clique seeds."""
-    return gce_sweep(graph, [params])[0]
+    return gce_sweep(graph, [alpha])[0]
 
 
-def gce_sweep(graph, params_list):
+def gce_sweep(graph, alphas):
     """One cover per alpha, all grown from one clique enumeration."""
-    for params in params_list:
-        _check_alpha(params.alpha)
+    for alpha in alphas:
+        _check_alpha(alpha)
     if graph.n == 0:
         raise DataError("cannot detect communities in an empty graph")
     seeds = maximal_cliques(graph, MIN_CLIQUE)
@@ -314,13 +316,11 @@ def gce_sweep(graph, params_list):
     seeds.sort(key=lambda c: (-len(c), c))
     integer_degrees = _integer_degrees(graph)
     covers = []
-    for params in params_list:
+    for alpha in alphas:
         accepted = []
         for seed in seeds:
-            community = _expand(graph, seed, params.alpha, integer_degrees)
+            community = _expand(graph, seed, alpha, integer_degrees)
             if not _is_duplicate(community, accepted):
                 accepted.append(community)
-        covers.append(
-            Cover(graph.n, accepted, provenance=f"gce(alpha={params.alpha:g})")
-        )
+        covers.append(Cover(graph.n, accepted, provenance=f"gce(alpha={alpha:g})"))
     return covers

@@ -147,15 +147,14 @@ class LouvainResult:
     cover: Cover | None  # union of all levels' communities when multi_level
 
 
-def louvain(graph, params, multi_level=False):
-    """Run the multi-level heuristic; deterministic for a given graph and t.
+def louvain(graph, t, multi_level=False):
+    """Run the multi-level heuristic at Markov time t; deterministic.
 
     Returns every aggregation level as a partition of the original nodes
     (coarsest last). With ``multi_level`` the result also carries a cover
     holding the union of communities across all levels, exact duplicates
     removed. A graph with no edges yields the all-singletons level.
     """
-    t = params.markov_time
     _check_markov_time(t)
     if graph.n == 0:
         raise DataError("cannot detect communities in an empty graph")

@@ -67,8 +67,10 @@ class GBDTParams:
     seed: int = 0
 
     def validate(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be at least 1, got {self.n_trees}")
         if self.min_samples_split < 2:

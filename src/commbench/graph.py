@@ -13,6 +13,7 @@ Graphs and attribute tables are treated as immutable after construction.
 from __future__ import annotations
 
 import logging
+import math
 
 from .errors import DataError
 
@@ -47,8 +48,9 @@ class Graph:
             if not (0 <= i < n and 0 <= j < n):
                 raise DataError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
             w = float(w)
-            if w <= 0.0:
-                raise DataError(f"edge ({i}, {j}) has non-positive weight {w}")
+            if not 0.0 < w < math.inf:
+                kind = "non-positive" if w <= 0.0 else "non-finite"
+                raise DataError(f"edge ({i}, {j}) has {kind} weight {w}")
             if i == j:
                 if not self.allow_self_loops:
                     raise DataError(f"self-loop on node {self.labels[i]!r}")
@@ -117,7 +119,7 @@ def load_edge_list(path, allow_self_loops=False):
     """Parse a whitespace-separated edge list with optional weights.
 
     Lines starting with '#' and blank lines are skipped. Each data line is
-    "u v" or "u v w" with w > 0; labels map to dense indices in first-seen
+    "u v" or "u v w" with finite w > 0; labels map to dense indices in first-seen
     order. A label starting with '#', duplicate edges and (for plain graphs)
     self-loops are rejected with the offending line number.
     """
@@ -143,8 +145,10 @@ def load_edge_list(path, allow_self_loops=False):
                     raise DataError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
             else:
                 w = 1.0
-            if w <= 0.0:
-                raise DataError(f"{path}:{lineno}: weight must be positive, got {w:g}")
+            if not 0.0 < w < math.inf:
+                raise DataError(
+                    f"{path}:{lineno}: weight must be positive and finite, got {w:g}"
+                )
             for lab in (u, v):
                 if lab not in index:
                     if lab.startswith("#"):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detectors import ResolutionParams
 from .detectors.louvain import louvain
 from .errors import DataError
 from .graph import MISSING, build_meta_graph, induced_subgraph, without_self_loops
@@ -37,10 +36,10 @@ class BlockOrdering:
     meta_ranges: list
 
 
-def _within_block_order(graph, members, params):
+def _within_block_order(graph, members, t):
     # members arrive in ascending index order
     sub, mapping = induced_subgraph(graph, members)
-    partition = louvain(sub, params).levels[-1]
+    partition = louvain(sub, t).levels[-1]
     groups = {}
     for local, comm in enumerate(partition.assignment):
         groups.setdefault(comm, []).append(mapping[local])
@@ -54,14 +53,12 @@ def _within_block_order(graph, members, params):
     return seq
 
 
-def order_adjacency(graph, attrs, attribute, params=None):
+def order_adjacency(graph, attrs, attribute, t=1.0):
     """Order nodes block-wise by one attribute; see the module docstring.
 
-    The same resolution parameters drive both the within-block and the
-    block-level detections (Louvain, default markov_time 1.0).
+    The same Markov time t drives both the within-block and the block-level
+    Louvain detections.
     """
-    if params is None:
-        params = ResolutionParams()
     if not attrs.has(attribute):
         raise DataError(f"unknown attribute {attribute!r}")
     column = attrs.column(attribute)
@@ -77,10 +74,10 @@ def order_adjacency(graph, attrs, attribute, params=None):
         raise DataError(f"attribute {attribute!r} has no non-missing values")
 
     block_labels = sorted(blocks)
-    within = {label: _within_block_order(graph, blocks[label], params) for label in block_labels}
+    within = {label: _within_block_order(graph, blocks[label], t) for label in block_labels}
 
     meta = build_meta_graph(graph, [blocks[label] for label in block_labels], labels=block_labels)
-    meta_partition = louvain(without_self_loops(meta), params).levels[-1]
+    meta_partition = louvain(without_self_loops(meta), t).levels[-1]
     meta_groups = {}
     for b, comm in enumerate(meta_partition.assignment):
         meta_groups.setdefault(comm, []).append(b)

@@ -17,7 +17,6 @@ from commbench import (
     GBDTParams,
     Graph,
     LabeledDataset,
-    ResolutionParams,
     combine_runs,
     cross_validate,
     cut_link_dendrogram,
@@ -113,14 +112,14 @@ def test_criterion_2_louvain_micro_optimality():
                     modularity_oracle(n, edges, assignment, t)
                     for assignment in enumerate_partitions(n)
                 )
-                result = louvain(graph, ResolutionParams(markov_time=t))
+                result = louvain(graph, t)
                 achieved = parameterized_modularity(graph, result.levels[-1], t)
                 if abs(achieved - best) > 1e-12:
                     problems.append(
                         f"{name} t={t}: achieved {achieved!r}, exhaustive {best!r}"
                     )
         barbell = make_micro("barbell6")
-        high = louvain(barbell, ResolutionParams(markov_time=1.0)).levels[-1]
+        high = louvain(barbell, 1.0).levels[-1]
         if abs(parameterized_modularity(barbell, high, 1.0) - 0.357142857) > 1e-9:
             problems.append("barbell6 r(1.0) off its two-triangle optimum")
         if {frozenset(c) for c in high.communities()} != {
@@ -128,7 +127,7 @@ def test_criterion_2_louvain_micro_optimality():
             frozenset({3, 4, 5}),
         }:
             problems.append("barbell6 t=1.0 argmax is not the two triangles")
-        low = louvain(barbell, ResolutionParams(markov_time=0.2)).levels[-1]
+        low = louvain(barbell, 0.2).levels[-1]
         if abs(parameterized_modularity(barbell, low, 0.2) - 0.626530612) > 1e-9:
             problems.append("barbell6 r(0.2) off its all-singleton optimum")
         if low.n_communities != 6:
@@ -144,7 +143,7 @@ def test_criterion_3_resolution_sweep_reveals_both_scales():
         start = time.perf_counter()
         graph, _, _ = generate_planted(HIERARCHY)
         by_t = {
-            t: detect_cover(graph, "louvain", ResolutionParams(markov_time=t))
+            t: detect_cover(graph, "louvain", t)
             for t in LOUVAIN_GRID
         }
         if len(by_t[0.2]) < len(by_t[1.0]):
@@ -173,12 +172,12 @@ def test_criterion_4_planted_group_recovery():
         # the clique-expansion run uses alpha=1.0 here: the steeper default
         # exponent stalls inside dense 4-node neighborhoods at this density
         runs = [
-            ("louvain", ResolutionParams(markov_time=1.0)),
-            ("gce", ResolutionParams(alpha=1.0)),
+            ("louvain", 1.0),
+            ("gce", 1.0),
         ]
-        for method, params in runs:
+        for method, value in runs:
             for seed in range(5):
-                result = sanity_check(method, params, four_group_spec(seed))
+                result = sanity_check(method, value, four_group_spec(seed))
                 if result.nmi < 0.95:
                     problems.append(f"{method} seed {seed}: nmi {result.nmi:.3f} < 0.95")
                 if result.ratio > 2.0:
@@ -338,7 +337,7 @@ def test_criterion_9_scale_smoke():
         if not 90_000 <= graph.m <= 110_000:
             problems.append(f"fixture has {graph.m} edges, expected about 100k")
         start = time.perf_counter()
-        single = detect_cover(graph, "louvain", ResolutionParams(markov_time=1.0))
+        single = detect_cover(graph, "louvain", 1.0)
         single_elapsed = time.perf_counter() - start
         if single_elapsed >= 30.0:
             problems.append(f"single run took {single_elapsed:.1f}s (budget 30s)")
@@ -346,7 +345,7 @@ def test_criterion_9_scale_smoke():
             problems.append("single run produced an empty cover")
         start = time.perf_counter()
         covers = [
-            detect_cover(graph, "louvain", ResolutionParams(markov_time=t))
+            detect_cover(graph, "louvain", t)
             for t in LOUVAIN_GRID
         ]
         combined = combine_runs(covers)

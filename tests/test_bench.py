@@ -13,7 +13,6 @@ from commbench import (
     Graph,
     MethodSpec,
     PlantedPartitionSpec,
-    ResolutionParams,
     accuracy_histogram,
     combine_runs,
     detect_cover,
@@ -25,6 +24,8 @@ from commbench import (
     write_edge_list,
 )
 from commbench.bench import GCE_GRID, LINK_GRID, LOUVAIN_GRID, cell_seed
+from commbench.cli import build_parser
+from commbench.detectors import DETECTORS
 
 MINIMAL = """\
 version 1
@@ -174,6 +175,7 @@ class TestParseConfig:
             ("version 1\nmethod linkcluster-sweep x thresholds=5-3\n", "empty grid"),
             ("version 1\nmethod louvain x t=2\n", r"cfg:2: markov time must be in \(0, 1\]"),
             ("version 1\nmethod gce x alpha=-1\n", r"cfg:2: alpha must be positive"),
+            ("version 1\nmethod gce x alpha=inf\n", r"cfg:2: alpha must be positive and finite"),
             ("version 1\nmethod linkcluster x threshold=0\n", r"cfg:2: threshold must be between"),
             ("version 1\nmethod linkcluster x threshold=2.5\n", "invalid literal for int"),
             ("version 1\nmethod louvain-sweep x ts=0.5,0\n", "markov time must be"),
@@ -199,6 +201,8 @@ class TestParseConfig:
             ("jobs 0\n", "jobs must be at least 1"),
             ("learning-rate 0\n", "learning_rate must be positive"),
             ("subsample 1.5\n", "subsample must be"),
+            ("learning-rate nan\n", "learning_rate must be positive and finite"),
+            ("learning-rate inf\n", "learning_rate must be positive and finite"),
         ],
     )
     def test_cross_field_rejections(self, tmp_path, tail, message):
@@ -225,17 +229,17 @@ class TestMethodCover:
             (
                 "louvain-sweep",
                 {"ts": (0.5, 1.0), "multi_level": False},
-                [("louvain", ResolutionParams(markov_time=t)) for t in (0.5, 1.0)],
+                [("louvain", t) for t in (0.5, 1.0)],
             ),
             (
                 "gce-sweep",
                 {"alphas": (1.0, 1.5)},
-                [("gce", ResolutionParams(alpha=a)) for a in (1.0, 1.5)],
+                [("gce", a) for a in (1.0, 1.5)],
             ),
             (
                 "linkcluster-sweep",
                 {"thresholds": (40, 90)},
-                [("linkcluster", ResolutionParams(threshold_percent=p)) for p in (40, 90)],
+                [("linkcluster", p) for p in (40, 90)],
             ),
         ],
     )
@@ -243,7 +247,7 @@ class TestMethodCover:
         spec = MethodSpec("sweep", kind, dict(opts, dedup=False))
         got = method_cover(barbell6, spec)
         expected = combine_runs(
-            [detect_cover(barbell6, method, params) for method, params in singles]
+            [detect_cover(barbell6, method, value) for method, value in singles]
         )
         assert got.communities == expected.communities
 
@@ -260,6 +264,35 @@ class TestMethodCover:
     def test_unknown_kind_rejected(self, barbell6):
         with pytest.raises(ConfigError, match="unknown method kind"):
             method_cover(barbell6, MethodSpec("x", "mystery", {}))
+
+
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+class TestDetectorTable:
+    """Each DETECTORS entry is the one definition of its detector's option."""
+
+    def test_default_passes_check(self, name):
+        kind = DETECTORS[name]
+        assert type(kind.default) is kind.type
+        kind.check(kind.default)
+
+    def test_config_stores_default(self, tmp_path, name):
+        text = f"version 1\ndataset net e a\nattribute block\nmethod {name} m\n"
+        kind = DETECTORS[name]
+        opts = parse_config(write_config(tmp_path, text)).methods[0].opts
+        assert opts[kind.key] == kind.default
+        assert type(opts[kind.key]) is kind.type
+
+    @pytest.mark.parametrize("command", [["detect", "g.edges"], ["sanity"]])
+    def test_cli_default(self, name, command):
+        args = build_parser().parse_args([*command, "--method", name])
+        assert getattr(args, DETECTORS[name].key) == DETECTORS[name].default
+
+    def test_detect_cover_runs_named_detector_at_value(self, barbell6, name):
+        kind = DETECTORS[name]
+        value = kind.grid[0]
+        assert value != kind.default
+        cover = detect_cover(barbell6, name, value)
+        assert cover.provenance == f"{name}({kind.key}={value:g})"
 
 
 class TestCellSeed:
@@ -464,7 +497,7 @@ class TestRunBenchmark:
 class TestSanityCheck:
     def test_perfect_recovery_on_easy_planted_graph(self):
         spec = PlantedPartitionSpec(n=32, groups=4, p_in=1.0, p_out=0.0, seed=1)
-        result = sanity_check("louvain", ResolutionParams(), spec)
+        result = sanity_check("louvain", 1.0, spec)
         assert result.nmi == 1.0
         assert result.detected_communities == 4
         assert result.planted_communities == 4

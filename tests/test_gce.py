@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from commbench import DataError, Graph, ResolutionParams, gce, generate_planted, maximal_cliques
+from commbench import DataError, Graph, detect_cover, gce, generate_planted, maximal_cliques
 from commbench.detectors.gce import (
     MAX_CLIQUE_SEARCH,
     MIN_CLIQUE,
@@ -223,7 +223,7 @@ class TestExpansionMatchesOracle:
 class TestGce:
     def test_barbell_cover_with_relaxed_seeds(self, barbell6, caplog):
         with caplog.at_level(logging.INFO, logger="commbench.detectors.gce"):
-            cover = gce(barbell6, ResolutionParams(alpha=1.5))
+            cover = gce(barbell6, 1.5)
         assert set(cover.communities) == {
             frozenset({0, 1, 2}),
             frozenset({3, 4, 5}),
@@ -235,24 +235,29 @@ class TestGce:
         # K5: every 4-clique seed expands to the same community
         edges = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]
         g = Graph([str(i) for i in range(5)], edges)
-        cover = gce(g, ResolutionParams(alpha=1.5))
+        cover = gce(g, 1.5)
         assert cover.communities == [frozenset(range(5))]
 
     def test_alpha_validation(self, barbell6):
         with pytest.raises(ValueError, match="alpha"):
-            gce(barbell6, ResolutionParams(alpha=0.0))
+            gce(barbell6, 0.0)
+
+    def test_infinite_alpha_rejected(self, barbell6):
+        # every candidate would score 0, so each seed stays unexpanded
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            detect_cover(barbell6, "gce", math.inf)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError):
-            gce(Graph([], []), ResolutionParams())
+            gce(Graph([], []), 1.5)
 
     def test_determinism(self, barbell6):
-        a = gce(barbell6, ResolutionParams(alpha=1.5))
-        b = gce(barbell6, ResolutionParams(alpha=1.5))
+        a = gce(barbell6, 1.5)
+        b = gce(barbell6, 1.5)
         assert a.communities == b.communities
 
     def test_recovers_planted_groups(self):
         g, truth, _ = generate_planted(four_group_spec(seed=0))
-        cover = gce(g, ResolutionParams(alpha=1.0))
+        cover = gce(g, 1.0)
         planted = {frozenset(c) for c in truth.communities()}
         assert set(cover.communities) == planted

@@ -48,6 +48,19 @@ class TestGraphConstruction:
         with pytest.raises(DataError, match="outside node range"):
             Graph(["a", "b"], [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(DataError, match="non-finite weight"):
+            Graph(["a", "b"], [(0, 1, weight)])
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_in_file_reports_line(self, tmp_path, weight):
+        # the total weight would be nan, and Louvain would return singletons
+        path = tmp_path / "g.edges"
+        path.write_text(f"a b\na c {weight}\n")
+        with pytest.raises(DataError, match=r"g\.edges:2: weight must be positive and finite"):
+            load_edge_list(path)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DataError, match="not unique"):
             Graph(["a", "a"], [])

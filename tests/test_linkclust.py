@@ -14,7 +14,6 @@ from commbench import (
     Graph,
     MethodSpec,
     PlantedPartitionSpec,
-    ResolutionParams,
     build_meta_graph,
     combine_runs,
     cut_link_dendrogram,
@@ -261,14 +260,14 @@ class TestCutCover:
         edges = [(i, j, 1.0) for i, j in combinations(range(4), 2)]
         edges += [(i, j, 1.0) for i, j in combinations(range(4, 8), 2)]
         g = Graph([str(i) for i in range(8)], edges)
-        cover = detect_cover(g, "linkcluster", ResolutionParams(threshold_percent=100))
+        cover = detect_cover(g, "linkcluster", 100)
         assert sorted(sorted(c) for c in cover.communities) == [
             [0, 1, 2, 3],
             [4, 5, 6, 7],
         ]
 
     def test_detect_cover_dispatch(self, barbell6):
-        cover = detect_cover(barbell6, "linkcluster", ResolutionParams(threshold_percent=90))
+        cover = detect_cover(barbell6, "linkcluster", 90)
         assert cover.communities == [frozenset(range(6))]
 
 

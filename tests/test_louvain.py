@@ -9,7 +9,6 @@ from commbench import (
     DataError,
     Graph,
     Partition,
-    ResolutionParams,
     build_meta_graph,
     parameterized_modularity,
 )
@@ -25,10 +24,6 @@ from conftest import (
 from oracles import enumerate_partitions, louvain_level_oracle
 
 
-def params(t):
-    return ResolutionParams(markov_time=t)
-
-
 class TestMicroOptimality:
     @pytest.mark.parametrize("name", sorted(MICRO_GRAPHS))
     def test_exhaustive_maximum(self, name):
@@ -38,23 +33,23 @@ class TestMicroOptimality:
                 parameterized_modularity(g, Partition(a), t)
                 for a in enumerate_partitions(g.n)
             )
-            got = parameterized_modularity(g, louvain(g, params(t)).levels[-1], t)
+            got = parameterized_modularity(g, louvain(g, t).levels[-1], t)
             assert got == pytest.approx(best, abs=1e-12), (name, t)
 
     def test_barbell_argmax_structures(self, barbell6):
-        final = louvain(barbell6, params(1.0)).levels[-1]
+        final = louvain(barbell6, 1.0).levels[-1]
         assert set(map(frozenset, final.communities())) == {
             frozenset({0, 1, 2}),
             frozenset({3, 4, 5}),
         }
-        fine = louvain(barbell6, params(0.2)).levels[-1]
+        fine = louvain(barbell6, 0.2).levels[-1]
         assert fine.n_communities == 6
 
 
 class TestDeterminismAndStructure:
     def test_repeat_runs_identical(self, barbell6):
-        a = louvain(barbell6, params(1.0))
-        b = louvain(barbell6, params(1.0))
+        a = louvain(barbell6, 1.0)
+        b = louvain(barbell6, 1.0)
         assert [p.assignment for p in a.levels] == [p.assignment for p in b.levels]
         assert [parameterized_modularity(barbell6, p, 1.0) for p in a.levels] == [
             parameterized_modularity(barbell6, p, 1.0) for p in b.levels
@@ -62,7 +57,7 @@ class TestDeterminismAndStructure:
 
     def test_levels_project_to_original_nodes(self):
         g = make_micro("kite7")
-        res = louvain(g, params(1.0))
+        res = louvain(g, 1.0)
         for level in res.levels:
             assert len(level.assignment) == g.n
 
@@ -72,14 +67,14 @@ class TestDeterminismAndStructure:
             for t in (0.2, 0.5, 1.0):
                 obj = [
                     parameterized_modularity(g, level, t)
-                    for level in louvain(g, params(t)).levels
+                    for level in louvain(g, t).levels
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(obj, obj[1:]))
 
     def test_coarser_levels_nest(self):
         # every later-level community is a union of earlier-level communities
         g = make_micro("kite7")
-        res = louvain(g, params(1.0))
+        res = louvain(g, 1.0)
         for fine, coarse in zip(res.levels, res.levels[1:]):
             fine_of = {}
             for v in range(g.n):
@@ -89,18 +84,18 @@ class TestDeterminismAndStructure:
 
     def test_edgeless_graph_single_singleton_level(self):
         g = Graph(["a", "b", "c"], [])
-        res = louvain(g, params(0.5))
+        res = louvain(g, 0.5)
         assert len(res.levels) == 1
         assert res.levels[-1].n_communities == 3
         assert [parameterized_modularity(g, p, 0.5) for p in res.levels] == [0.5]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError, match="empty graph"):
-            louvain(Graph([], []), params(1.0))
+            louvain(Graph([], []), 1.0)
 
     def test_disjoint_components_never_merge_at_full_time(self):
         g = make_micro("twotri")
-        final = louvain(g, params(1.0)).levels[-1]
+        final = louvain(g, 1.0).levels[-1]
         assert set(map(frozenset, final.communities())) == {
             frozenset({0, 1, 2}),
             frozenset({3, 4, 5}),
@@ -109,16 +104,16 @@ class TestDeterminismAndStructure:
     def test_markov_time_domain(self, barbell6):
         for t in (0.0, 1.5):
             with pytest.raises(ValueError):
-                louvain(barbell6, params(t))
+                louvain(barbell6, t)
 
 
 class TestMultiLevelCover:
     def test_flat_run_has_no_cover(self, barbell6):
-        assert louvain(barbell6, params(1.0)).cover is None
+        assert louvain(barbell6, 1.0).cover is None
 
     def test_cover_is_union_of_levels(self):
         g = make_micro("kite7")
-        res = louvain(g, params(1.0), multi_level=True)
+        res = louvain(g, 1.0, multi_level=True)
         assert isinstance(res.cover, Cover)
         expected = set()
         for level in res.levels:
@@ -128,7 +123,7 @@ class TestMultiLevelCover:
         assert "multilevel" in res.cover.provenance
 
     def test_cover_exact_duplicates_removed(self, barbell6):
-        res = louvain(barbell6, params(1.0), multi_level=True)
+        res = louvain(barbell6, 1.0, multi_level=True)
         comms = res.cover.communities
         assert len(comms) == len(set(comms))
 

@@ -6,7 +6,6 @@ from commbench import (
     AttributeTable,
     DataError,
     Graph,
-    ResolutionParams,
     order_adjacency,
     write_ordering,
 )
@@ -144,9 +143,7 @@ class TestStructuralInvariants:
 
     def test_custom_resolution_accepted(self, barbell6):
         attrs = table(6, ["A", "A", "A", "B", "B", "B"])
-        ordering = order_adjacency(
-            barbell6, attrs, "dorm", params=ResolutionParams(markov_time=0.3)
-        )
+        ordering = order_adjacency(barbell6, attrs, "dorm", t=0.3)
         assert sorted(ordering.order) == list(range(6))
 
 
