@@ -28,25 +28,49 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "method", None) in DETECTORS:
+            _settle_detector_options(self, namespace)
+        return namespace, extras
 
-def _add_option(sub, kind, what):
+
+def _add_option(sub, kind, what, default):
     sub.add_argument(
         f"--{kind.key}",
         type=kind.type,
-        default=kind.default,
+        default=default,
         help=f"{what}: {kind.help} (default {kind.default})",
     )
 
 
 def _add_detector_options(sub):
-    """--method plus every detector's resolution option and flags."""
+    """--method plus every detector's resolution option and flags.
+
+    They default to None (flags to False); once parsed, the --method
+    detector's option takes its default and any other detector's is refused.
+    """
     sub.add_argument("--method", required=True, choices=list(DETECTORS))
     for name, kind in DETECTORS.items():
-        _add_option(sub, kind, name)
+        _add_option(sub, kind, name, None)
         for flag, text in kind.flags.items():
             sub.add_argument(
                 "--" + flag.replace("_", "-"), action="store_true", help=f"{name}: {text}"
             )
+
+
+def _settle_detector_options(parser, args):
+    """Refuse any other detector's option; default the --method detector's."""
+    for name, kind in DETECTORS.items():
+        if name == args.method:
+            continue
+        given = [f"--{kind.key}"] if getattr(args, kind.key) is not None else []
+        given += ["--" + flag.replace("_", "-") for flag in kind.flags if getattr(args, flag)]
+        if given:
+            parser.error(f"{given[0]} is a {name} option, not one of --method {args.method}")
+    kind = DETECTORS[args.method]
+    if getattr(args, kind.key) is None:
+        setattr(args, kind.key, kind.default)
 
 
 def _detector_args(args):
@@ -99,7 +123,7 @@ def build_parser():
     p.add_argument("graph", help="edge list file")
     p.add_argument("attributes", help="attribute table file")
     p.add_argument("--attribute", required=True, help="blocking attribute name")
-    _add_option(p, DETECTORS["louvain"], "orderings")
+    _add_option(p, DETECTORS["louvain"], "orderings", DETECTORS["louvain"].default)
     p.add_argument("--out", default="ordering", help="output prefix (default 'ordering')")
     p.set_defaults(func=cmd_order)
 

@@ -51,7 +51,6 @@ import logging
 import math
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import itemgetter
 
 from ..covers import Cover
 from ..errors import DataError
@@ -113,6 +112,14 @@ def _core(adj, nodes, k):
         nodes = nodes - weak
 
 
+def _neighbour_sets(graph):
+    """Each node's neighbours as a set, filled in ascending order."""
+    start, neighbour, _ = graph.neighbours()
+    flat = neighbour.tolist()
+    bounds = start.tolist()
+    return list(map(set, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+
+
 def maximal_cliques(graph, min_size=1):
     """Enumerate the maximal cliques with at least ``min_size`` members.
 
@@ -120,8 +127,12 @@ def maximal_cliques(graph, min_size=1):
     are singleton cliques. Raises ``DataError`` once the search passes
     ``MAX_CLIQUE_SEARCH`` search nodes.
     """
-    adj = [set(map(itemgetter(0), a)) for a in graph.adj]
-    order, core = _degeneracy_order(adj)
+    adj = _neighbour_sets(graph)
+    return _cliques(graph, adj, *_degeneracy_order(adj), min_size)
+
+
+def _cliques(graph, adj, order, core, min_size):
+    """maximal_cliques over the neighbour sets and degeneracy order given."""
     out = []
     # an explicit stack of search nodes [r, p, x, branches left], not
     # recursion: a k-clique nests k search nodes deep
@@ -309,10 +320,12 @@ def gce_sweep(graph, alphas):
         _check_alpha(alpha)
     if graph.n == 0:
         raise DataError("cannot detect communities in an empty graph")
-    seeds = maximal_cliques(graph, MIN_CLIQUE)
+    adj = _neighbour_sets(graph)
+    order, core = _degeneracy_order(adj)
+    seeds = _cliques(graph, adj, order, core, MIN_CLIQUE)
     if not seeds:
         log.info("no 4-clique present; relaxing clique seed size to 3")
-        seeds = maximal_cliques(graph, 3)
+        seeds = _cliques(graph, adj, order, core, 3)
     seeds.sort(key=lambda c: (-len(c), c))
     integer_degrees = _integer_degrees(graph)
     covers = []

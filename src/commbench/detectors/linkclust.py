@@ -119,11 +119,9 @@ def edge_similarity(graph, edge_a, edge_b):
 
 def link_clustering(graph):
     """Build the single-linkage merge forest over the graph's edges."""
-    edges = [(i, j) for i, j, _ in graph.edges() if i != j]
-    if not edges:
+    if not len(graph.lo):
         raise DataError("link clustering requires at least one edge")
-    edges.sort()
-    deg = np.array([len(a) for a in graph.adj], dtype=np.int64)
+    deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
     npairs = int((deg * (deg - 1) // 2).sum())
     if npairs > MAX_EDGE_PAIRS:
         hub = graph.labels[int(np.argmax(deg))]
@@ -132,10 +130,11 @@ def link_clustering(graph):
             f"bound of {MAX_EDGE_PAIRS}; node {hub!r} has the highest degree "
             f"({int(deg.max())})"
         )
-    pair, rank, heights = _pair_heights(
-        graph.n, np.array(edges, dtype=np.int32), deg
-    )
-    return Dendrogram(edges, _spanning_merges(len(edges), pair, rank, heights))
+    # the graph's edges are already sorted by (lo, hi)
+    edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
+    pair, rank, heights = _pair_heights(graph.n, edges, deg)
+    leaves = list(zip(graph.lo.tolist(), graph.hi.tolist()))
+    return Dendrogram(leaves, _spanning_merges(len(leaves), pair, rank, heights))
 
 
 def _spanning_merges(nedge, pair, rank, heights):

@@ -83,24 +83,23 @@ def generate_planted(spec):
     spec.validate()
     size = spec.n // spec.groups
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(spec.seed)))
-    edges = []
+    ends = []
     iu, ju = np.triu_indices(size, k=1)
     for a in range(spec.groups):
         base = a * size
-        for idx in _sample_pairs(rng, len(iu), spec.p_in):
-            edges.append((base + int(iu[idx]), base + int(ju[idx]), 1.0))
+        idx = _sample_pairs(rng, len(iu), spec.p_in)
+        ends.append((base + iu[idx], base + ju[idx]))
     for a in range(spec.groups):
         for b in range(a + 1, spec.groups):
             if spec.hierarchy and a // 2 == b // 2:
                 p = spec.p_mid
             else:
                 p = spec.p_out
-            for idx in _sample_pairs(rng, size * size, p):
-                edges.append(
-                    (a * size + int(idx) // size, b * size + int(idx) % size, 1.0)
-                )
+            idx = _sample_pairs(rng, size * size, p)
+            ends.append((a * size + idx // size, b * size + idx % size))
+    lo, hi = (np.concatenate(column) for column in zip(*ends))
     labels = [str(i) for i in range(spec.n)]
-    graph = Graph(labels, edges)
+    graph = Graph.from_arrays(labels, lo, hi, np.ones(len(lo)))
     truth = Partition([v // size for v in range(spec.n)])
     attrs = AttributeTable(
         ["block"], {"block": [str(v // size) for v in range(spec.n)]}, spec.n

@@ -9,7 +9,9 @@ for the link dendrogram, and a recursive per-row tree grower that re-reads
 the rows of every node. The Louvain move phase and the GCE expansion step are
 kept in their earlier form, which scans candidates in sorted order, and so is
 the all-sizes Bron-Kerbosch enumerator GCE used before its clique search
-took a minimum size.
+took a minimum size. The graph constructor, the edge-list loader and the
+block contraction are kept as the per-edge and per-line loops they were
+before graphs kept their edges as arrays.
 """
 
 import math
@@ -17,6 +19,8 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
+
+from commbench.errors import DataError
 
 
 def adjacency_from_edges(n, edges):
@@ -417,3 +421,125 @@ def gce_expand_oracle(graph, seed, alpha):
                 w_in[u] = w_in.get(u, 0.0) + w
         best_f = best_vf
     return frozenset(members)
+
+
+class GraphOracle:
+    """The per-edge graph constructor the package used before its edge arrays.
+
+    Takes dense-index triples ``(i, j, weight)`` and checks them one by one;
+    holds ``labels``, ``adj`` (sorted ``(neighbour, weight)`` lists),
+    ``loops``, ``degrees`` and ``m``. Each node's weights are summed left to
+    right, as ``sum()`` of floats did before Python 3.12.
+    """
+
+    def __init__(self, labels, edges, allow_self_loops=False):
+        self.labels = list(labels)
+        n = len(self.labels)
+        if len(set(self.labels)) != n:
+            raise DataError("node labels are not unique")
+        nbrs = [[] for _ in range(n)]
+        loops = [0.0] * n
+        seen = set()
+        for i, j, w in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise DataError(f"edge ({i}, {j}) outside node range 0..{n - 1}")
+            w = float(w)
+            if not 0.0 < w < math.inf:
+                kind = "non-positive" if w <= 0.0 else "non-finite"
+                raise DataError(f"edge ({i}, {j}) has {kind} weight {w}")
+            if i == j:
+                if not allow_self_loops:
+                    raise DataError(f"self-loop on node {self.labels[i]!r}")
+                if loops[i] != 0.0:
+                    raise DataError(f"duplicate self-loop on node {self.labels[i]!r}")
+                loops[i] = w
+                continue
+            key = (i, j) if i < j else (j, i)
+            if key in seen:
+                raise DataError(
+                    f"duplicate edge {self.labels[key[0]]!r} -- {self.labels[key[1]]!r}"
+                )
+            seen.add(key)
+            nbrs[i].append((j, w))
+            nbrs[j].append((i, w))
+        self.adj = [sorted(lst) for lst in nbrs]
+        self.loops = loops
+        sums = []
+        for lst in self.adj:
+            total = 0.0
+            for _, w in lst:
+                total += w
+            sums.append(total)
+        self.degrees = [sums[i] + 2.0 * loops[i] for i in range(n)]
+        self.m = 0.5 * sum(sums) + sum(loops)
+
+    def edges(self):
+        for i, lst in enumerate(self.adj):
+            for j, w in lst:
+                if i < j:
+                    yield i, j, w
+        for i, w in enumerate(self.loops):
+            if w != 0.0:
+                yield i, i, w
+
+
+def load_edge_list_oracle(path, allow_self_loops=False):
+    """The per-line edge-list loader the package used before its chunked one."""
+    labels = []
+    index = {}
+    edges = []
+    seen = {}  # (i, j) with i <= j -> line it was first seen on
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise DataError(
+                    f"{path}:{lineno}: expected 'u v' or 'u v w', got {line!r}"
+                )
+            u, v = parts[0], parts[1]
+            if len(parts) == 3:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
+            else:
+                w = 1.0
+            if not 0.0 < w < math.inf:
+                raise DataError(
+                    f"{path}:{lineno}: weight must be positive and finite, got {w:g}"
+                )
+            for lab in (u, v):
+                if lab not in index:
+                    if lab.startswith("#"):
+                        raise DataError(f"{path}:{lineno}: node label {lab!r} starts with '#'")
+                    index[lab] = len(labels)
+                    labels.append(lab)
+            i, j = index[u], index[v]
+            if i == j and not allow_self_loops:
+                raise DataError(f"{path}:{lineno}: self-loop on {u!r}")
+            key = (i, j) if i <= j else (j, i)
+            if key in seen:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate edge (first seen at line {seen[key]})"
+                )
+            seen[key] = lineno
+            edges.append((i, j, w))
+    return GraphOracle(labels, edges, allow_self_loops=allow_self_loops)
+
+
+def build_meta_graph_oracle(graph, blocks):
+    """Block contraction summing each block pair's weight in a dict."""
+    block_of = {v: b for b, members in enumerate(blocks) for v in members}
+    acc = {}
+    for i, j, w in graph.edges():
+        bi = block_of.get(i)
+        bj = block_of.get(j)
+        if bi is None or bj is None:
+            continue
+        key = (bi, bj) if bi <= bj else (bj, bi)
+        acc[key] = acc.get(key, 0.0) + w
+    edges = [(a, b, w) for (a, b), w in sorted(acc.items())]
+    return GraphOracle([f"b{b}" for b in range(len(blocks))], edges, allow_self_loops=True)

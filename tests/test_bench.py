@@ -1,10 +1,15 @@
 """Benchmark orchestration: config parsing, cell grid, resume, reporting."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import commbench
 from commbench import (
     AllCellsFailedError,
     ConfigError,
@@ -394,6 +399,53 @@ class TestRunBenchmark:
         (tmp_path / "out" / name).write_text(text)
         with pytest.raises(DataError, match=message):
             self.run(tmp_path, "out")
+
+    def test_resume_never_builds_adjacency(self, tmp_path, monkeypatch):
+        # cells are built from cover files, which need labels but no neighbours
+        extra = "method gce-sweep gs\nmethod linkcluster-sweep ls\nattribute parity\n"
+        self.run(tmp_path, "out", extra=extra)
+        names = ("report.csv", "summary.tsv", "stats.tsv")
+        fresh = [(tmp_path / "out" / name).read_bytes() for name in names]
+
+        def refuse(graph):
+            raise AssertionError("a resumed run built the adjacency lists")
+
+        monkeypatch.setattr(Graph, "adj", property(refuse))
+        for path in (tmp_path / "out" / "cells").glob("*__parity.csv"):
+            path.unlink()
+        for _ in ("missing cells", "full cache"):
+            _, report = self.run(tmp_path, "out", extra=extra)
+            assert report.failures == []
+            assert [(tmp_path / "out" / name).read_bytes() for name in names] == fresh
+
+    def test_outputs_do_not_depend_on_hash_seed(self, tmp_path):
+        # labels get ids in first-seen order through dicts, never through sets
+        graph, _, _ = two_clique_dataset(tmp_path)
+        labels = [f"{'xyzw'[i % 4]}{i * 7919 % 1000}" for i in range(graph.n)]
+        edge_path = tmp_path / "named.edges"
+        write_edge_list(Graph(labels, graph.edges()), edge_path)
+        attr_path = tmp_path / "named.tsv"
+        rows = [f"{labels[i]}\t{i // 12}\t{i % 2}\n" for i in range(graph.n)]
+        attr_path.write_text("node\tblock\tparity\n" + "".join(rows))
+        extra = "method gce-sweep gs\nmethod linkcluster-sweep ls\nattribute parity\n"
+        package_root = str(Path(commbench.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"out{seed}"
+            config = write_config(
+                tmp_path, bench_config_text(edge_path, attr_path, out, extra), f"{seed}.cfg"
+            )
+            subprocess.run(
+                [sys.executable, "-m", "commbench.cli", "bench", str(config)],
+                check=True,
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": package_root, "PYTHONHASHSEED": seed},
+            )
+            outputs.append(
+                {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            )
+        assert len(outputs[0]) > 10
+        assert outputs[0] == outputs[1]
 
     def test_persisted_cover_is_reused_until_forced(self, tmp_path):
         self.run(tmp_path, "out")

@@ -10,6 +10,7 @@ import pytest
 import commbench
 from commbench import Graph, write_edge_list
 from commbench.cli import main
+from commbench.detectors import DETECTORS
 from conftest import BARBELL6_EDGES, make_micro
 from test_bench import bench_config_text, two_clique_dataset
 
@@ -71,6 +72,28 @@ class TestDetect:
         with pytest.raises(SystemExit) as err:
             main(["detect", str(barbell_file), "--method", "mystery"])
         assert err.value.code == 1
+
+
+# (method, another detector's option as given on the command line)
+FOREIGN_OPTIONS = [
+    (method, option)
+    for method in DETECTORS
+    for other, kind in DETECTORS.items()
+    if other != method
+    for option in [[f"--{kind.key}", str(kind.grid[0])]]
+    + [["--" + flag.replace("_", "-")] for flag in kind.flags]
+]
+
+
+@pytest.mark.parametrize("command", [["detect", "g.edges"], ["sanity"]])
+@pytest.mark.parametrize("method, option", FOREIGN_OPTIONS)
+def test_other_detectors_options_refused(command, method, option, capsys):
+    # --method gce --t 0.3 used to run gce and drop --t without a word
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--method", method, *option])
+    assert err.value.code == 1
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert f"{option[0]} is a" in message and f"--method {method}" in message
 
 
 class TestCombine:

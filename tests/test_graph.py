@@ -1,7 +1,12 @@
 """Graph construction, file formats, attribute tables, contraction."""
 
+import random
+from itertools import combinations
+
+import numpy as np
 import pytest
 
+import commbench.graph
 from commbench import (
     MISSING,
     DataError,
@@ -13,7 +18,21 @@ from commbench import (
     without_self_loops,
     write_edge_list,
 )
+from commbench.graph import _SPACE
 from conftest import make_micro, random_graph
+from oracles import GraphOracle, build_meta_graph_oracle, load_edge_list_oracle
+
+
+def exact(graph):
+    """Everything a graph derives, as text that differs whenever a bit does."""
+    return repr((graph.labels, graph.adj, graph.loops, graph.degrees, graph.m))
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        return "graph", exact(build(*args, **kwargs))
+    except DataError as exc:
+        return "error", str(exc)
 
 
 class TestGraphConstruction:
@@ -74,6 +93,52 @@ class TestGraphConstruction:
                   allow_self_loops=True)
         assert list(g.edges()) == [(0, 1, 2.0), (1, 2, 1.0), (0, 0, 3.0)]
         assert g.edge_count() == 3
+
+    def test_adjacency_shares_ids_and_weights(self):
+        # one int object per node and one float per edge, as in a per-edge build
+        n = 300
+        g = Graph([f"v{k}" for k in range(n)], [(k, (7 * k + 1) % n, k + 0.25) for k in range(n)])
+        first = {}
+        for i, nbrs in enumerate(g.adj):
+            for j, w in nbrs:
+                assert first.setdefault(j, j) is j
+                assert dict(g.adj[j])[i] is w
+
+    def test_adjacency_built_on_first_use(self):
+        g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 2.0)])
+        assert g._adj is None
+        assert g.edge_count() == 2 and g.degrees == [1.0, 3.0, 2.0]
+        assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 2.0)]
+        assert g._adj is None
+        assert g.adj == [[(1, 1.0)], [(0, 1.0), (2, 2.0)], [(1, 2.0)]]
+
+    def test_arrays_hold_sorted_proper_edges(self):
+        g = Graph(["a", "b", "c"], [(2, 1, 1.0), (1, 0, 2.0), (0, 0, 3.0)],
+                  allow_self_loops=True)
+        assert g.lo.tolist() == [0, 1] and g.hi.tolist() == [1, 2]
+        assert g.weights.tolist() == [2.0, 1.0]
+        start, neighbour, edge = g.neighbours()
+        assert start.tolist() == [0, 1, 3, 4]
+        assert neighbour.tolist() == [1, 0, 2, 1]
+        assert edge.tolist() == [0, 0, 1, 1]
+
+    def test_matches_per_edge_oracle(self, rng):
+        # random triples with the constructor's faults mixed in
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            allow = rng.random() < 0.5
+            edges = []
+            for _ in range(rng.randint(0, 14)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                w = rng.choice([1.0, 2.0, rng.uniform(0.1, 3.0)])
+                if rng.random() < 0.05:
+                    i = rng.choice([-1, n])
+                if rng.random() < 0.05:
+                    w = rng.choice([0.0, -1.0, float("inf"), float("nan")])
+                edges.append((i, j, w))
+            labels = [f"v{k}" for k in range(n)]
+            want = outcome(GraphOracle, labels, edges, allow_self_loops=allow)
+            assert outcome(Graph, labels, edges, allow_self_loops=allow) == want, edges
 
     def test_index_of_unknown_label(self, barbell6):
         assert barbell6.index_of("3") == 3
@@ -215,6 +280,15 @@ class TestInducedSubgraph:
         with pytest.raises(DataError, match="outside graph"):
             induced_subgraph(barbell6, [0, 6])
 
+    def test_matches_filtered_edges(self, rng):
+        for _ in range(50):
+            g, edges = random_graph(rng, max_n=12, allow_self_loops=True, weighted=True)
+            sub, mapping = induced_subgraph(g, [v for v in range(g.n) if rng.random() < 0.6])
+            pos = {v: k for k, v in enumerate(mapping)}
+            kept = [(pos[i], pos[j], w) for i, j, w in edges if i in pos and j in pos]
+            want = GraphOracle([g.labels[v] for v in mapping], kept, allow_self_loops=True)
+            assert exact(sub) == exact(want)
+
 
 class TestMetaGraph:
     def test_barbell_contraction(self, barbell6):
@@ -260,3 +334,124 @@ def test_without_self_loops():
     assert plain.loops == [0.0, 0.0]
     assert plain.m == 1.0
     assert plain.labels == g.labels
+
+
+LABEL_POOL = [str(k) for k in range(10)] + ["n7", "x_y", "a#b", "Ω", "node-3", "0.5", "300"]
+SEPARATORS = [" ", "\t", "  ", " \t ", "\x0b", "\x1f", "\xa0", " "]
+# every fault load_edge_list reports, as a line-maker over (rng, labels, edges)
+FAULTS = {
+    "fields": lambda rng, labels, edges: rng.choice(
+        [[labels[0]], [labels[0], labels[1], "1", "x"]]
+    ),
+    "bad weight": lambda rng, labels, edges: [
+        labels[0], labels[1], rng.choice(["x1", "1..2", "--1", "0x10", "1,5"])
+    ],
+    "non-positive": lambda rng, labels, edges: [
+        labels[0], labels[1], rng.choice(["0", "-1", "-0.0", "0e5", "-2.5e-1"])
+    ],
+    "non-finite": lambda rng, labels, edges: [
+        labels[0], labels[1], rng.choice(["inf", "nan", "-inf", "1e400", "Infinity"])
+    ],
+    "hash label": lambda rng, labels, edges: [rng.choice(labels), "#" + rng.choice(labels)],
+    "self-loop": lambda rng, labels, edges: [labels[0], labels[0]],
+    "duplicate": lambda rng, labels, edges: list(rng.choice(edges))[:: rng.choice([1, -1])],
+    "several": lambda rng, labels, edges: [labels[1], "#" + labels[0], "-1"],
+}
+
+
+def weight_text(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return str(rng.randint(1, 5))
+    if kind == 1:
+        return repr(rng.uniform(0.1, 4.0))
+    if kind == 2:
+        return f"{rng.uniform(1, 9):.4f}e{rng.randint(-3, 3)}"
+    if kind == 3:
+        return f"{rng.randint(1, 9)}E+{rng.randint(0, 2)}"
+    return f".{rng.randint(1, 99)}"
+
+
+def fuzz_edge_file(rng):
+    """A random edge list's text and whether it may hold self-loops.
+
+    Lines mix spaces, tabs and other whitespace, 2- and 3-field edges,
+    comments, blank lines and CRLF or CR endings; a faulty file gets one
+    line of each of some fault kinds, each at a random place.
+    """
+    allow = rng.random() < 0.3
+    labels = rng.sample(LABEL_POOL, rng.randint(2, len(LABEL_POOL)))
+    pairs = list(combinations(labels, 2))
+    rng.shuffle(pairs)
+    edges = pairs[: rng.randint(1, 30)]
+    if allow:
+        edges += [(u, u) for u in labels if rng.random() < 0.2]
+    rng.shuffle(edges)
+    rows = []
+    for u, v in edges:
+        if rng.random() < 0.5:
+            u, v = v, u
+        rows.append([u, v] + ([weight_text(rng)] if rng.random() < 0.5 else []))
+        if rng.random() < 0.15:
+            rows.append(rng.choice([[], ["#", "comment"], ["#x", "y", "z"]]))
+    if rng.random() < 0.5:
+        for kind in rng.sample(sorted(FAULTS), rng.randint(1, 3)):
+            rows.insert(rng.randint(0, len(rows)), FAULTS[kind](rng, labels, edges))
+    endings = rng.choice([["\n"], ["\r\n"], ["\n", "\r\n", "\r"]])
+    parts = []
+    for fields in rows:
+        sep = rng.choice(SEPARATORS[:2] if rng.random() < 0.7 else SEPARATORS)
+        lead = rng.choice(["", "", " ", "\t"])
+        trail = rng.choice(["", "", " ", "\t "])
+        parts.append(lead + sep.join(fields) + trail + rng.choice(endings))
+    if parts and rng.random() < 0.2:
+        parts[-1] = parts[-1].rstrip("\r\n")
+    return "".join(parts), allow
+
+
+class TestLoaderOracle:
+    def test_fuzzed_files_match_per_line_loader(self, tmp_path, monkeypatch):
+        rng = random.Random(20261018)
+        kinds = {"graph": 0, "error": 0}
+        for k in range(400):
+            # small chunks put chunk boundaries between faults and their twins
+            monkeypatch.setattr(
+                commbench.graph, "READ_CHUNK", rng.choice([1 << 18, rng.randint(1, 64)])
+            )
+            text, allow = fuzz_edge_file(rng)
+            path = tmp_path / f"f{k}.edges"
+            path.write_bytes(text.encode("utf-8"))
+            want = outcome(load_edge_list_oracle, path, allow_self_loops=allow)
+            assert outcome(load_edge_list, path, allow_self_loops=allow) == want, path.read_bytes()
+            kinds[want[0]] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_space_table_is_str_split(self):
+        # code points above the table's end must not be spaces
+        spaces = [c for c in range(0x110000) if chr(c).isspace()]
+        assert max(spaces) < len(_SPACE) - 1
+        assert np.flatnonzero(_SPACE).tolist() == spaces
+
+
+class TestMetaGraphOracle:
+    def test_float_weights_bit_identical(self, rng):
+        for _ in range(100):
+            n = rng.randint(2, 14)
+            edges = [
+                (i, j, rng.uniform(0.1, 3.0))
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.5
+            ]
+            edges += [(i, i, rng.uniform(0.1, 3.0)) for i in range(n) if rng.random() < 0.3]
+            rng.shuffle(edges)
+            labels = [str(i) for i in range(n)]
+            graph = Graph(labels, edges, allow_self_loops=True)
+            reference = GraphOracle(labels, edges, allow_self_loops=True)
+            assert exact(graph) == exact(reference)
+            nodes = [v for v in range(n) if rng.random() < 0.85]
+            rng.shuffle(nodes)
+            cuts = sorted(rng.sample(range(1, len(nodes) + 1), min(len(nodes), rng.randint(1, 4))))
+            blocks = [nodes[a:b] for a, b in zip([0] + cuts, cuts)]
+            got = build_meta_graph(graph, blocks)
+            assert exact(got) == exact(build_meta_graph_oracle(reference, blocks)), blocks
