@@ -127,9 +127,16 @@ DETECTORS = {
 
 
 def detect_cover(graph, method, value, **flags):
-    """Run the named detector at one resolution value; flags it does not take are ignored."""
+    """Run the named detector at one resolution value.
+
+    flags are the detector's boolean options (DetectorKind.flags); a flag it
+    does not take is a ConfigError naming the flag and the detector.
+    """
     try:
         kind = DETECTORS[method]
     except KeyError:
         raise ConfigError(f"unknown detector {method!r}") from None
-    return kind.run(graph, value, **{f: flags[f] for f in kind.flags if f in flags})
+    for flag in flags:
+        if flag not in kind.flags:
+            raise ConfigError(f"detector {method!r} takes no flag {flag!r}")
+    return kind.run(graph, value, **flags)

@@ -17,7 +17,9 @@ Features must be 0 or 1, because the benchmark's features are community
 memberships; training and scoring reject any other value (NaN included) with
 a DataError naming the column, and then work on bools. Model files keep a
 threshold per split, 0.5 for every trained one, and a loaded tree sends a row
-left when its feature is at most that threshold.
+left when its feature is at most that threshold. Trained trees keep their
+nodes in level order (root first, then depth by depth, left before right), so
+the j-th split has its children at nodes 2j + 1 and 2j + 2.
 
 Rows with the same feature values (patterns) always reach the same leaf, so
 all work runs per pattern: a round's row subsamples become per-(class,
@@ -43,7 +45,7 @@ from .errors import DataError
 
 LEAF_CLIP = 4.0
 GAIN_TOL = 1e-12
-MODEL_MAGIC = "commbench-gbdt 3"
+MODEL_MAGIC = "commbench-gbdt 4"
 # elements of the largest working array: (tree, pattern) entries and their
 # (entry, 1-column) pairs, (nodes x columns) split sums and gains,
 # (patterns x trees) predictions
@@ -84,10 +86,11 @@ class GBDTParams:
 
 
 class RegressionTree:
-    """Preorder node arrays; feature[k] < 0 marks node k as a leaf.
+    """Node arrays; feature[k] < 0 marks node k as a leaf.
 
     Children always follow their parent (k < left[k], right[k]), so a descent
-    ends within the node count.
+    ends within the node count. Trained trees are in level order, so the j-th
+    split in node order has its children at 2j + 1 and 2j + 2.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
@@ -196,8 +199,8 @@ def _grow(values, ones, cnt, G, H, params):
     The trees grow together, one depth at a time; a depth's nodes are numbered
     tree by tree, and the children of its i-th split node are nodes 2i and
     2i + 1 of the next depth. values holds the patterns' features as bools and
-    ones their 1-columns (see _ones). Returns the trees and each pattern's leaf
-    value in each tree, as a (trees x patterns) matrix.
+    ones their 1-columns (see _ones). Returns the level-order trees and each
+    pattern's leaf value in each tree, as a (trees x patterns) matrix.
     """
     S, P = cnt.shape
     d = values.shape[1]
@@ -257,50 +260,25 @@ def _grow(values, ones, cnt, G, H, params):
         node = np.full(S * P, -1)
         node[moving] = 2 * (np.cumsum(inner) - 1)[at] + go_right
         tree = np.repeat(tree[inner], 2)
-    return _preorder(S, levels), out.reshape(S, P)
-
-
-def _preorder(S, levels):
-    """Per-tree preorder RegressionTrees from the depth-by-depth node lists.
-
-    Every split gets threshold 0.5, which sends 0 left and 1 right.
-    """
-    # subtree sizes bottom-up, preorder positions top-down
-    size = [None] * len(levels)
-    below = np.zeros(0, dtype=np.intp)
-    for d in range(len(levels) - 1, -1, -1):
-        inner = levels[d][1] >= 0
-        grown = np.ones(inner.size, dtype=np.intp)
-        grown[inner] += below[0::2] + below[1::2]
-        size[d] = below = grown
-    pre = [np.zeros(S, dtype=np.intp)]
-    for d in range(len(levels) - 1):
-        inner = levels[d][1] >= 0
-        left = pre[d][inner] + 1
-        nxt = np.empty(2 * left.size, dtype=np.intp)
-        nxt[0::2] = left
-        nxt[1::2] = left + size[d + 1][0::2]
-        pre.append(nxt)
-    ends = np.cumsum(size[0])
-    base = ends - size[0]
-    total = int(ends[-1])
-    feature = np.empty(total, dtype=np.intp)
-    value = np.empty(total)
-    left = np.full(total, -1, dtype=np.intp)
-    right = np.full(total, -1, dtype=np.intp)
-    for d, (tree, f, v) in enumerate(levels):
-        at = base[tree] + pre[d]
-        feature[at] = f
-        value[at] = v
-        inner = f >= 0
-        if inner.any():
-            left[at[inner]] = pre[d + 1][0::2]
-            right[at[inner]] = pre[d + 1][1::2]
-    threshold = np.where(feature >= 0, 0.5, 0.0)
-    return [
+    # a tree's nodes, depth by depth, are its level order, so one stable sort
+    # by tree gives every tree; every split gets threshold 0.5 (0 left, 1 right)
+    tree, feature, value = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    tree, feature, value = tree[order], feature[order], value[order]
+    size = np.bincount(tree, minlength=S)
+    ends = np.cumsum(size)
+    starts = ends - size
+    inner = feature >= 0
+    j = np.cumsum(inner) - inner  # splits before each node, then within its tree
+    j -= j[starts][tree]
+    left = np.where(inner, 2 * j + 1, -1)
+    right = np.where(inner, 2 * j + 2, -1)
+    threshold = np.where(inner, 0.5, 0.0)
+    trees = [
         RegressionTree(*(a[lo:hi] for a in (feature, threshold, left, right, value)))
-        for lo, hi in zip(base.tolist(), ends.tolist())
+        for lo, hi in zip(starts.tolist(), ends.tolist())
     ]
+    return trees, out.reshape(S, P)
 
 
 def fit_regression_tree(X, g, h, rows, params):

@@ -6,7 +6,8 @@ shape with the package: quadratic pairwise sums instead of per-community
 accumulators, base-2 logarithms for NMI, restricted-growth-string partition
 enumeration, subset enumeration for cliques, a per-pair set-Jaccard walk
 for the link dendrogram, and a recursive per-row tree grower that re-reads
-the rows of every node. The Louvain move phase and the GCE expansion step are
+the rows of every node (a queue or stack walk renumbers a tree into level
+order or preorder). The Louvain move phase and the GCE expansion step are
 kept in their earlier form, which scans candidates in sorted order, and so is
 the all-sizes Bron-Kerbosch enumerator GCE used before its clique search
 took a minimum size. The graph constructor, the edge-list loader and the
@@ -325,6 +326,32 @@ def regression_tree_oracle(X, g, h, rows, max_depth, min_samples_split):
 
     grow(np.asarray(rows), 0)
     return feature, threshold, left, right, value
+
+
+def renumber_tree(feature, threshold, left, right, value, breadth_first):
+    """The node lists of a tree walked from node 0 breadth-first or in preorder.
+
+    Every array is renumbered so node k of the result is the k-th node visited;
+    left comes before right either way.
+    """
+    order, todo = [], [0] if len(feature) else []
+    while todo:
+        k = todo.pop(0) if breadth_first else todo.pop()
+        order.append(k)
+        if feature[k] >= 0:
+            todo += [left[k], right[k]] if breadth_first else [right[k], left[k]]
+    new = {old: i for i, old in enumerate(order)}
+
+    def child(links, k):
+        return new[links[k]] if feature[k] >= 0 else -1
+
+    return (
+        [int(feature[k]) for k in order],
+        [float(threshold[k]) for k in order],
+        [child(left, k) for k in order],
+        [child(right, k) for k in order],
+        [float(value[k]) for k in order],
+    )
 
 
 def log_loss_oracle(scores, y):

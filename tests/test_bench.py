@@ -299,6 +299,14 @@ class TestDetectorTable:
         cover = detect_cover(barbell6, name, value)
         assert cover.provenance == f"{name}({kind.key}={value:g})"
 
+    def test_detect_cover_refuses_flags_it_does_not_take(self, barbell6, name):
+        kind = DETECTORS[name]
+        others = {flag for k in DETECTORS.values() for flag in k.flags} - set(kind.flags)
+        for flag in sorted(others) + ["multilevel"]:
+            message = f"detector '{name}' takes no flag '{flag}'"
+            with pytest.raises(ConfigError, match=message):
+                detect_cover(barbell6, name, kind.default, **{flag: True})
+
 
 class TestCellSeed:
     def test_deterministic(self):
@@ -554,3 +562,13 @@ class TestSanityCheck:
         assert result.detected_communities == 4
         assert result.planted_communities == 4
         assert result.ratio == 1.0
+
+    def test_flags_reach_the_detector_or_are_refused(self):
+        spec = PlantedPartitionSpec(n=40, groups=4, p_in=0.5, p_out=0.02, seed=1)
+        single = sanity_check("louvain", 1.0, spec)
+        multi = sanity_check("louvain", 1.0, spec, multi_level=True)
+        assert (single.detected_communities, multi.detected_communities) == (4, 10)
+        with pytest.raises(ConfigError, match="'louvain' takes no flag 'multilevel'"):
+            sanity_check("louvain", 1.0, spec, multilevel=True)
+        with pytest.raises(ConfigError, match="'gce' takes no flag 'multi_level'"):
+            sanity_check("gce", 1.5, spec, multi_level=True)

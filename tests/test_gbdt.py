@@ -24,7 +24,7 @@ from commbench.gbdt import (
     fit_regression_tree,
     seed_entropy,
 )
-from oracles import log_loss_oracle, regression_tree_oracle
+from oracles import log_loss_oracle, regression_tree_oracle, renumber_tree
 
 FAST = GBDTParams(
     learning_rate=0.5, n_trees=30, min_samples_split=2, subsample=1.0, max_depth=2
@@ -40,6 +40,14 @@ def dataset_from(X, raw_labels):
         classes=classes,
         rows=list(range(len(raw_labels))),
     )
+
+
+def pinned_model():
+    """Trees of depths 0-3 over 25 rounds of 4 classes."""
+    X, _, _, _, _ = wide_tree_case(11)
+    labels = [str(v) for v in np.random.default_rng(11).integers(0, 4, len(X))]
+    params = GBDTParams(n_trees=25, subsample=0.6, min_samples_split=2, seed=3)
+    return train_gbdt(dataset_from(X, labels), params)
 
 
 def binary_feature_data(rows_per_class=20):
@@ -148,14 +156,32 @@ class TestTraining:
         assert a.read_bytes() == b.read_bytes()
 
     def test_model_bytes_are_pinned(self, tmp_path):
-        # trees of depths 0-3 over 25 rounds of 4 classes. numpy's exp and log
-        # differ in the last bit between its AVX-512 and baseline x86-64
-        # kernels, so each has its own digest; a change to either digest
-        # changes the trained model and needs a MODEL_MAGIC bump
-        X, _, _, _, _ = wide_tree_case(11)
-        labels = [str(v) for v in np.random.default_rng(11).integers(0, 4, len(X))]
-        params = GBDTParams(n_trees=25, subsample=0.6, min_samples_split=2, seed=3)
-        save_model(train_gbdt(dataset_from(X, labels), params), tmp_path / "m.model")
+        # numpy's exp and log differ in the last bit between its AVX-512 and
+        # baseline x86-64 kernels, so each has its own digest; a change to
+        # either digest changes the trained model and needs a MODEL_MAGIC bump
+        save_model(pinned_model(), tmp_path / "m.model")
+        digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
+        assert digest in (
+            "d319fa54a8c9ebb6eaaa93a926988cc314d7f1415edc17baa65ce2e136ca91aa",
+            "8480c24136741d53d3c98fb5c06ff4b14dc42a028a51e55e0ab60def3289fef5",
+        )
+
+    def test_preorder_trees_keep_version_3_pinned_bytes(self, tmp_path, monkeypatch):
+        # version 4 changed only the node order: the same trees, renumbered
+        # into preorder, are the version 3 model byte for byte
+        model = pinned_model()
+        for sequence in model.trees:
+            sequence[:] = [
+                RegressionTree(
+                    *renumber_tree(
+                        t.feature, t.threshold, t.left, t.right, t.value,
+                        breadth_first=False,
+                    )
+                )
+                for t in sequence
+            ]
+        monkeypatch.setattr(gbdt, "MODEL_MAGIC", "commbench-gbdt 3")
+        save_model(model, tmp_path / "m.model")
         digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
         assert digest in (
             "499f4139a20850a5374fe31f2773fb1136f6b0236a7c06e67894e1986a423ff6",
@@ -333,8 +359,9 @@ class TestGrowerMatchesOracle:
         expected = regression_tree_oracle(
             X, g, h, rows, params.max_depth, params.min_samples_split
         )
+        level_order = renumber_tree(*expected, breadth_first=True)
         names = ("feature", "threshold", "left", "right", "value")
-        for name, want in zip(names, expected):
+        for name, want in zip(names, level_order):
             assert getattr(tree, name).tolist() == want, name
 
 
@@ -416,9 +443,10 @@ class TestModelFile:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "bad.model"
-        path.write_text("commbench-gbdt 99\n")
-        with pytest.raises(DataError, match="unsupported model version"):
-            load_model(path)
+        for header in ("commbench-gbdt 99", "commbench-gbdt 3"):
+            path.write_text(model_text(["leaf 0.0"]).replace(MODEL_MAGIC, header))
+            with pytest.raises(DataError, match="bad.model:1: unsupported model version"):
+                load_model(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.model"
