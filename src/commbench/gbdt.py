@@ -103,8 +103,13 @@ class RegressionTree:
         self.value = np.asarray(value, dtype=np.float64)
 
 
-def _leaf_values(trees, values):
-    """(rows x trees) leaf values: all trees descend together, a depth a step."""
+def _leaf_values(trees, values, origin):
+    """(rows x trees) leaf values: all trees descend together, a depth a step.
+
+    ``origin`` is ``(class, index of trees[0] in its sequence)``. A split whose
+    children do not lie after it inside its own tree is a DataError naming
+    the tree: a descent would otherwise never reach a leaf.
+    """
     sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
     ends = np.cumsum(sizes)
     # an empty tree starts at a trailing leaf of value 0
@@ -119,6 +124,19 @@ def _leaf_values(trees, values):
             ("value", [0.0]),
         )
     )
+    tree = np.repeat(np.arange(len(trees)), sizes)
+    local = np.arange(ends[-1]) - start[tree]
+    end = sizes[tree]
+    bad = (feature[:-1] >= 0) & ~(
+        (local < left[:-1]) & (left[:-1] < end) & (local < right[:-1]) & (right[:-1] < end)
+    )
+    if bad.any():
+        k = int(bad.argmax())
+        cls, first = origin
+        raise DataError(
+            f"tree {first + tree[k]} of class {cls!r}: node {local[k]} has "
+            f"children {left[k]} and {right[k]}, outside {local[k] + 1}..{end[k] - 1}"
+        )
     node = np.tile(start, (len(values), 1))
     rows = np.arange(len(values))[:, None]
     while True:
@@ -312,7 +330,9 @@ class TreeEnsemble:
         step = max(1, WORK_ELEMENTS // max(1, len(values)))
         for k, sequence in enumerate(self.trees):
             for t0 in range(0, len(sequence), step):
-                leaves = _leaf_values(sequence[t0 : t0 + step], values)
+                leaves = _leaf_values(
+                    sequence[t0 : t0 + step], values, (self.classes[k], t0)
+                )
                 terms = self.learning_rate * leaves
                 # tree by tree, in sequence order, as the scores were trained
                 running = np.column_stack([scores[:, k], terms])

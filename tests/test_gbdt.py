@@ -2,7 +2,12 @@
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +410,46 @@ class TestPrediction:
             trees=[[], []],
         )
         assert model.predict(np.array([[0.0]])) == ["alpha"]
+
+    def test_child_outside_its_tree_rejected(self):
+        # a child past its own tree's nodes lands on the next tree's root,
+        # whose rebased child leads back to it: the child process keeps a
+        # descent that never ends from hanging the suite
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from commbench import DataError, TreeEnsemble
+            from commbench.gbdt import RegressionTree
+
+            t0 = RegressionTree([0], [0.5], [1], [1], [0.0])
+            t1 = RegressionTree([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0, 1, 2])
+            model = TreeEnsemble(
+                classes=["a", "b"],
+                priors=np.zeros(2),
+                learning_rate=0.1,
+                n_features=1,
+                trees=[[t1, t0, t1], []],
+            )
+            try:
+                model.decision_scores(np.array([[1], [0]]))
+            except DataError as err:
+                print(err)
+            """
+        )
+        package_root = str(Path(gbdt.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        path = os.pathsep.join(filter(None, [package_root, inherited]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "tree 1 of class 'a': node 0 has children 1 and 1, outside 1..0"
+        )
 
     def test_feature_width_mismatch(self):
         data = binary_feature_data(rows_per_class=5)

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from commbench import (
@@ -121,6 +122,28 @@ class TestPairBuild:
         monkeypatch.setattr(linkclust, "WALK_CHUNK", chunk)
         for name, graph in self.CASES[::3]:
             assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
+
+    @pytest.mark.parametrize("chunk", [3, linkclust.WALK_CHUNK])
+    def test_unpacked_order_matches_oracle(self, chunk, monkeypatch):
+        # keys wider than the bit budget are ordered by a lexsort instead
+        monkeypatch.setattr(linkclust, "KEY_BITS", 0)
+        monkeypatch.setattr(linkclust, "WALK_CHUNK", chunk)
+        for name, graph in self.CASES[1::3]:
+            assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
+
+    def test_long_path_matches_oracle(self):
+        # all but the end pairs share one height, so edge ids order the walk
+        # and one slice hooks the edges into chains tens of thousands of links
+        # long; resolving them a link per pass would take minutes
+        n = 60_000
+        g = Graph.from_arrays(
+            [str(i) for i in range(n)], np.arange(n - 1), np.arange(1, n), np.ones(n - 1)
+        )
+        start = time.perf_counter()
+        got = link_clustering(g)
+        elapsed = time.perf_counter() - start
+        assert got.merges == link_clustering_oracle(g).merges
+        assert elapsed < 5.0
 
     def test_pair_count_bound_names_hub(self):
         leaves = 1
