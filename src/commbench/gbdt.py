@@ -195,88 +195,169 @@ def _ones(values):
     return start, cols
 
 
-def _best_splits(C1, S1, n_tot, s_tot):
+class _Workspace:
+    """_grow's working arrays, allocated once and refilled by every call.
+
+    It serves calls of up to ``trees`` trees over the patterns ``values`` with
+    1-columns ``ones`` (see _ones). A (tree, pattern) entry is numbered
+    tree * patterns + pattern; the full pair lists pair each entry with its
+    pattern's 1-columns, in entry order and then column order. Each call fills
+    prefixes of the same buffers, so training allocates nothing that grows
+    with the data per round: per-round allocations of that size tip glibc
+    into returning heap pages and faulting them back in every round.
+    Entry-sized arrays hold one value per entry, pair-sized ones one per
+    (sampled entry, 1-column) pair plus a last slot that collects the pairs
+    of unsampled entries, and block-sized ones one per (node, column) of a
+    split-search block plus a last row that collects the pairs of nodes
+    outside the block.
+    """
+
+    def __init__(self, values, ones, trees, params):
+        P, d = values.shape
+        start, cols = ones
+        width = np.diff(start)
+        entries = trees * P
+        self.params = params
+        self.columns = d
+        self.values = values.ravel()
+        self.entry_tree = np.repeat(np.arange(trees), P)
+        self.entry_offset = np.tile(np.arange(P) * d, trees)  # pattern's row in values
+        self.entry_width = np.tile(width, trees)
+        self.tree_pairs = cols.size
+        self.pair_entry = np.repeat(np.arange(entries), self.entry_width)
+        self.pair_column = np.tile(cols, trees)
+        # each pair's place among its entry's pairs
+        self.pair_local = np.tile(np.arange(cols.size) - np.repeat(start[:-1], width), trees)
+        pairs = self.pair_entry.size
+        self.node, self.key, self.index = (np.empty(entries, np.intp) for _ in range(3))
+        self.out, self.leaf = np.empty(entries), np.empty(entries)
+        self.flag = np.empty(entries, dtype=bool)
+        self.pair, self.column, self.cell = (np.empty(pairs + 1, np.intp) for _ in range(3))
+        self.pair_cnt, self.pair_g = np.empty(pairs), np.empty(pairs)
+        # a depth holds at most trees * min(2 ** depth, patterns) nodes
+        widest = trees * min(P, 1 << min(params.max_depth - 1, 62))
+        self.block = min(max(1, WORK_ELEMENTS // max(1, d)), widest)
+        self.C1, self.S1 = (np.empty((self.block + 1) * d) for _ in range(2))
+        self.C0, self.S0 = (np.empty(self.block * d) for _ in range(2))
+        self.bad, self.bad0 = (np.empty(self.block * d, dtype=bool) for _ in range(2))
+
+
+def _best_splits(work, C1, S1, n_tot, s_tot):
     """Best feature of each node, -1 where no split gains.
 
     C1 and S1 hold each (node, column)'s row count and g sum over the rows
-    holding 1; the lowest column wins ties.
+    holding 1; the lowest column wins ties. S1 is overwritten with the gains.
     """
-    C0 = n_tot[:, None] - C1
-    S0 = s_tot[:, None] - S1
-    valid = (C1 > 0) & (C0 > 0)
+    r, d = C1.shape
+    C0, S0 = (a[: r * d].reshape(r, d) for a in (work.C0, work.S0))
+    bad, bad0 = (a[: r * d].reshape(r, d) for a in (work.bad, work.bad0))
+    np.subtract(n_tot[:, None], C1, out=C0)
+    np.subtract(s_tot[:, None], S1, out=S0)
+    np.less_equal(C1, 0, out=bad)
+    np.less_equal(C0, 0, out=bad0)
+    np.logical_or(bad, bad0, out=bad)
+    # S1 * S1 / C1 + S0 * S0 / C0 - s_tot * s_tot / n_tot, operation by operation
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = S1 * S1 / C1 + S0 * S0 / C0 - (s_tot * s_tot / n_tot)[:, None]
-    gains[~valid] = -np.inf
-    j = gains.argmax(axis=1)
-    return np.where(gains[np.arange(len(j)), j] > GAIN_TOL, j, -1)
+        for S, C in ((S1, C1), (S0, C0)):
+            np.multiply(S, S, out=S)
+            np.divide(S, C, out=S)
+    np.add(S1, S0, out=S1)
+    np.subtract(S1, (s_tot * s_tot / n_tot)[:, None], out=S1)
+    np.copyto(S1, -np.inf, where=bad)
+    j = S1.argmax(axis=1)
+    return np.where(S1[np.arange(r), j] > GAIN_TOL, j, -1)
 
 
-def _grow(values, ones, cnt, G, H, params):
+def _grow(work, cnt, G, H):
     """Grow one tree per row of the (trees x patterns) row counts and g/h sums.
 
     The trees grow together, one depth at a time; a depth's nodes are numbered
     tree by tree, and the children of its i-th split node are nodes 2i and
-    2i + 1 of the next depth. values holds the patterns' features as bools and
-    ones their 1-columns (see _ones). Returns the level-order trees and each
-    pattern's leaf value in each tree, as a (trees x patterns) matrix.
+    2i + 1 of the next depth. work is a _Workspace for at least as many trees.
+    Returns the level-order trees and each pattern's leaf value in each tree,
+    as a (trees x patterns) view into work, valid until the next call.
     """
     S, P = cnt.shape
-    d = values.shape[1]
-    pattern = np.tile(np.arange(P), S)
-    node = np.repeat(np.arange(S), P)  # node of each (tree, pattern); -1 once at a leaf
-    out = np.zeros(S * P)
-    # only sampled entries add to the sums; each is paired with its pattern's
-    # 1-columns in entry order, so every split-sum bin adds its patterns in
-    # ascending order
-    sampled = np.flatnonzero(np.ravel(cnt) > 0)
-    cnt, G, H = (np.ravel(a)[sampled] for a in (cnt, G, H))
-    start, cols = ones
-    first = start[pattern[sampled]]
-    width = start[pattern[sampled] + 1] - first
-    pair = np.repeat(np.arange(sampled.size), width)  # sampled entry of each pair
-    slot = np.arange(pair.size) + np.repeat(first - np.cumsum(width) + width, width)
-    column = cols[slot]
-    pair_cnt, pair_g = cnt[pair], G[pair]
-    chunk = max(1, WORK_ELEMENTS // max(1, d))  # nodes per (nodes x columns) block
+    E = S * P
+    d, params = work.columns, work.params
+    cnt, G, H = (np.ravel(a) for a in (cnt, G, H))
+    node, key, index, out, leaf, flag = (
+        a[:E] for a in (work.node, work.key, work.index, work.out, work.leaf, work.flag)
+    )
+    np.copyto(node, work.entry_tree[:E])  # node of each entry; < 0 once at a leaf
+    # only sampled entries add to the split sums: their pairs, in entry order,
+    # go to the front of the pair buffers, every other pair to the last slot,
+    # so every split-sum bin adds its patterns in ascending order
+    n_pairs = S * work.tree_pairs
+    np.greater(cnt, 0, out=flag)
+    np.multiply(work.entry_width[:E], flag, out=index)
+    Q = int(index.sum())
+    np.cumsum(index, out=index)
+    np.subtract(index, work.entry_width[:E], out=index)  # first slot of each entry
+    np.logical_not(flag, out=flag)
+    last = work.pair.size - 1
+    np.copyto(index, last, where=flag)
+    slot = work.cell[:n_pairs]
+    np.take(index, work.pair_entry[:n_pairs], out=slot, mode="clip")
+    np.add(slot, work.pair_local[:n_pairs], out=slot)
+    np.minimum(slot, last, out=slot)
+    work.pair[slot] = work.pair_entry[:n_pairs]
+    work.column[slot] = work.pair_column[:n_pairs]
+    pair, column, cell = work.pair[:Q], work.column[:Q], work.cell[:Q]
+    pair_cnt = np.take(cnt, pair, out=work.pair_cnt[:Q], mode="clip")
+    pair_g = np.take(G, pair, out=work.pair_g[:Q], mode="clip")
     tree = np.arange(S)  # tree of each node at this depth
     levels = []
     for depth in range(params.max_depth + 1):
         m = tree.size
-        key = np.where(node >= 0, node, m)
-        sampled_key = key[sampled]
-        n_node, g_node, h_node = (
-            np.bincount(sampled_key, w, m + 1)[:m] for w in (cnt, G, H)
-        )
+        np.copyto(key, node)
+        np.less(node, 0, out=flag)
+        np.copyto(key, m, where=flag)
+        # unsampled entries add zeros, which leave every sum's bits unchanged
+        n_node, g_node, h_node = (np.bincount(key, w, m + 1)[:m] for w in (cnt, G, H))
         feature = np.full(m, -1, dtype=np.intp)
         if depth < params.max_depth and d:
             search = np.flatnonzero(n_node >= params.min_samples_split)
-            rank = np.full(m + 1, -1)
-            rank[search] = np.arange(search.size)
-            pair_rank = rank[sampled_key][pair]
-            for a0 in range(0, search.size, chunk):
-                part = search[a0 : a0 + chunk]
-                mine = np.flatnonzero((pair_rank >= a0) & (pair_rank < a0 + chunk))
-                cell = (pair_rank[mine] - a0) * d + column[mine]
-                C1, S1 = (
-                    np.bincount(cell, w[mine], part.size * d).reshape(part.size, d)
-                    for w in (pair_cnt, pair_g)
+            for a0 in range(0, search.size, work.block):
+                part = search[a0 : a0 + work.block]
+                r = part.size
+                row = np.full(m + 1, r)  # row r collects every other node's pairs
+                row[part] = np.arange(r)
+                np.take(row, key, out=index, mode="clip")
+                np.take(index, pair, out=cell, mode="clip")
+                np.multiply(cell, d, out=cell)
+                np.add(cell, column, out=cell)
+                C1, S1 = (a[: (r + 1) * d] for a in (work.C1, work.S1))
+                for sums, w in ((C1, pair_cnt), (S1, pair_g)):
+                    sums.fill(0.0)
+                    np.add.at(sums, cell, w)
+                feature[part] = _best_splits(
+                    work,
+                    C1[: r * d].reshape(r, d),
+                    S1[: r * d].reshape(r, d),
+                    n_node[part],
+                    g_node[part],
                 )
-                feature[part] = _best_splits(C1, S1, n_node[part], g_node[part])
         inner = feature >= 0
         value = np.where(
             inner, 0.0, np.clip(g_node / (h_node + 1e-12), -LEAF_CLIP, LEAF_CLIP)
         )
         levels.append((tree, feature, value))
-        inner_of = np.append(inner, False)[key]
-        ended = (key < m) & ~inner_of
-        out[ended] = value[key[ended]]
+        # entries at this depth's nodes take their node's value; a split's 0
+        # is overwritten a depth later
+        np.take(np.append(value, 0.0), key, out=leaf, mode="clip")
+        np.less(key, m, out=flag)
+        np.copyto(out, leaf, where=flag)
         if not inner.any():
             break
-        moving = np.flatnonzero(inner_of)
-        at = key[moving]
-        go_right = values.ravel()[pattern[moving] * d + feature[at]]  # 0 goes left
-        node = np.full(S * P, -1)
-        node[moving] = 2 * (np.cumsum(inner) - 1)[at] + go_right
+        # an entry at a split moves to child 2i (its feature is 0) or 2i + 1
+        # (it is 1); every other entry gets -2 or -1
+        np.take(np.append(np.maximum(feature, 0), 0), key, out=index, mode="clip")
+        np.add(index, work.entry_offset[:E], out=index)
+        np.take(work.values, index, out=flag, mode="clip")
+        child = np.where(inner, 2 * (np.cumsum(inner) - 1), -2)
+        np.take(np.append(child, -2), key, out=node, mode="clip")
+        np.add(node, flag, out=node)
         tree = np.repeat(tree[inner], 2)
     # a tree's nodes, depth by depth, are its level order, so one stable sort
     # by tree gives every tree; every split gets threshold 0.5 (0 left, 1 right)
@@ -304,8 +385,10 @@ def fit_regression_tree(X, g, h, rows, params):
     ids, values = _patterns(_check_binary(X))
     at = ids[rows]
     P = len(values)
-    cnt, G, H = (np.bincount(at, w, P)[None, :] for w in (None, g[rows], h[rows]))
-    trees, _ = _grow(values, _ones(values), cnt, G, H, params)
+    cnt, G, H = (
+        np.bincount(at, w, P)[None, :].astype(np.float64) for w in (None, g[rows], h[rows])
+    )
+    trees, _ = _grow(_Workspace(values, _ones(values), 1, params), cnt, G, H)
     return trees[0]
 
 
@@ -380,6 +463,7 @@ def train_gbdt(data, params):
     # classes whose trees grow together: bounds the per-depth (tree, pattern)
     # entries and the round's (entry, 1-column) pairs
     step = max(1, WORK_ELEMENTS // max(2**params.max_depth * P, ones[1].size))
+    work = _Workspace(values, ones, min(K, step), params)
     scores = np.tile(priors, (P, 1))
     for _ in range(params.n_trees):
         p = _softmax(scores)
@@ -396,7 +480,7 @@ def train_gbdt(data, params):
                 np.bincount(cell, w, ks.size * P).reshape(ks.size, P)
                 for w in (None, g.ravel(), (pk * (1.0 - pk)).ravel())
             )
-            trees, out = _grow(values, ones, cnt, G, H, params)
+            trees, out = _grow(work, cnt.astype(np.float64), G, H)
             scores[:, ks] += params.learning_rate * out.T
             for k, tree in zip(ks, trees):
                 ensemble.trees[k].append(tree)
