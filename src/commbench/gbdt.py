@@ -4,7 +4,13 @@ Multiclass boosting keeps one regression-tree sequence per class. Every
 round computes softmax probabilities over the accumulated scores, then fits
 each class's tree to that class's cross-entropy residuals (y - p) on a fresh
 row subsample of ceil(subsample * rows) drawn without replacement from one
-seeded stream. Tree structure is greedy squared-error reduction: a split on
+seeded stream. Rows of one pattern (below) and label are interchangeable, so
+the draw is of counts, not rows: the training rows are keyed by (pattern,
+label) cell, and one multivariate hypergeometric draw per round gives every
+class's per-cell counts at once (numpy's "count" method, which has the
+distribution of a row-by-row draw). Class k's pattern-p entry then holds
+cnt rows, pos of them labelled k, and G = pos - cnt * p and
+H = cnt * p * (1 - p). Tree structure is greedy squared-error reduction: a split on
 a column sends the rows holding 0 left and those holding 1 right, and a node
 splits only when it holds at least min_samples_split rows and some split has
 positive gain. Leaf values are a single Newton step sum(g)/sum(h) with
@@ -22,9 +28,9 @@ nodes in level order (root first, then depth by depth, left before right), so
 the j-th split has its children at nodes 2j + 1 and 2j + 2.
 
 Rows with the same feature values (patterns) always reach the same leaf, so
-all work runs per pattern: a round's row subsamples become per-(class,
-pattern) row counts and g/h sums, and the round's K trees grow together one
-depth at a time. The split search touches only the nonzero features (the
+all work runs per pattern: a round's subsamples are per-(class, pattern)
+row counts and g/h sums, and the round's K trees grow together one depth at
+a time, in working arrays allocated once per training. The split search touches only the nonzero features (the
 sparse-feature idea of LightGBM, Ke et al., NeurIPS 2017): each sampled
 (tree, pattern) entry is paired once per round with its pattern's 1-columns,
 and a depth's per-(node, column) row counts and g sums of the rows holding 1
@@ -45,7 +51,7 @@ from .errors import DataError
 
 LEAF_CLIP = 4.0
 GAIN_TOL = 1e-12
-MODEL_MAGIC = "commbench-gbdt 4"
+MODEL_MAGIC = "commbench-gbdt 5"
 # elements of the largest working array: (tree, pattern) entries and their
 # (entry, 1-column) pairs, (nodes x columns) split sums and gains,
 # (patterns x trees) predictions
@@ -127,12 +133,13 @@ def _leaf_values(trees, values, origin):
     tree = np.repeat(np.arange(len(trees)), sizes)
     local = np.arange(ends[-1]) - start[tree]
     end = sizes[tree]
-    bad = (feature[:-1] >= 0) & ~(
+    split = feature[:-1] >= 0
+    cls, first = origin
+    bad = split & ~(
         (local < left[:-1]) & (left[:-1] < end) & (local < right[:-1]) & (right[:-1] < end)
     )
     if bad.any():
         k = int(bad.argmax())
-        cls, first = origin
         raise DataError(
             f"tree {first + tree[k]} of class {cls!r}: node {local[k]} has "
             f"children {left[k]} and {right[k]}, outside {local[k] + 1}..{end[k] - 1}"
@@ -428,10 +435,44 @@ class TreeEnsemble:
         return [self.classes[k] for k in np.argmax(scores, axis=1)]
 
 
-def _softmax(scores):
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(scores, out):
+    """Softmax of each row of scores, into out."""
+    np.subtract(scores, scores.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+
+
+def _cells(ids, y, K, P):
+    """The training rows keyed by (pattern, label) cell, in pattern then label order.
+
+    ids holds each row's pattern (0..P-1, each present) and y its label
+    (0..K-1). Returns each cell's row count, each pattern's first cell, and
+    for each cell the flat index of its count in its own label's row of a
+    (classes x cells) draw and of its (label, pattern) in a (classes x
+    patterns) array.
+    """
+    key, count = np.unique(ids * K + y, return_counts=True)
+    pattern, label = np.divmod(key, K)
+    first = np.flatnonzero(np.diff(pattern, prepend=-1))
+    own = label * key.size + np.arange(key.size)
+    at = label * P + pattern
+    return count, first, own, at
+
+
+def _draw_counts(rng, cells, sub_size, counts, cnt, pos):
+    """Draw every class's row subsample as (pattern, label) counts, in one call.
+
+    Each of the K = len(cnt) subsamples takes sub_size rows without
+    replacement. Fills cnt[k, p] with the number of pattern-p rows in class
+    k's subsample and pos[k, p] with how many of those are labelled k;
+    counts is an int64 array of cnt's shape.
+    """
+    count, first, own, at = cells
+    draw = rng.multivariate_hypergeometric(count, sub_size, size=len(cnt), method="count")
+    np.add.reduceat(draw, first, axis=1, out=counts)
+    np.copyto(cnt, counts)
+    pos.fill(0.0)
+    pos.ravel()[at] = draw.ravel()[own]
 
 
 def train_gbdt(data, params):
@@ -458,6 +499,7 @@ def train_gbdt(data, params):
     ids, values = _patterns(X)
     ones = _ones(values)
     P = len(values)
+    cells = _cells(ids, y, K, P)
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(params.seed)))
     sub_size = max(1, math.ceil(params.subsample * n))
     # classes whose trees grow together: bounds the per-depth (tree, pattern)
@@ -465,24 +507,25 @@ def train_gbdt(data, params):
     step = max(1, WORK_ELEMENTS // max(2**params.max_depth * P, ones[1].size))
     work = _Workspace(values, ones, min(K, step), params)
     scores = np.tile(priors, (P, 1))
+    p = np.empty((P, K))
+    counts = np.empty((K, P), dtype=np.int64)
+    cnt, pos, G, H = (np.empty((K, P)) for _ in range(4))
+    pT = p.T
     for _ in range(params.n_trees):
-        p = _softmax(scores)
+        _softmax(scores, out=p)
+        _draw_counts(rng, cells, sub_size, counts, cnt, pos)
+        # G = pos - cnt p and H = cnt p (1 - p) per (class, pattern)
+        np.multiply(cnt, pT, out=G)
+        np.subtract(pos, G, out=G)
+        np.subtract(1.0, pT, out=H)
+        np.multiply(pT, H, out=H)
+        np.multiply(cnt, H, out=H)
         for k0 in range(0, K, step):
-            ks = np.arange(k0, min(K, k0 + step))
-            rows = np.array(
-                [np.sort(rng.choice(n, size=sub_size, replace=False)) for _ in ks]
-            )
-            at = ids[rows]
-            pk = p[at, ks[:, None]]
-            cell = (np.arange(ks.size)[:, None] * P + at).ravel()
-            g = (y[rows] == ks[:, None]) - pk
-            cnt, G, H = (
-                np.bincount(cell, w, ks.size * P).reshape(ks.size, P)
-                for w in (None, g.ravel(), (pk * (1.0 - pk)).ravel())
-            )
-            trees, out = _grow(work, cnt.astype(np.float64), G, H)
-            scores[:, ks] += params.learning_rate * out.T
-            for k, tree in zip(ks, trees):
+            k1 = min(K, k0 + step)
+            trees, out = _grow(work, cnt[k0:k1], G[k0:k1], H[k0:k1])
+            np.multiply(out, params.learning_rate, out=out)
+            scores[:, k0:k1] += out.T
+            for k, tree in zip(range(k0, k1), trees):
                 ensemble.trees[k].append(tree)
     return ensemble
 

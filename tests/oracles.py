@@ -5,9 +5,9 @@ and brute-force enumeration, deliberately sharing no code or algorithmic
 shape with the package: quadratic pairwise sums instead of per-community
 accumulators, base-2 logarithms for NMI, restricted-growth-string partition
 enumeration, subset enumeration for cliques, a per-pair set-Jaccard walk
-for the link dendrogram, and a recursive per-row tree grower that re-reads
-the rows of every node (a queue or stack walk renumbers a tree into level
-order or preorder). The Louvain move phase and the GCE expansion step are
+for the link dendrogram, a recursive per-row tree grower that re-reads the
+rows of every node (a queue walk renumbers a tree into level order), and a
+row-by-row subsample draw. The Louvain move phase and the GCE expansion step are
 kept in their earlier form, which scans candidates in sorted order, and so is
 the all-sizes Bron-Kerbosch enumerator GCE used before its clique search
 took a minimum size. The graph constructor, the edge-list loader and the
@@ -328,18 +328,17 @@ def regression_tree_oracle(X, g, h, rows, max_depth, min_samples_split):
     return feature, threshold, left, right, value
 
 
-def renumber_tree(feature, threshold, left, right, value, breadth_first):
-    """The node lists of a tree walked from node 0 breadth-first or in preorder.
+def renumber_tree(feature, threshold, left, right, value):
+    """The node lists of a tree walked from node 0 breadth-first, left before right.
 
-    Every array is renumbered so node k of the result is the k-th node visited;
-    left comes before right either way.
+    Every array is renumbered so node k of the result is the k-th node visited.
     """
     order, todo = [], [0] if len(feature) else []
     while todo:
-        k = todo.pop(0) if breadth_first else todo.pop()
+        k = todo.pop(0)
         order.append(k)
         if feature[k] >= 0:
-            todo += [left[k], right[k]] if breadth_first else [right[k], left[k]]
+            todo += [left[k], right[k]]
     new = {old: i for i, old in enumerate(order)}
 
     def child(links, k):
@@ -352,6 +351,23 @@ def renumber_tree(feature, threshold, left, right, value, breadth_first):
         [child(right, k) for k in order],
         [float(value[k]) for k in order],
     )
+
+
+def subsample_counts_oracle(patterns, labels, classes, sub_size, rng):
+    """Row counts of one row subsample per class, drawn row by row.
+
+    Class k's subsample is sub_size distinct rows chosen uniformly. Returns
+    (classes x patterns) arrays: the rows of each pattern in class k's
+    subsample, and how many of those rows are labelled k.
+    """
+    width = max(patterns) + 1
+    cnt = np.zeros((classes, width))
+    pos = np.zeros((classes, width))
+    for k in range(classes):
+        for row in rng.choice(len(patterns), size=sub_size, replace=False):
+            cnt[k, patterns[row]] += 1
+            pos[k, patterns[row]] += labels[row] == k
+    return cnt, pos
 
 
 def log_loss_oracle(scores, y):

@@ -29,7 +29,12 @@ from commbench.gbdt import (
     fit_regression_tree,
     seed_entropy,
 )
-from oracles import log_loss_oracle, regression_tree_oracle, renumber_tree
+from oracles import (
+    log_loss_oracle,
+    regression_tree_oracle,
+    renumber_tree,
+    subsample_counts_oracle,
+)
 
 FAST = GBDTParams(
     learning_rate=0.5, n_trees=30, min_samples_split=2, subsample=1.0, max_depth=2
@@ -167,30 +172,8 @@ class TestTraining:
         save_model(pinned_model(), tmp_path / "m.model")
         digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
         assert digest in (
-            "d319fa54a8c9ebb6eaaa93a926988cc314d7f1415edc17baa65ce2e136ca91aa",
-            "8480c24136741d53d3c98fb5c06ff4b14dc42a028a51e55e0ab60def3289fef5",
-        )
-
-    def test_preorder_trees_keep_version_3_pinned_bytes(self, tmp_path, monkeypatch):
-        # version 4 changed only the node order: the same trees, renumbered
-        # into preorder, are the version 3 model byte for byte
-        model = pinned_model()
-        for sequence in model.trees:
-            sequence[:] = [
-                RegressionTree(
-                    *renumber_tree(
-                        t.feature, t.threshold, t.left, t.right, t.value,
-                        breadth_first=False,
-                    )
-                )
-                for t in sequence
-            ]
-        monkeypatch.setattr(gbdt, "MODEL_MAGIC", "commbench-gbdt 3")
-        save_model(model, tmp_path / "m.model")
-        digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
-        assert digest in (
-            "499f4139a20850a5374fe31f2773fb1136f6b0236a7c06e67894e1986a423ff6",
-            "e00a484f259f0fc72c29e0cc5ecdd7a2a0c50e3a84efa986b37b94f8960a3a35",
+            "9afd999c4a48d43aa9dcd663f61c252477f353f62ae1544fb7df6772817ea53f",
+            "2a645b698dad02d959806ed47e7f11c8ab197fc8809ac82dec1914c865633507",
         )
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
@@ -364,7 +347,7 @@ class TestGrowerMatchesOracle:
         expected = regression_tree_oracle(
             X, g, h, rows, params.max_depth, params.min_samples_split
         )
-        level_order = renumber_tree(*expected, breadth_first=True)
+        level_order = renumber_tree(*expected)
         names = ("feature", "threshold", "left", "right", "value")
         for name, want in zip(names, level_order):
             assert getattr(tree, name).tolist() == want, name
@@ -386,6 +369,62 @@ class TestWorkBound:
         save_model(train_gbdt(data, params), chunked)
         assert chunked.read_bytes() == whole.read_bytes()
         assert np.array_equal(load_model(chunked).decision_scores(X), whole_scores)
+
+
+class TestCountDraw:
+    """A round's row subsamples are drawn as (pattern, label) cell counts."""
+
+    def cases(self):
+        # 40 rows of 3 labels; pattern 1, 1, 1 is row 0's alone
+        rng = np.random.default_rng(5)
+        X = rng.random((40, 3)) < 0.5
+        X[0] = [1, 1, 1]
+        X[1:][(X[1:] == [1, 1, 1]).all(axis=1)] = [0, 0, 0]
+        ids, values = gbdt._patterns(X)
+        y = rng.integers(0, 3, 40)
+        return ids, y, 3, len(values)
+
+    def draw(self, cells, sub_size, K, P, seed):
+        counts = np.empty((K, P), dtype=np.int64)
+        cnt, pos = np.empty((K, P)), np.empty((K, P))
+        gbdt._draw_counts(np.random.default_rng(seed), cells, sub_size, counts, cnt, pos)
+        return cnt, pos
+
+    def test_mean_counts_match_row_by_row_draw(self):
+        ids, y, K, P = self.cases()
+        cells = gbdt._cells(ids, y, K, P)
+        n, s, R = len(y), 16, 2000
+        sums = np.zeros((4, K, P))
+        for seed in range(R):
+            cnt, pos = self.draw(cells, s, K, P, seed)
+            assert (cnt.sum(axis=1) == s).all() and (pos <= cnt).all()
+            rows = subsample_counts_oracle(
+                ids.tolist(), y.tolist(), K, s, np.random.default_rng(seed)
+            )
+            sums += np.stack([cnt, pos, *rows])
+        mean_cnt, mean_pos, row_cnt, row_pos = sums / R
+        # a cell of N rows shows up in a subsample a hypergeometric number of
+        # times, with variance s (N/n) (1 - N/n) (n - s) / (n - 1); the means of
+        # two independent R-draw samples must agree within 5 standard errors
+        pattern_rows = np.bincount(ids, minlength=P)
+        own_rows = np.array([np.bincount(ids[y == k], minlength=P) for k in range(K)])
+        for got, want, N in (
+            (mean_cnt, row_cnt, np.broadcast_to(pattern_rows, (K, P))),
+            (mean_pos, row_pos, own_rows),
+        ):
+            var = s * (N / n) * (1 - N / n) * (n - s) / (n - 1)
+            assert (np.abs(got - want) <= 5 * np.sqrt(2 * var / R) + 1e-12).all()
+            assert (np.abs(got - s * N / n) <= 5 * np.sqrt(var / R) + 1e-12).all()
+
+    def test_full_subsample_draws_every_row(self):
+        ids, y, K, P = self.cases()
+        cells = gbdt._cells(ids, y, K, P)
+        cnt, pos = self.draw(cells, len(y), K, P, seed=0)
+        rows = subsample_counts_oracle(
+            ids.tolist(), y.tolist(), K, len(y), np.random.default_rng(0)
+        )
+        assert np.array_equal(cnt, rows[0]) and np.array_equal(pos, rows[1])
+        assert np.array_equal(cnt, np.tile(np.bincount(ids), (K, 1)))
 
 
 class TestPrediction:
