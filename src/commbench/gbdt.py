@@ -114,7 +114,8 @@ def _leaf_values(trees, values, origin):
 
     ``origin`` is ``(class, index of trees[0] in its sequence)``. A split whose
     children do not lie after it inside its own tree is a DataError naming
-    the tree: a descent would otherwise never reach a leaf.
+    the tree: a descent would otherwise never reach a leaf. So is a split on a
+    feature that values does not have.
     """
     sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
     ends = np.cumsum(sizes)
@@ -143,6 +144,14 @@ def _leaf_values(trees, values, origin):
         raise DataError(
             f"tree {first + tree[k]} of class {cls!r}: node {local[k]} has "
             f"children {left[k]} and {right[k]}, outside {local[k] + 1}..{end[k] - 1}"
+        )
+    width = values.shape[1]
+    bad = split & (feature[:-1] >= width)
+    if bad.any():
+        k = int(bad.argmax())
+        raise DataError(
+            f"tree {first + tree[k]} of class {cls!r}: node {local[k]} splits on "
+            f"feature {feature[k]}, outside 0..{width - 1}"
         )
     node = np.tile(start, (len(values), 1))
     rows = np.arange(len(values))[:, None]

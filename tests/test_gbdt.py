@@ -490,6 +490,20 @@ class TestPrediction:
             "tree 1 of class 'a': node 0 has children 1 and 1, outside 1..0"
         )
 
+    def test_split_on_missing_feature_rejected(self):
+        leaf = RegressionTree([-1], [0.0], [-1], [-1], [0.0])
+        wide = RegressionTree([3, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0, 1, 2])
+        model = TreeEnsemble(
+            classes=["a", "b"],
+            priors=np.zeros(2),
+            learning_rate=0.1,
+            n_features=1,
+            trees=[[leaf], [leaf, wide]],
+        )
+        message = "tree 1 of class 'b': node 0 splits on feature 3, outside 0..0"
+        with pytest.raises(DataError, match=re.escape(message)):
+            model.decision_scores(np.array([[1], [0]]))
+
     def test_feature_width_mismatch(self):
         data = binary_feature_data(rows_per_class=5)
         model = train_gbdt(data, GBDTParams(n_trees=1, subsample=1.0))
