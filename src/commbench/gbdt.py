@@ -4,13 +4,7 @@ Multiclass boosting keeps one regression-tree sequence per class. Every
 round computes softmax probabilities over the accumulated scores, then fits
 each class's tree to that class's cross-entropy residuals (y - p) on a fresh
 row subsample of ceil(subsample * rows) drawn without replacement from one
-seeded stream. Rows of one pattern (below) and label are interchangeable, so
-the draw is of counts, not rows: the training rows are keyed by (pattern,
-label) cell, and one multivariate hypergeometric draw per round gives every
-class's per-cell counts at once (numpy's "count" method, which has the
-distribution of a row-by-row draw). Class k's pattern-p entry then holds
-cnt rows, pos of them labelled k, and G = pos - cnt * p and
-H = cnt * p * (1 - p). Tree structure is greedy squared-error reduction: a split on
+seeded stream. Tree structure is greedy squared-error reduction: a split on
 a column sends the rows holding 0 left and those holding 1 right, and a node
 splits only when it holds at least min_samples_split rows and some split has
 positive gain. Leaf values are a single Newton step sum(g)/sum(h) with
@@ -28,16 +22,21 @@ nodes in level order (root first, then depth by depth, left before right), so
 the j-th split has its children at nodes 2j + 1 and 2j + 2.
 
 Rows with the same feature values (patterns) always reach the same leaf, so
-all work runs per pattern: a round's subsamples are per-(class, pattern)
-row counts and g/h sums, and the round's K trees grow together one depth at
-a time, in working arrays allocated once per training. The split search touches only the nonzero features (the
-sparse-feature idea of LightGBM, Ke et al., NeurIPS 2017): each sampled
-(tree, pattern) entry is paired once per round with its pattern's 1-columns,
-and a depth's per-(node, column) row counts and g sums of the rows holding 1
-are two scatter-adds over those pairs. Patterns reach a bin in ascending
-order, so equal columns give equal sums and ties go to the lowest column.
-A depth's split search thus costs the sampled patterns' 1-entries plus one
-gain per (node, column), not patterns x columns.
+all work runs per pattern. Rows of one pattern and label are interchangeable,
+so a round draws counts, not rows: the training rows are keyed by (pattern,
+label) cell, and one multivariate hypergeometric draw (numpy's "count"
+method, distributed as a row-by-row draw) gives every class's per-cell
+counts at once. Class k's entry for pattern p then holds cnt rows, pos of
+them labelled k, with g sum G = pos - cnt * p and h sum H = cnt * p * (1 - p).
+The round's K trees grow together one depth at a time, in working arrays
+allocated once per training. The split search touches only the nonzero
+features (the sparse-feature idea of LightGBM, Ke et al., NeurIPS 2017): each
+sampled (tree, pattern) entry is paired once per round with its pattern's
+1-columns, and a depth's per-(node, column) row counts and g sums of the rows
+holding 1 are two scatter-adds over those pairs. Patterns reach a bin in
+ascending order, so equal columns give equal sums and ties go to the lowest
+column. A depth's split search thus costs the sampled patterns' 1-entries
+plus one gain per (node, column), not patterns x columns.
 """
 
 from __future__ import annotations
@@ -215,17 +214,14 @@ class _Workspace:
     """_grow's working arrays, allocated once and refilled by every call.
 
     It serves calls of up to ``trees`` trees over the patterns ``values`` with
-    1-columns ``ones`` (see _ones). A (tree, pattern) entry is numbered
-    tree * patterns + pattern; the full pair lists pair each entry with its
-    pattern's 1-columns, in entry order and then column order. Each call fills
-    prefixes of the same buffers, so training allocates nothing that grows
-    with the data per round: per-round allocations of that size tip glibc
-    into returning heap pages and faulting them back in every round.
-    Entry-sized arrays hold one value per entry, pair-sized ones one per
-    (sampled entry, 1-column) pair plus a last slot that collects the pairs
-    of unsampled entries, and block-sized ones one per (node, column) of a
-    split-search block plus a last row that collects the pairs of nodes
-    outside the block.
+    1-columns ``ones`` (see _ones). Entry (tree, pattern) is numbered
+    tree * patterns + pattern, and the full pair lists pair every entry with
+    its pattern's 1-columns, in entry order, then column order. A call fills
+    prefixes: of the entry arrays; of the pair arrays, whose last slot takes
+    the pairs of unsampled entries; and of the (node, column) block arrays,
+    whose last row takes the pairs of nodes outside the block. Allocating
+    arrays this size every round instead tips glibc into returning heap pages
+    and faulting them back in, round after round.
     """
 
     def __init__(self, values, ones, trees, params):
@@ -243,12 +239,15 @@ class _Workspace:
         self.pair_entry = np.repeat(np.arange(entries), self.entry_width)
         self.pair_column = np.tile(cols, trees)
         # each pair's place among its entry's pairs
-        self.pair_local = np.tile(np.arange(cols.size) - np.repeat(start[:-1], width), trees)
+        local = np.arange(cols.size) - np.repeat(start[:-1], width)
+        self.pair_local = np.tile(local, trees)
         pairs = self.pair_entry.size
         self.node, self.key, self.index = (np.empty(entries, np.intp) for _ in range(3))
         self.out, self.leaf = np.empty(entries), np.empty(entries)
         self.flag = np.empty(entries, dtype=bool)
-        self.pair, self.column, self.cell = (np.empty(pairs + 1, np.intp) for _ in range(3))
+        self.pair, self.column, self.cell = (
+            np.empty(pairs + 1, np.intp) for _ in range(3)
+        )
         self.pair_cnt, self.pair_g = np.empty(pairs), np.empty(pairs)
         # a depth holds at most trees * min(2 ** depth, patterns) nodes
         widest = trees * min(P, 1 << min(params.max_depth - 1, 62))
@@ -402,7 +401,7 @@ def fit_regression_tree(X, g, h, rows, params):
     at = ids[rows]
     P = len(values)
     cnt, G, H = (
-        np.bincount(at, w, P)[None, :].astype(np.float64) for w in (None, g[rows], h[rows])
+        np.bincount(at, w, P)[None, :] for w in (np.ones(at.size), g[rows], h[rows])
     )
     trees, _ = _grow(_Workspace(values, _ones(values), 1, params), cnt, G, H)
     return trees[0]
@@ -477,7 +476,9 @@ def _draw_counts(rng, cells, sub_size, counts, cnt, pos):
     counts is an int64 array of cnt's shape.
     """
     count, first, own, at = cells
-    draw = rng.multivariate_hypergeometric(count, sub_size, size=len(cnt), method="count")
+    draw = rng.multivariate_hypergeometric(
+        count, sub_size, size=len(cnt), method="count"
+    )
     np.add.reduceat(draw, first, axis=1, out=counts)
     np.copyto(cnt, counts)
     pos.fill(0.0)

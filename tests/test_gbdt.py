@@ -492,7 +492,9 @@ class TestPrediction:
 
     def test_split_on_missing_feature_rejected(self):
         leaf = RegressionTree([-1], [0.0], [-1], [-1], [0.0])
-        wide = RegressionTree([3, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0, 1, 2])
+        wide = RegressionTree(
+            [3, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0, 1, 2]
+        )
         model = TreeEnsemble(
             classes=["a", "b"],
             priors=np.zeros(2),
