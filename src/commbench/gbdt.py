@@ -5,8 +5,8 @@ round computes softmax probabilities over the accumulated scores, then fits
 each class's tree to that class's cross-entropy residuals (y - p) on a fresh
 row subsample of ceil(subsample * rows) drawn without replacement from one
 seeded stream. Tree structure is greedy squared-error reduction: a split on
-a column sends the rows holding 0 left and those holding 1 right, and a node
-splits only when it holds at least min_samples_split rows and some split has
+a column parts the rows holding 0 from those holding 1, and a node splits
+only when it holds at least min_samples_split rows and some split has
 positive gain. Leaf values are a single Newton step sum(g)/sum(h) with
 h = p(1-p), clipped to [-4, 4], and scores advance by learning_rate times the
 tree output. Prediction is the argmax score with ties resolved by
@@ -15,11 +15,13 @@ predictions, byte for byte.
 
 Features must be 0 or 1, because the benchmark's features are community
 memberships; training and scoring reject any other value (NaN included) with
-a DataError naming the column, and then work on bools. Model files keep a
-threshold per split, 0.5 for every trained one, and a loaded tree sends a row
-left when its feature is at most that threshold. Trained trees keep their
-nodes in level order (root first, then depth by depth, left before right), so
-the j-th split has its children at nodes 2j + 1 and 2j + 2.
+a DataError naming the column, and then work on bools. A tree is its nodes'
+features and values in level order (root first, then depth by depth, the
+0-branch before the 1-branch): the j-th split of a tree, j counted within
+it, sends rows holding 0 to node 2j + 1 and rows holding 1 to node 2j + 2, so
+a tree of s splits has 2s + 1 nodes. Model files list each tree's nodes in
+that order and nothing more, since a tree ends at the first node where its
+leaves outnumber its splits.
 
 Rows with the same feature values (patterns) always reach the same leaf, so
 all work runs per pattern. Rows of one pattern and label are interchangeable,
@@ -50,7 +52,7 @@ from .errors import DataError
 
 LEAF_CLIP = 4.0
 GAIN_TOL = 1e-12
-MODEL_MAGIC = "commbench-gbdt 5"
+MODEL_MAGIC = "commbench-gbdt 6"
 # elements of the largest working array: (tree, pattern) entries and their
 # (entry, 1-column) pairs, (nodes x columns) split sums and gains,
 # (patterns x trees) predictions
@@ -91,67 +93,66 @@ class GBDTParams:
 
 
 class RegressionTree:
-    """Node arrays; feature[k] < 0 marks node k as a leaf.
+    """A tree's node arrays in level order; feature[k] < 0 marks node k as a leaf.
 
-    Children always follow their parent (k < left[k], right[k]), so a descent
-    ends within the node count. Trained trees are in level order, so the j-th
-    split in node order has its children at 2j + 1 and 2j + 2.
+    The j-th split in node order sends rows holding 0 to node 2j + 1 and rows
+    holding 1 to node 2j + 2, so s splits make 2s + 1 nodes; value[k] is leaf
+    k's output (0 at splits).
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = ("feature", "value")
 
-    def __init__(self, feature=(), threshold=(), left=(), right=(), value=()):
+    def __init__(self, feature, value):
         self.feature = np.asarray(feature, dtype=np.intp)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.intp)
-        self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
 
 
 def _leaf_values(trees, values, origin):
     """(rows x trees) leaf values: all trees descend together, a depth a step.
 
-    ``origin`` is ``(class, index of trees[0] in its sequence)``. A split whose
-    children do not lie after it inside its own tree is a DataError naming
-    the tree: a descent would otherwise never reach a leaf. So is a split on a
+    ``origin`` is ``(class, index of trees[0] in its sequence)``. A tree out
+    of level order is a DataError naming the tree and node: it must have
+    2s + 1 nodes for s splits, and the split of rank j (0-based, within its
+    tree) at node k must precede its children, k <= 2j. So is a split on a
     feature that values does not have.
     """
+    feature = np.concatenate([tree.feature for tree in trees])
+    value = np.concatenate([tree.value for tree in trees])
     sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
-    ends = np.cumsum(sizes)
-    # an empty tree starts at a trailing leaf of value 0
-    start = np.where(sizes > 0, ends - sizes, ends[-1])
-    feature, threshold, left, right, value = (
-        np.concatenate([getattr(t, name) for t in trees] + [tail])
-        for name, tail in (
-            ("feature", [-1]),
-            ("threshold", [0.0]),
-            ("left", [-1]),
-            ("right", [-1]),
-            ("value", [0.0]),
-        )
-    )
+    start = np.cumsum(sizes) - sizes
     tree = np.repeat(np.arange(len(trees)), sizes)
-    local = np.arange(ends[-1]) - start[tree]
-    end = sizes[tree]
-    split = feature[:-1] >= 0
+    split = feature >= 0
+    splits = np.bincount(tree[split], minlength=len(trees))
+    rank = np.cumsum(split) - split  # splits before each node, then within its tree
+    rank -= (np.cumsum(splits) - splits)[tree]
+    local = np.arange(feature.size) - start[tree]
     cls, first = origin
-    bad = split & ~(
-        (local < left[:-1]) & (left[:-1] < end) & (local < right[:-1]) & (right[:-1] < end)
-    )
+    bad = np.flatnonzero(sizes != 2 * splits + 1)
+    if bad.size:
+        t = int(bad[0])
+        n, s = int(sizes[t]), int(splits[t])
+        state = "missing" if n < 2 * s + 1 else "extra"
+        raise DataError(
+            f"tree {first + t} of class {cls!r}: node {min(n, 2 * s + 1)} is "
+            f"{state}; a split count of {s} means nodes 0..{2 * s}"
+        )
+    bad = split & (local > 2 * rank)
     if bad.any():
         k = int(bad.argmax())
         raise DataError(
-            f"tree {first + tree[k]} of class {cls!r}: node {local[k]} has "
-            f"children {left[k]} and {right[k]}, outside {local[k] + 1}..{end[k] - 1}"
+            f"tree {first + tree[k]} of class {cls!r}: node {local[k]} is split "
+            f"{rank[k]}, whose children {2 * rank[k] + 1} and {2 * rank[k] + 2} "
+            "do not follow it"
         )
     width = values.shape[1]
-    bad = split & (feature[:-1] >= width)
+    bad = split & (feature >= width)
     if bad.any():
         k = int(bad.argmax())
         raise DataError(
             f"tree {first + tree[k]} of class {cls!r}: node {local[k]} splits on "
             f"feature {feature[k]}, outside 0..{width - 1}"
         )
+    zero_child = start[tree] + 2 * rank + 1  # a split's child for rows holding 0
     node = np.tile(start, (len(values), 1))
     rows = np.arange(len(values))[:, None]
     while True:
@@ -159,9 +160,8 @@ def _leaf_values(trees, values, origin):
         inner = f >= 0
         if not inner.any():
             return value[node]
-        go_left = values[rows, np.where(inner, f, 0)] <= threshold[node]
-        child = np.where(go_left, left[node], right[node]) + start
-        node = np.where(inner, child, node)
+        bit = values[rows, np.where(inner, f, 0)]
+        node = np.where(inner, zero_child[node] + bit, node)
 
 
 def _check_binary(X):
@@ -375,22 +375,14 @@ def _grow(work, cnt, G, H):
         np.add(node, flag, out=node)
         tree = np.repeat(tree[inner], 2)
     # a tree's nodes, depth by depth, are its level order, so one stable sort
-    # by tree gives every tree; every split gets threshold 0.5 (0 left, 1 right)
+    # by tree gives every tree
     tree, feature, value = (np.concatenate(a) for a in zip(*levels))
     order = np.argsort(tree, kind="stable")
-    tree, feature, value = tree[order], feature[order], value[order]
-    size = np.bincount(tree, minlength=S)
-    ends = np.cumsum(size)
-    starts = ends - size
-    inner = feature >= 0
-    j = np.cumsum(inner) - inner  # splits before each node, then within its tree
-    j -= j[starts][tree]
-    left = np.where(inner, 2 * j + 1, -1)
-    right = np.where(inner, 2 * j + 2, -1)
-    threshold = np.where(inner, 0.5, 0.0)
+    feature, value = feature[order], value[order]
+    ends = np.cumsum(np.bincount(tree, minlength=S)).tolist()
     trees = [
-        RegressionTree(*(a[lo:hi] for a in (feature, threshold, left, right, value)))
-        for lo, hi in zip(starts.tolist(), ends.tolist())
+        RegressionTree(feature[lo:hi], value[lo:hi])
+        for lo, hi in zip([0] + ends[:-1], ends)
     ]
     return trees, out.reshape(S, P)
 
@@ -553,23 +545,35 @@ def save_model(model, path):
     for k, sequence in enumerate(model.trees):
         lines.append(f"ensemble {k} trees {len(sequence)}")
         for tree in sequence:
-            lines.append(f"tree nodes {tree.feature.size}")
-            for f, t, left, right, v in zip(
-                tree.feature.tolist(),
-                tree.threshold.tolist(),
-                tree.left.tolist(),
-                tree.right.tolist(),
-                tree.value.tolist(),
-            ):
-                if f < 0:
-                    lines.append(f"leaf {v!r}")
-                else:
-                    lines.append(f"split {f} {t!r} {left} {right}")
+            for f, v in zip(tree.feature.tolist(), tree.value.tolist()):
+                lines.append(f"leaf {v!r}" if f < 0 else f"split {f}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _checked(kind, valid):
+    """A word parser: kind(word), a ValueError unless valid(that value)."""
+
+    def parse(word):
+        value = kind(word)
+        if not valid(value):
+            raise ValueError(word)
+        return value
+
+    return parse
+
+
+_finite = _checked(float, math.isfinite)
+_positive = _checked(float, lambda r: 0 < r < math.inf)
+_count = _checked(int, lambda n: n >= 0)
+
+
 def load_model(path):
+    """Read a save_model file; anything the trainer never writes is a DataError.
+
+    A tree read this way has 2s + 1 nodes for s splits, each split before its
+    children, so it is in level order.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     pos = 0
@@ -600,48 +604,46 @@ def load_model(path):
         except ValueError:
             raise DataError(f"{path}:{pos}: bad {keyword} line {line!r}") from None
 
-    def node(index, count):
-        line = take()
-        parts = line.split()
-        try:
-            if parts[0] == "leaf" and len(parts) == 2:
-                return -1, 0.0, -1, -1, float(parts[1])
-            if parts[0] == "split" and len(parts) == 5:
-                f, left, right = int(parts[1]), int(parts[3]), int(parts[4])
-                threshold = float(parts[2])
-            else:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise DataError(f"{path}:{pos}: bad node line {line!r}") from None
-        if not 0 <= f < n_features:
-            raise DataError(
-                f"{path}:{pos}: split feature {f} outside 0..{n_features - 1}"
-            )
-        if not (index < left < count and index < right < count):
-            raise DataError(
-                f"{path}:{pos}: children of node {index} "
-                f"must lie in {index + 1}..{count - 1}"
-            )
-        return f, threshold, left, right, 0.0
+    def tree():
+        """The next tree: node lines up to the first where leaves outnumber splits."""
+        feature, value, leaves = [], [], 0
+        while 2 * leaves <= len(feature):
+            line = take()
+            try:
+                kind, word = line.split()
+                if kind not in ("leaf", "split"):
+                    raise ValueError(kind)
+                leaf = kind == "leaf"
+                f, v = (-1, _finite(word)) if leaf else (int(word), 0.0)
+            except ValueError:
+                raise DataError(f"{path}:{pos}: bad node line {line!r}") from None
+            if not leaf and not 0 <= f < n_features:
+                raise DataError(
+                    f"{path}:{pos}: split feature {f} outside 0..{n_features - 1}"
+                )
+            leaves += leaf
+            feature.append(f)
+            value.append(v)
+        return RegressionTree(feature, value)
 
     if take(MODEL_MAGIC.split()[0]) != MODEL_MAGIC:
         raise DataError(f"{path}:1: unsupported model version")
-    [learning_rate] = fields("learning_rate", float)
-    [n_features] = fields("n_features", int)
-    [n_classes] = fields("n_classes", int)
-    classes = [take("class")[len("class "):] for _ in range(n_classes)]
-    priors = np.array([fields("prior", float)[0] for _ in range(n_classes)])
+    [learning_rate] = fields("learning_rate", _positive)
+    [n_features] = fields("n_features", _count)
+    [n_classes] = fields("n_classes", _checked(int, lambda n: n >= 1))
+    classes = []
+    for _ in range(n_classes):
+        name = take("class")[len("class "):]
+        if name in classes:
+            raise DataError(f"{path}:{pos}: bad class line: class {name!r} repeats")
+        classes.append(name)
+    priors = np.array([fields("prior", _finite)[0] for _ in range(n_classes)])
     trees = []
     for k in range(n_classes):
-        index, ntrees = fields("ensemble", int, "trees", int)
+        index, ntrees = fields("ensemble", int, "trees", _count)
         if index != k:
             raise DataError(f"{path}:{pos}: ensembles out of order")
-        sequence = []
-        for _ in range(ntrees):
-            [count] = fields("tree", "nodes", int)
-            nodes = [node(i, count) for i in range(count)]
-            sequence.append(RegressionTree(*zip(*nodes)))
-        trees.append(sequence)
+        trees.append([tree() for _ in range(ntrees)])
     if pos < len(lines):
         raise DataError(
             f"{path}:{pos + 1}: unexpected line after the last ensemble"

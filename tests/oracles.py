@@ -6,13 +6,14 @@ shape with the package: quadratic pairwise sums instead of per-community
 accumulators, base-2 logarithms for NMI, restricted-growth-string partition
 enumeration, subset enumeration for cliques, a per-pair set-Jaccard walk
 for the link dendrogram, a recursive per-row tree grower that re-reads the
-rows of every node (a queue walk renumbers a tree into level order), and a
-row-by-row subsample draw. The Louvain move phase and the GCE expansion step are
-kept in their earlier form, which scans candidates in sorted order, and so is
-the all-sizes Bron-Kerbosch enumerator GCE used before its clique search
-took a minimum size. The graph constructor, the edge-list loader and the
-block contraction are kept as the per-edge and per-line loops they were
-before graphs kept their edges as arrays.
+rows of every node (a queue walk renumbers a tree into level order, and a
+row-by-row descent scores it), and a row-by-row subsample draw. The Louvain
+move phase and the GCE expansion step are kept in their earlier form, which
+scans candidates in sorted order, and so is the all-sizes Bron-Kerbosch
+enumerator GCE used before its clique search took a minimum size. The graph
+constructor, the edge-list loader and the block contraction are kept as the
+per-edge and per-line loops they were before graphs kept their edges as
+arrays.
 """
 
 import math
@@ -329,9 +330,9 @@ def regression_tree_oracle(X, g, h, rows, max_depth, min_samples_split):
 
 
 def renumber_tree(feature, threshold, left, right, value):
-    """The node lists of a tree walked from node 0 breadth-first, left before right.
+    """Feature and value lists of a tree walked from node 0 breadth-first, left first.
 
-    Every array is renumbered so node k of the result is the k-th node visited.
+    Node k of the result is the k-th node visited.
     """
     order, todo = [], [0] if len(feature) else []
     while todo:
@@ -339,18 +340,23 @@ def renumber_tree(feature, threshold, left, right, value):
         order.append(k)
         if feature[k] >= 0:
             todo += [left[k], right[k]]
-    new = {old: i for i, old in enumerate(order)}
+    return [int(feature[k]) for k in order], [float(value[k]) for k in order]
 
-    def child(links, k):
-        return new[links[k]] if feature[k] >= 0 else -1
 
-    return (
-        [int(feature[k]) for k in order],
-        [float(threshold[k]) for k in order],
-        [child(left, k) for k in order],
-        [child(right, k) for k in order],
-        [float(value[k]) for k in order],
-    )
+def tree_descent_oracle(tree, X):
+    """Leaf value of each row of X, walked down one row at a time.
+
+    tree holds regression_tree_oracle's node lists; a row goes left at a
+    split when X[row, feature] <= threshold.
+    """
+    feature, threshold, left, right, value = tree
+    out = []
+    for row in np.asarray(X):
+        k = 0
+        while feature[k] >= 0:
+            k = left[k] if row[feature[k]] <= threshold[k] else right[k]
+        out.append(float(value[k]))
+    return out
 
 
 def subsample_counts_oracle(patterns, labels, classes, sub_size, rng):

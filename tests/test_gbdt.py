@@ -2,12 +2,7 @@
 
 import hashlib
 import math
-import os
 import re
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +29,7 @@ from oracles import (
     regression_tree_oracle,
     renumber_tree,
     subsample_counts_oracle,
+    tree_descent_oracle,
 )
 
 FAST = GBDTParams(
@@ -172,8 +168,8 @@ class TestTraining:
         save_model(pinned_model(), tmp_path / "m.model")
         digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
         assert digest in (
-            "9afd999c4a48d43aa9dcd663f61c252477f353f62ae1544fb7df6772817ea53f",
-            "2a645b698dad02d959806ed47e7f11c8ab197fc8809ac82dec1914c865633507",
+            "9b881cd51d7161e4e68e52253000743ab5d874db267f6d9f713f2390549d810d",
+            "f88c2740387f0c4206ceefb2ec5d63cdba9c34a15c0b162d2d3403d658999aba",
         )
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
@@ -281,18 +277,6 @@ class TestLeavesAndTrees:
         )
         assert tree.feature == [-1]
 
-    def test_empty_tree_predicts_zero(self):
-        leaf = RegressionTree([-1], [0.0], [-1], [-1], [2.0])
-        model = TreeEnsemble(
-            classes=["a", "b"],
-            priors=np.array([0.25, -0.5]),
-            learning_rate=0.5,
-            n_features=2,
-            trees=[[RegressionTree(), leaf, RegressionTree()], [RegressionTree()]],
-        )
-        scores = model.decision_scores(np.zeros((3, 2)))
-        assert scores.tolist() == [[1.25, -0.5]] * 3
-
 
 def random_tree_case(seed):
     """0/1 columns over duplicated rows.
@@ -334,23 +318,42 @@ def wide_tree_case(seed):
     return X, g, h, rows, params
 
 
+TREE_CASES = [random_tree_case(seed) for seed in range(50)] + [
+    wide_tree_case(seed) for seed in range(20)
+]
+TREE_IDS = [str(seed) for seed in range(50)] + [f"wide{seed}" for seed in range(20)]
+
+
 class TestGrowerMatchesOracle:
-    @pytest.mark.parametrize(
-        "case",
-        [random_tree_case(seed) for seed in range(50)]
-        + [wide_tree_case(seed) for seed in range(20)],
-        ids=[str(seed) for seed in range(50)] + [f"wide{seed}" for seed in range(20)],
-    )
+    @pytest.mark.parametrize("case", TREE_CASES, ids=TREE_IDS)
     def test_node_for_node(self, case):
         X, g, h, rows, params = case
         tree = fit_regression_tree(X, g, h, rows, params)
         expected = regression_tree_oracle(
             X, g, h, rows, params.max_depth, params.min_samples_split
         )
-        level_order = renumber_tree(*expected)
-        names = ("feature", "threshold", "left", "right", "value")
-        for name, want in zip(names, level_order):
-            assert getattr(tree, name).tolist() == want, name
+        feature, value = renumber_tree(*expected)
+        assert tree.feature.tolist() == feature
+        assert tree.value.tolist() == value
+
+    @pytest.mark.parametrize("case", TREE_CASES, ids=TREE_IDS)
+    def test_scores_match_row_descent(self, case):
+        # a one-tree ensemble with zero priors and learning rate 1 scores each
+        # row with its leaf value
+        X, g, h, rows, params = case
+        model = TreeEnsemble(
+            classes=["a"],
+            priors=np.zeros(1),
+            learning_rate=1.0,
+            n_features=X.shape[1],
+            trees=[[fit_regression_tree(X, g, h, rows, params)]],
+        )
+        expected = regression_tree_oracle(
+            X, g, h, rows, params.max_depth, params.min_samples_split
+        )
+        assert model.decision_scores(X)[:, 0].tolist() == tree_descent_oracle(
+            expected, X
+        )
 
 
 class TestWorkBound:
@@ -451,50 +454,40 @@ class TestPrediction:
         assert model.predict(np.array([[0.0]])) == ["alpha"]
 
     def test_child_outside_its_tree_rejected(self):
-        # a child past its own tree's nodes lands on the next tree's root,
-        # whose rebased child leads back to it: the child process keeps a
-        # descent that never ends from hanging the suite
-        script = textwrap.dedent(
-            """
-            import numpy as np
-            from commbench import DataError, TreeEnsemble
-            from commbench.gbdt import RegressionTree
-
-            t0 = RegressionTree([0], [0.5], [1], [1], [0.0])
-            t1 = RegressionTree([0, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0, 1, 2])
+        # every tree's layout is checked before any row descends
+        leaf = RegressionTree([-1], [0.0])
+        for bad, message in [
+            (
+                RegressionTree([-1, 0, -1], [0.0, 0.0, 1.0]),
+                "node 1 is split 0, whose children 1 and 2 do not follow it",
+            ),
+            (
+                RegressionTree([0, -1, -1, -1], [0.0, 1.0, 2.0, 3.0]),
+                "node 3 is extra; a split count of 1 means nodes 0..2",
+            ),
+            (
+                RegressionTree([0, 0, -1, -1], [0.0, 0.0, 1.0, 2.0]),
+                "node 4 is missing; a split count of 2 means nodes 0..4",
+            ),
+            (
+                RegressionTree([], []),
+                "node 0 is missing; a split count of 0 means nodes 0..0",
+            ),
+        ]:
             model = TreeEnsemble(
                 classes=["a", "b"],
                 priors=np.zeros(2),
                 learning_rate=0.1,
                 n_features=1,
-                trees=[[t1, t0, t1], []],
+                trees=[[leaf], [leaf, leaf, bad]],
             )
-            try:
+            message = f"tree 2 of class 'b': {message}"
+            with pytest.raises(DataError, match=re.escape(message)):
                 model.decision_scores(np.array([[1], [0]]))
-            except DataError as err:
-                print(err)
-            """
-        )
-        package_root = str(Path(gbdt.__file__).resolve().parent.parent)
-        inherited = os.environ.get("PYTHONPATH")
-        path = os.pathsep.join(filter(None, [package_root, inherited]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == (
-            "tree 1 of class 'a': node 0 has children 1 and 1, outside 1..0"
-        )
 
     def test_split_on_missing_feature_rejected(self):
-        leaf = RegressionTree([-1], [0.0], [-1], [-1], [0.0])
-        wide = RegressionTree(
-            [3, -1, -1], [0.5, 0, 0], [1, -1, -1], [2, -1, -1], [0, 1, 2]
-        )
+        leaf = RegressionTree([-1], [0.0])
+        wide = RegressionTree([3, -1, -1], [0.0, 1.0, 2.0])
         model = TreeEnsemble(
             classes=["a", "b"],
             priors=np.zeros(2),
@@ -516,11 +509,15 @@ class TestPrediction:
 
 
 def model_text(tree_lines):
-    """A two-class model file whose class-0 ensemble holds one tree of tree_lines."""
+    """A two-class model file whose class-0 ensemble holds two trees.
+
+    The first is a leaf on line 10; the second, tree_lines, starts on line 11
+    and ends only where its own node lines say.
+    """
     return (
         f"{MODEL_MAGIC}\nlearning_rate 0.1\nn_features 1\nn_classes 2\n"
         "class a\nclass b\nprior -0.5\nprior -0.5\n"
-        f"ensemble 0 trees 1\ntree nodes {len(tree_lines)}\n"
+        "ensemble 0 trees 2\nleaf 0.0\n"
         + "".join(line + "\n" for line in tree_lines)
         + "ensemble 1 trees 0\n"
     )
@@ -543,7 +540,7 @@ class TestModelFile:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "bad.model"
-        for header in ("commbench-gbdt 99", "commbench-gbdt 3"):
+        for header in ("commbench-gbdt 99", "commbench-gbdt 5", "commbench-gbdt 3"):
             path.write_text(model_text(["leaf 0.0"]).replace(MODEL_MAGIC, header))
             with pytest.raises(DataError, match="bad.model:1: unsupported model version"):
                 load_model(path)
@@ -574,8 +571,7 @@ class TestModelFile:
             "class a\nclass b\n"
             "prior -0.5\nprior -0.5\n"
             "ensemble 0 trees 1\n"
-            "tree nodes 1\n"
-            "branch 0 0.5 1 2\n"
+            "branch 0\n"
         )
         with pytest.raises(DataError, match="bad node line"):
             load_model(path)
@@ -583,12 +579,15 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "tree_lines, line, message",
         [
-            (["split 0 0.5 0 0"], 11, "children of node 0 must lie in 1..0"),
-            (["split 0 0.5 1 2", "split 0 0.5 1 2", "leaf 0.0"], 12, "node 1 .* 2..2"),
-            (["split 0 0.5 5 5"], 11, "children of node 0"),
-            (["split 0 0.5 1 5", "leaf 0.0", "leaf 0.0"], 11, "must lie in 1..2"),
-            (["split 7 0.5 1 2", "leaf 0.0", "leaf 0.0"], 11, "feature 7 outside 0..0"),
-            (["split -1 0.5 1 2", "leaf 0.0", "leaf 0.0"], 11, "feature -1 outside"),
+            # a split's missing children: the next ensemble line is read as one
+            (["split 0"], 12, "bad node line 'ensemble 1 trees 0'"),
+            (["split 0", "split 0", "leaf 0.0"], 14, "bad node line"),
+            (["split 0", "leaf 0.0", "split 0", "leaf 0.0"], 15, "bad node line"),
+            (["split 0 0.5 1 2", "leaf 0.0", "leaf 0.0"], 11, "bad node line"),
+            (["split 7", "leaf 0.0", "leaf 0.0"], 11, "feature 7 outside 0..0"),
+            (["split -1", "leaf 0.0", "leaf 0.0"], 11, "feature -1 outside"),
+            # the tree ends at its second leaf, so a third is read as an ensemble
+            (["split 0", "leaf 0.0", "leaf 0.0", "leaf 0.0"], 14, "bad ensemble line"),
         ],
     )
     def test_bad_split_rejected(self, tmp_path, tree_lines, line, message):
@@ -611,13 +610,22 @@ class TestModelFile:
             (4, "n_classes", "n_classes"),
             (7, "prior -0.5x", "prior"),
             (9, "ensemble 0 trees", "ensemble"),
-            (10, "tree nodes one", "tree"),
             (3, "n_features 1 2", "n_features"),
             (5, "classy", "class"),
             (9, "ensembles 0 trees 1", "ensemble"),
             (9, "ensemble 0 tree 1", "ensemble"),
-            (10, "treetop nodes 1", "tree"),
-            (10, "tree node 1", "tree"),
+            # values the trainer never writes
+            (2, "learning_rate nan", "learning_rate"),
+            (2, "learning_rate inf", "learning_rate"),
+            (2, "learning_rate 0.0", "learning_rate"),
+            (2, "learning_rate -0.1", "learning_rate"),
+            (3, "n_features -3", "n_features"),
+            (4, "n_classes 0", "n_classes"),
+            (4, "n_classes -1", "n_classes"),
+            (6, "class a", "class"),
+            (7, "prior inf", "prior"),
+            (7, "prior nan", "prior"),
+            (9, "ensemble 0 trees -1", "ensemble"),
         ],
     )
     def test_bad_header_value_rejected(self, tmp_path, line, text, prefix):
@@ -635,7 +643,8 @@ class TestModelFile:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "node_line", ["leaf", "leaf x", "split 0 0.5 1", "split a b c d"]
+        "node_line",
+        ["leaf", "leaf x", "split 0 0.5 1", "split a b c d", "leaf nan", "leaf -inf"],
     )
     def test_malformed_node_rejected(self, tmp_path, node_line):
         path = tmp_path / "bad.model"
