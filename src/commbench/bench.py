@@ -6,9 +6,10 @@ classifier with stratified cross-validation on one attribute. Failures are
 isolated per cell and logged, never fatal - unless every cell fails. Each
 cell's fold rows are written atomically to a file of their own, so an
 interrupted run resumes by skipping completed cells (unless forced); covers
-and cover statistics are persisted per (network, method) the same way, and
-every cell, fresh or resumed, is built from the cover file it reads back. The
-final report is a deterministic fold over the cell rows, so a finished
+are persisted per (network, method) the same way. Every run reads each cover
+file back and computes its statistics and every missing cell from it, so a
+dataset or cover that cannot be read fails all its cells, cached ones too.
+The final report is a deterministic fold over the cell rows, so a finished
 output directory is byte-for-byte reproducible from the same config.
 
 Cells are evaluated one after another in configuration order. The `jobs`
@@ -35,7 +36,6 @@ from .coverops import (
     combine_runs,
     format_cover_stats,
     nmi,
-    parse_cover_stats,
 )
 from .covers import Partition, import_cover, serialize_cover
 from .dataset import build_dataset, cross_validate
@@ -302,10 +302,6 @@ def _cell_path(out, network, method, attribute):
     return out / "cells" / f"{_safe(network)}__{_safe(method)}__{_safe(attribute)}.csv"
 
 
-def _stats_path(out, network, method):
-    return out / "stats" / f"{_safe(network)}__{_safe(method)}.tsv"
-
-
 def _cover_path(out, network, method):
     return out / "covers" / f"{_safe(network)}__{_safe(method)}.txt"
 
@@ -374,51 +370,26 @@ def accuracy_histogram(accuracies):
 def run_benchmark(config, force=False):
     """Evaluate the full cell grid; returns the report after writing it out."""
     out = Path(config.output_dir)
-    for sub in ("cells", "stats", "covers", "hist"):
+    for sub in ("cells", "covers", "hist"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     total_cells = len(config.datasets) * len(config.methods) * len(config.attributes)
     records = []
     failures = []
     stats = {}
-    loaded = {}
-
-    def get_data(name, edge_path, attr_path):
-        if name not in loaded:
-            graph = load_edge_list(edge_path)
-            loaded[name] = (graph, load_attributes(attr_path, graph))
-        return loaded[name]
 
     for net_name, edge_path, attr_path in config.datasets:
+        try:
+            graph = load_edge_list(edge_path)
+            table = load_attributes(attr_path, graph)
+        except (CommbenchError, OSError, ValueError) as exc:
+            log.error("dataset %s failed: %s", net_name, exc)
+            failures.extend(
+                (net_name, method.name, attribute, f"dataset: {exc}")
+                for method in config.methods
+                for attribute in config.attributes
+            )
+            continue
         for method in config.methods:
-            done = {}
-            missing = []
-            for attribute in config.attributes:
-                path = _cell_path(out, net_name, method.name, attribute)
-                if path.exists() and not force:
-                    done[attribute] = _read_cell(path)
-                else:
-                    missing.append(attribute)
-            stats_path = _stats_path(out, net_name, method.name)
-            have_stats = stats_path.exists() and not force
-            if have_stats:
-                with open(stats_path, encoding="utf-8") as fh:
-                    line = fh.readline()
-                try:
-                    stats[(net_name, method.name)] = parse_cover_stats(line)
-                except DataError as exc:
-                    raise DataError(f"{stats_path}:1: {exc}") from None
-            for attribute in config.attributes:
-                if attribute in done:
-                    records.extend(done[attribute])
-            if not missing and have_stats:
-                continue
-            try:
-                graph, table = get_data(net_name, edge_path, attr_path)
-            except (CommbenchError, OSError, ValueError) as exc:
-                log.error("dataset %s failed: %s", net_name, exc)
-                for attribute in missing:
-                    failures.append((net_name, method.name, attribute, f"dataset: {exc}"))
-                continue
             cover_path = _cover_path(out, net_name, method.name)
             try:
                 # fresh or resumed, every cell is built from the cover file
@@ -431,16 +402,21 @@ def run_benchmark(config, force=False):
                 cover = import_cover(cover_path, graph)
             except (CommbenchError, OSError, ValueError) as exc:
                 log.error("method %s on %s failed: %s", method.name, net_name, exc)
-                for attribute in missing:
-                    failures.append((net_name, method.name, attribute, f"detect: {exc}"))
+                failures.extend(
+                    (net_name, method.name, attribute, f"detect: {exc}")
+                    for attribute in config.attributes
+                )
                 continue
-            st = cover_stats(cover)
-            stats[(net_name, method.name)] = st
-            _atomic_write(stats_path, format_cover_stats(st) + "\n")
-            matrix = assignment_matrix(cover)
-
-            for attribute in missing:
+            stats[(net_name, method.name)] = cover_stats(cover)
+            matrix = None
+            for attribute in config.attributes:
                 cell = (net_name, method.name, attribute)
+                path = _cell_path(out, *cell)
+                if path.exists() and not force:
+                    records.extend(_read_cell(path))
+                    continue
+                if matrix is None:
+                    matrix = assignment_matrix(cover)
                 params = replace(config.classifier, seed=cell_seed(config.seed, *cell))
                 try:
                     # no name holds the dataset, so its features are freed
@@ -456,7 +432,7 @@ def run_benchmark(config, force=False):
                     failures.append((*cell, f"classify: {exc}"))
                     continue
                 rows = [(*cell, fold, acc) for fold, acc in enumerate(accuracies)]
-                _write_cell(_cell_path(out, *cell), rows)
+                _write_cell(path, rows)
                 records.extend(rows)
 
     if failures and len(failures) >= total_cells:

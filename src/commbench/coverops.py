@@ -158,21 +158,6 @@ def format_cover_stats(stats):
     return f"{stats.community_count}\t{median}\t{stats.uncovered_nodes}\t{hist}"
 
 
-def parse_cover_stats(line):
-    parts = line.rstrip("\n").split("\t")
-    try:
-        count, median, uncovered, sizes = parts
-        histogram = {}
-        if sizes:
-            for item in sizes.split(","):
-                size, cnt = item.split(":")
-                histogram[int(size)] = int(cnt)
-        median = None if median == "NA" else float(median)
-        return CoverStats(int(count), median, histogram, int(uncovered))
-    except ValueError:
-        raise DataError(f"bad cover-stats line: {line!r}") from None
-
-
 def nmi(p, q):
     """Normalized mutual information 2*I/(Hp+Hq) between two partitions.
 

@@ -113,8 +113,9 @@ def _leaf_values(trees, values, origin):
     ``origin`` is ``(class, index of trees[0] in its sequence)``. A tree out
     of level order is a DataError naming the tree and node: it must have
     2s + 1 nodes for s splits, and the split of rank j (0-based, within its
-    tree) at node k must precede its children, k <= 2j. So is a split on a
-    feature that values does not have.
+    tree) at node k must precede its children, k <= 2j. So is a tree with
+    other than one value per node, or a split on a feature that values does
+    not have.
     """
     feature = np.concatenate([tree.feature for tree in trees])
     value = np.concatenate([tree.value for tree in trees])
@@ -127,6 +128,13 @@ def _leaf_values(trees, values, origin):
     rank -= (np.cumsum(splits) - splits)[tree]
     local = np.arange(feature.size) - start[tree]
     cls, first = origin
+    bad = np.flatnonzero(sizes != [tree.value.size for tree in trees])
+    if bad.size:
+        t = int(bad[0])
+        raise DataError(
+            f"tree {first + t} of class {cls!r}: {sizes[t]} nodes but "
+            f"{trees[t].value.size} values"
+        )
     bad = np.flatnonzero(sizes != 2 * splits + 1)
     if bad.size:
         t = int(bad[0])

@@ -372,7 +372,6 @@ class TestRunBenchmark:
             assert (out / name).exists()
         assert (out / "cells" / "twoclique__flat__block.csv").exists()
         assert (out / "covers" / "twoclique__flat.txt").exists()
-        assert (out / "stats" / "twoclique__flat.tsv").exists()
         assert (out / "hist" / "flat__block.txt").read_text() == "100 2\n"
 
     def test_resume_is_byte_identical(self, tmp_path):
@@ -394,11 +393,6 @@ class TestRunBenchmark:
                 "cells/twoclique__flat__block.csv",
                 "twoclique,flat,block,0,1.0\ntwoclique,flat,block,x,0.5\n",
                 r"twoclique__flat__block\.csv:2: bad cell row",
-            ),
-            (
-                "stats/twoclique__flat.tsv",
-                "3\t2.0\tx\t1:3\n",
-                r"twoclique__flat\.tsv:1: bad cover-stats line",
             ),
         ],
     )
@@ -459,11 +453,16 @@ class TestRunBenchmark:
         self.run(tmp_path, "out")
         cover_path = tmp_path / "out" / "covers" / "twoclique__flat.txt"
         original = cover_path.read_text()
-        # replace the persisted cover with one useless blob community and
-        # drop the finished cells so the classifier stage reruns
+        # replace the persisted cover with one useless blob community; the
+        # cached cell still serves, but the statistics follow the new cover
         cover_path.write_text(" ".join(str(i) for i in range(24)) + "\n")
+        _, cached = self.run(tmp_path, "out")
+        assert cached.summary[("flat", "block")][0] == 1.0
+        assert cached.stats[("twoclique", "flat")].community_count == 1
+        rows = (tmp_path / "out" / "stats.tsv").read_text().splitlines()
+        assert rows[1].split("\t")[:3] == ["twoclique", "flat", "1"]
+        # dropping the finished cell reruns the classifier on the new cover
         (tmp_path / "out" / "cells" / "twoclique__flat__block.csv").unlink()
-        (tmp_path / "out" / "stats" / "twoclique__flat.tsv").unlink()
         _, degraded = self.run(tmp_path, "out")
         assert degraded.summary[("flat", "block")][0] < 0.8
         assert degraded.stats[("twoclique", "flat")].community_count == 1
@@ -539,6 +538,37 @@ class TestRunBenchmark:
         assert report.failures[0][1] == "ghost"
         assert report.failures[0][3].startswith("detect:")
         assert report.summary[("flat", "block")][0] == 1.0
+
+    def test_unloadable_dataset_fails_its_cached_cells(self, tmp_path):
+        # a cached cell is served only while the inputs it came from still load
+        _, edge_path, attr_path = two_clique_dataset(tmp_path)
+        other = tmp_path / "other.edges"
+        other.write_bytes(edge_path.read_bytes())
+        out = tmp_path / "out"
+        extra = f"attribute parity\ndataset other {other} {attr_path}\n"
+        text = bench_config_text(edge_path, attr_path, out, extra)
+        config = parse_config(write_config(tmp_path, text))
+        run_benchmark(config)
+        other.unlink()
+        report = run_benchmark(config)
+        lost = [("other", "flat", "block"), ("other", "flat", "parity")]
+        assert [f[:3] for f in report.failures] == lost
+        failures = [line.split("\t") for line in (out / "failures.tsv").read_text().splitlines()]
+        assert [tuple(f[:3]) for f in failures] == lost
+        assert all(f[3].startswith("dataset:") for f in failures)
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and {row.split(",")[0] for row in rows} == {"twoclique"}
+        rows = (out / "stats.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == ["twoclique"]
+        # with its only dataset gone, a run has nothing left to serve
+        solo = tmp_path / "solo.edges"
+        solo.write_bytes(edge_path.read_bytes())
+        text = bench_config_text(solo, attr_path, tmp_path / "solo")
+        config = parse_config(write_config(tmp_path, text, name="solo.cfg"))
+        run_benchmark(config)
+        solo.unlink()
+        with pytest.raises(AllCellsFailedError, match="all 1 benchmark cells failed"):
+            run_benchmark(config)
 
     def test_all_cells_failing_raises(self, tmp_path):
         out = tmp_path / "boom"

@@ -22,7 +22,7 @@ from commbench import (
     write_cover,
 )
 from commbench.covers import dedupe_exact
-from commbench.coverops import DEDUP_EPSILON, format_cover_stats, parse_cover_stats
+from commbench.coverops import DEDUP_EPSILON, format_cover_stats
 from commbench import Graph
 from conftest import random_cover_communities, random_partition
 from oracles import dedup_postcondition_holds, jaccard_oracle, nmi_oracle
@@ -277,30 +277,10 @@ class TestCoverStats:
         assert stats.community_count == 0
         assert stats.size_histogram == {}
 
-    def test_format_parse_round_trip(self):
-        for cover in [
-            Cover(6, [{0, 1, 2, 3}, {0, 1}, {4}]),
-            Cover(4, [{0, 1}, {0, 2, 3}]),
-            Cover(5, []),
-        ]:
-            stats = cover_stats(cover)
-            back = parse_cover_stats(format_cover_stats(stats) + "\n")
-            assert back == stats
-
     def test_format_hand_line(self):
         line = format_cover_stats(cover_stats(Cover(6, [{0, 1, 2, 3}, {0, 1}, {4}])))
         assert line == "3\t2.0\t1\t1:1,2:1,4:1"
-
-    def test_parse_rejects_malformed_line(self):
-        with pytest.raises(DataError, match="cover-stats"):
-            parse_cover_stats("3\t2.0\t1")
-
-    @pytest.mark.parametrize(
-        "line", ["x\t2.0\t1\t1:3", "3\t2.0x\t1\t1:3", "3\t2.0\tx\t1:3", "3\tNA\t1\t1-3"]
-    )
-    def test_parse_rejects_malformed_value(self, line):
-        with pytest.raises(DataError, match="bad cover-stats line"):
-            parse_cover_stats(line)
+        assert format_cover_stats(cover_stats(Cover(5, []))) == "0\tNA\t5\t"
 
 
 class TestNMI:

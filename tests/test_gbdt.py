@@ -473,6 +473,8 @@ class TestPrediction:
                 RegressionTree([], []),
                 "node 0 is missing; a split count of 0 means nodes 0..0",
             ),
+            (RegressionTree([0, -1, -1], [0.0]), "3 nodes but 1 values"),
+            (RegressionTree([-1], [5.0, 7.0]), "1 nodes but 2 values"),
         ]:
             model = TreeEnsemble(
                 classes=["a", "b"],
