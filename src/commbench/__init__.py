@@ -39,7 +39,7 @@ from .coverops import (
     jaccard,
     nmi,
 )
-from .gbdt import GBDTParams, TreeEnsemble, load_model, save_model, train_gbdt
+from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
 from .dataset import (
     LabeledDataset,
     build_dataset,
@@ -106,7 +106,6 @@ __all__ = [
     "link_clustering",
     "load_attributes",
     "load_edge_list",
-    "load_model",
     "louvain",
     "maximal_cliques",
     "method_cover",
@@ -116,7 +115,6 @@ __all__ = [
     "parse_config",
     "run_benchmark",
     "sanity_check",
-    "save_model",
     "serialize_cover",
     "stratified_folds",
     "train_gbdt",

@@ -4,11 +4,13 @@ A run is a grid of cells (network x method x attribute). Each cell turns a
 method's cover into binary membership features and scores a boosted-tree
 classifier with stratified cross-validation on one attribute. Failures are
 isolated per cell and logged, never fatal - unless every cell fails. Each
-cell's fold rows are written atomically to a file of their own, so an
-interrupted run resumes by skipping completed cells (unless forced); covers
-are persisted per (network, method) the same way. Every run reads each cover
-file back and computes its statistics and every missing cell from it, so a
-dataset or cover that cannot be read fails all its cells, cached ones too.
+cell's fold rows are written atomically to a file of their own, and covers
+are persisted per (network, method) the same way, so an interrupted run
+resumes by skipping completed cells (unless forced). A cell file is reused
+only when its rows are exactly the folds the config evaluates, in order;
+otherwise the cell is recomputed. Every run reads each cover file back and
+computes its statistics and every missing cell from it, so a dataset or
+cover that cannot be read fails all its cells, cached ones too.
 The final report is a deterministic fold over the cell rows, so a finished
 output directory is byte-for-byte reproducible from the same config.
 
@@ -413,8 +415,16 @@ def run_benchmark(config, force=False):
                 cell = (net_name, method.name, attribute)
                 path = _cell_path(out, *cell)
                 if path.exists() and not force:
-                    records.extend(_read_cell(path))
-                    continue
+                    rows = _read_cell(path)
+                    folds = [(*cell, fold) for fold in range(config.folds_evaluated)]
+                    if [row[:4] for row in rows] == folds:
+                        records.extend(rows)
+                        continue
+                    log.warning(
+                        "%s: recomputing, its rows are not folds 0..%d of this cell",
+                        path,
+                        config.folds_evaluated - 1,
+                    )
                 if matrix is None:
                     matrix = assignment_matrix(cover)
                 params = replace(config.classifier, seed=cell_seed(config.seed, *cell))

@@ -19,9 +19,7 @@ a DataError naming the column, and then work on bools. A tree is its nodes'
 features and values in level order (root first, then depth by depth, the
 0-branch before the 1-branch): the j-th split of a tree, j counted within
 it, sends rows holding 0 to node 2j + 1 and rows holding 1 to node 2j + 2, so
-a tree of s splits has 2s + 1 nodes. Model files list each tree's nodes in
-that order and nothing more, since a tree ends at the first node where its
-leaves outnumber its splits.
+a tree of s splits has 2s + 1 nodes.
 
 Rows with the same feature values (patterns) always reach the same leaf, so
 all work runs per pattern. Rows of one pattern and label are interchangeable,
@@ -52,7 +50,6 @@ from .errors import DataError
 
 LEAF_CLIP = 4.0
 GAIN_TOL = 1e-12
-MODEL_MAGIC = "commbench-gbdt 6"
 # elements of the largest working array: (tree, pattern) entries and their
 # (entry, 1-column) pairs, (nodes x columns) split sums and gains,
 # (patterns x trees) predictions
@@ -538,128 +535,3 @@ def train_gbdt(data, params):
             for k, tree in zip(range(k0, k1), trees):
                 ensemble.trees[k].append(tree)
     return ensemble
-
-
-def save_model(model, path):
-    """Versioned plain-text serialization; floats round-trip via repr."""
-    lines = [MODEL_MAGIC]
-    lines.append(f"learning_rate {model.learning_rate!r}")
-    lines.append(f"n_features {model.n_features}")
-    lines.append(f"n_classes {len(model.classes)}")
-    for c in model.classes:
-        lines.append(f"class {c}")
-    for p in model.priors:
-        lines.append(f"prior {float(p)!r}")
-    for k, sequence in enumerate(model.trees):
-        lines.append(f"ensemble {k} trees {len(sequence)}")
-        for tree in sequence:
-            for f, v in zip(tree.feature.tolist(), tree.value.tolist()):
-                lines.append(f"leaf {v!r}" if f < 0 else f"split {f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _checked(kind, valid):
-    """A word parser: kind(word), a ValueError unless valid(that value)."""
-
-    def parse(word):
-        value = kind(word)
-        if not valid(value):
-            raise ValueError(word)
-        return value
-
-    return parse
-
-
-_finite = _checked(float, math.isfinite)
-_positive = _checked(float, lambda r: 0 < r < math.inf)
-_count = _checked(int, lambda n: n >= 0)
-
-
-def load_model(path):
-    """Read a save_model file; anything the trainer never writes is a DataError.
-
-    A tree read this way has 2s + 1 nodes for s splits, each split before its
-    children, so it is in level order.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
-
-    def take(keyword=None):
-        """The next line; its first word must be keyword, when one is given."""
-        nonlocal pos
-        if pos >= len(lines):
-            what = keyword or "node"
-            raise DataError(f"{path}:{pos + 1}: expected a {what} line, found the end")
-        line = lines[pos]
-        pos += 1
-        if keyword is not None and line.split()[:1] != [keyword]:
-            raise DataError(
-                f"{path}:{pos}: bad {keyword} line {line!r}, expected {keyword!r} first"
-            )
-        return line
-
-    def fields(keyword, *shape):
-        """Values of the next line: keyword, then a word per shape entry (str: as is)."""
-        line = take(keyword)
-        try:
-            # strict: a missing or extra word raises ValueError
-            pairs = list(zip(line.split()[1:], shape, strict=True))
-            if any(isinstance(want, str) and word != want for word, want in pairs):
-                raise ValueError
-            return [kind(word) for word, kind in pairs if not isinstance(kind, str)]
-        except ValueError:
-            raise DataError(f"{path}:{pos}: bad {keyword} line {line!r}") from None
-
-    def tree():
-        """The next tree: node lines up to the first where leaves outnumber splits."""
-        feature, value, leaves = [], [], 0
-        while 2 * leaves <= len(feature):
-            line = take()
-            try:
-                kind, word = line.split()
-                if kind not in ("leaf", "split"):
-                    raise ValueError(kind)
-                leaf = kind == "leaf"
-                f, v = (-1, _finite(word)) if leaf else (int(word), 0.0)
-            except ValueError:
-                raise DataError(f"{path}:{pos}: bad node line {line!r}") from None
-            if not leaf and not 0 <= f < n_features:
-                raise DataError(
-                    f"{path}:{pos}: split feature {f} outside 0..{n_features - 1}"
-                )
-            leaves += leaf
-            feature.append(f)
-            value.append(v)
-        return RegressionTree(feature, value)
-
-    if take(MODEL_MAGIC.split()[0]) != MODEL_MAGIC:
-        raise DataError(f"{path}:1: unsupported model version")
-    [learning_rate] = fields("learning_rate", _positive)
-    [n_features] = fields("n_features", _count)
-    [n_classes] = fields("n_classes", _checked(int, lambda n: n >= 1))
-    classes = []
-    for _ in range(n_classes):
-        name = take("class")[len("class "):]
-        if name in classes:
-            raise DataError(f"{path}:{pos}: bad class line: class {name!r} repeats")
-        classes.append(name)
-    priors = np.array([fields("prior", _finite)[0] for _ in range(n_classes)])
-    trees = []
-    for k in range(n_classes):
-        index, ntrees = fields("ensemble", int, "trees", _count)
-        if index != k:
-            raise DataError(f"{path}:{pos}: ensembles out of order")
-        trees.append([tree() for _ in range(ntrees)])
-    if pos < len(lines):
-        raise DataError(
-            f"{path}:{pos + 1}: unexpected line after the last ensemble"
-        )
-    return TreeEnsemble(
-        classes=classes,
-        priors=priors,
-        learning_rate=learning_rate,
-        n_features=n_features,
-        trees=trees,
-    )

@@ -348,9 +348,10 @@ class TestFlattenCover:
 
 
 class TestRunBenchmark:
-    def run(self, tmp_path, out_name, extra="", force=False, jobs=None):
+    def run(self, tmp_path, out_name, extra="", force=False, jobs=None, folds=2):
         _, edge_path, attr_path = two_clique_dataset(tmp_path)
         text = bench_config_text(edge_path, attr_path, tmp_path / out_name, extra)
+        text = text.replace("folds-evaluated 2", f"folds-evaluated {folds}")
         if jobs is not None:
             text += f"jobs {jobs}\n"
         config = parse_config(write_config(tmp_path, text, name=f"{out_name}.cfg"))
@@ -401,6 +402,20 @@ class TestRunBenchmark:
         (tmp_path / "out" / name).write_text(text)
         with pytest.raises(DataError, match=message):
             self.run(tmp_path, "out")
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    def test_resume_recomputes_cells_of_other_folds(self, tmp_path, caplog, folds):
+        # cells cached for 2 folds neither serve nor break a run of another count
+        self.run(tmp_path, "out")
+        self.run(tmp_path, "fresh", folds=folds)
+        with caplog.at_level("WARNING", logger="commbench.bench"):
+            _, report = self.run(tmp_path, "out", folds=folds)
+        assert [r[3] for r in report.records] == list(range(folds))
+        assert "twoclique__flat__block.csv: recomputing" in caplog.text
+        for name in ("report.csv", "cells/twoclique__flat__block.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "fresh" / name
+            ).read_bytes()
 
     def test_resume_never_builds_adjacency(self, tmp_path, monkeypatch):
         # cells are built from cover files, which need labels but no neighbours

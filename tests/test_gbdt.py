@@ -1,4 +1,4 @@
-"""Boosted-tree trainer: splits, leaves, determinism, model file round-trip."""
+"""Boosted-tree trainer: splits, leaves, determinism, pinned trees."""
 
 import hashlib
 import math
@@ -12,14 +12,11 @@ from commbench import (
     GBDTParams,
     LabeledDataset,
     TreeEnsemble,
-    load_model,
-    save_model,
     train_gbdt,
 )
 from commbench import gbdt
 from commbench.gbdt import (
     LEAF_CLIP,
-    MODEL_MAGIC,
     RegressionTree,
     fit_regression_tree,
     seed_entropy,
@@ -54,6 +51,26 @@ def pinned_model():
     labels = [str(v) for v in np.random.default_rng(11).integers(0, 4, len(X))]
     params = GBDTParams(n_trees=25, subsample=0.6, min_samples_split=2, seed=3)
     return train_gbdt(dataset_from(X, labels), params)
+
+
+def model_arrays(model):
+    """Every tree's raw feature (as int64) and value bytes, in class then tree
+    order, then the priors: equal for two models exactly when their trees and
+    priors are equal bit for bit."""
+    parts = [
+        part
+        for sequence in model.trees
+        for tree in sequence
+        for part in (tree.feature.astype(np.int64).tobytes(), tree.value.tobytes())
+    ]
+    return parts + [model.priors.tobytes()]
+
+
+def model_digest(model):
+    digest = hashlib.sha256()
+    for part in model_arrays(model):
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def binary_feature_data(rows_per_class=20):
@@ -153,39 +170,36 @@ class TestTraining:
             for tree in sequence:
                 assert tree.feature == [-1]
 
-    def test_same_seed_same_model_bytes(self, tmp_path):
+    def test_same_seed_same_model_bytes(self):
         data = binary_feature_data()
         params = GBDTParams(n_trees=12, subsample=0.5, seed=42)
-        a, b = tmp_path / "a.model", tmp_path / "b.model"
-        save_model(train_gbdt(data, params), a)
-        save_model(train_gbdt(data, params), b)
-        assert a.read_bytes() == b.read_bytes()
+        assert model_arrays(train_gbdt(data, params)) == model_arrays(
+            train_gbdt(data, params)
+        )
 
-    def test_model_bytes_are_pinned(self, tmp_path):
+    def test_tree_arrays_are_pinned(self):
         # numpy's exp and log differ in the last bit between its AVX-512 and
         # baseline x86-64 kernels, so each has its own digest; a change to
-        # either digest changes the trained model and needs a MODEL_MAGIC bump
-        save_model(pinned_model(), tmp_path / "m.model")
-        digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
-        assert digest in (
-            "9b881cd51d7161e4e68e52253000743ab5d874db267f6d9f713f2390549d810d",
-            "f88c2740387f0c4206ceefb2ec5d63cdba9c34a15c0b162d2d3403d658999aba",
+        # either digest changes the trained trees, and says why in CHANGES.md
+        assert model_digest(pinned_model()) in (
+            "9bddb005d291f85288c7b22499ab01f5c474bb553a15c2c761f1f1ed79b1ba72",
+            "c5799c883c0ddfd5445159553a23ffe1a4084ce1173075dd52c2574f94aed514",
         )
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
-    def test_feature_dtype_leaves_model_unchanged(self, tmp_path, dtype):
+    def test_feature_dtype_leaves_model_unchanged(self, dtype):
         X, _, _, _, _ = wide_tree_case(5)
         labels = [str(v) for v in np.random.default_rng(5).integers(0, 3, len(X))]
         params = GBDTParams(n_trees=4, subsample=0.6, min_samples_split=2, seed=1)
         model = train_gbdt(dataset_from(X, labels), params)
         typed = train_gbdt(dataset_from(X.astype(dtype), labels), params)
-        save_model(model, tmp_path / "float.model")
-        save_model(typed, tmp_path / "typed.model")
-        assert (tmp_path / "float.model").read_bytes() == (
-            tmp_path / "typed.model"
-        ).read_bytes()
-        scores = model.decision_scores(X)
-        assert np.array_equal(model.decision_scores(X.astype(dtype)), scores)
+        assert model_arrays(typed) == model_arrays(model)
+        # so both score every dtype's features alike, bit for bit
+        scores = model.decision_scores(X).tobytes()
+        for features in (X, X.astype(dtype)):
+            assert model.decision_scores(features).tobytes() == scores
+            assert typed.decision_scores(features).tobytes() == scores
+        assert typed.predict(X) == model.predict(X)
 
     def test_tie_split_prefers_lowest_feature(self):
         # two identical perfectly separating columns: gains tie exactly
@@ -357,21 +371,19 @@ class TestGrowerMatchesOracle:
 
 
 class TestWorkBound:
-    def test_chunked_training_matches_unchunked(self, tmp_path, monkeypatch):
+    def test_chunked_training_matches_unchunked(self, monkeypatch):
         # one class per group, one node per split-search block, one tree per
         # scoring step
         X, _, _, _, _ = wide_tree_case(3)
         labels = [str(v) for v in np.random.default_rng(3).integers(0, 4, len(X))]
         data = dataset_from(X, labels)
         params = GBDTParams(n_trees=5, subsample=0.7, min_samples_split=2, seed=9)
-        whole = tmp_path / "whole.model"
-        save_model(train_gbdt(data, params), whole)
-        whole_scores = load_model(whole).decision_scores(X)
+        whole = train_gbdt(data, params)
+        whole_scores = whole.decision_scores(X)
         monkeypatch.setattr(gbdt, "WORK_ELEMENTS", 16)
-        chunked = tmp_path / "chunked.model"
-        save_model(train_gbdt(data, params), chunked)
-        assert chunked.read_bytes() == whole.read_bytes()
-        assert np.array_equal(load_model(chunked).decision_scores(X), whole_scores)
+        chunked = train_gbdt(data, params)
+        assert model_arrays(chunked) == model_arrays(whole)
+        assert np.array_equal(chunked.decision_scores(X), whole_scores)
 
 
 class TestCountDraw:
@@ -508,151 +520,6 @@ class TestPrediction:
             model.predict(np.zeros((2, 3)))
         with pytest.raises(DataError, match="feature width mismatch"):
             model.predict(np.zeros(4))
-
-
-def model_text(tree_lines):
-    """A two-class model file whose class-0 ensemble holds two trees.
-
-    The first is a leaf on line 10; the second, tree_lines, starts on line 11
-    and ends only where its own node lines say.
-    """
-    return (
-        f"{MODEL_MAGIC}\nlearning_rate 0.1\nn_features 1\nn_classes 2\n"
-        "class a\nclass b\nprior -0.5\nprior -0.5\n"
-        "ensemble 0 trees 2\nleaf 0.0\n"
-        + "".join(line + "\n" for line in tree_lines)
-        + "ensemble 1 trees 0\n"
-    )
-
-
-class TestModelFile:
-    def test_round_trip_preserves_scores_exactly(self, tmp_path):
-        data = binary_feature_data()
-        model = train_gbdt(data, GBDTParams(n_trees=10, subsample=0.5, seed=3))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.classes == model.classes
-        assert back.n_features == model.n_features
-        assert back.learning_rate == model.learning_rate
-        assert np.array_equal(back.priors, model.priors)
-        grid = np.array([[0.0], [1.0]])
-        assert np.array_equal(back.decision_scores(grid), model.decision_scores(grid))
-        assert back.predict(data.features) == model.predict(data.features)
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.model"
-        for header in ("commbench-gbdt 99", "commbench-gbdt 5", "commbench-gbdt 3"):
-            path.write_text(model_text(["leaf 0.0"]).replace(MODEL_MAGIC, header))
-            with pytest.raises(DataError, match="bad.model:1: unsupported model version"):
-                load_model(path)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.model"
-        path.write_text("something else\n")
-        with pytest.raises(DataError, match="expected"):
-            load_model(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        data = binary_feature_data(rows_per_class=5)
-        model = train_gbdt(data, GBDTParams(n_trees=2, subsample=1.0))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(DataError, match="expected"):
-            load_model(path)
-
-    def test_bad_node_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.model"
-        path.write_text(
-            f"{MODEL_MAGIC}\n"
-            "learning_rate 0.1\n"
-            "n_features 1\n"
-            "n_classes 2\n"
-            "class a\nclass b\n"
-            "prior -0.5\nprior -0.5\n"
-            "ensemble 0 trees 1\n"
-            "branch 0\n"
-        )
-        with pytest.raises(DataError, match="bad node line"):
-            load_model(path)
-
-    @pytest.mark.parametrize(
-        "tree_lines, line, message",
-        [
-            # a split's missing children: the next ensemble line is read as one
-            (["split 0"], 12, "bad node line 'ensemble 1 trees 0'"),
-            (["split 0", "split 0", "leaf 0.0"], 14, "bad node line"),
-            (["split 0", "leaf 0.0", "split 0", "leaf 0.0"], 15, "bad node line"),
-            (["split 0 0.5 1 2", "leaf 0.0", "leaf 0.0"], 11, "bad node line"),
-            (["split 7", "leaf 0.0", "leaf 0.0"], 11, "feature 7 outside 0..0"),
-            (["split -1", "leaf 0.0", "leaf 0.0"], 11, "feature -1 outside"),
-            # the tree ends at its second leaf, so a third is read as an ensemble
-            (["split 0", "leaf 0.0", "leaf 0.0", "leaf 0.0"], 14, "bad ensemble line"),
-        ],
-    )
-    def test_bad_split_rejected(self, tmp_path, tree_lines, line, message):
-        path = tmp_path / "bad.model"
-        path.write_text(model_text(tree_lines))
-        with pytest.raises(DataError, match=f"bad.model:{line}: .*{message}"):
-            load_model(path)
-
-    def test_trailing_lines_rejected(self, tmp_path):
-        path = tmp_path / "bad.model"
-        path.write_text(model_text(["leaf 0.0"]) + "leaf 1.0\n")
-        with pytest.raises(DataError, match="bad.model:13: unexpected line"):
-            load_model(path)
-
-    @pytest.mark.parametrize(
-        "line, text, prefix",
-        [
-            (2, "learning_rate x", "learning_rate"),
-            (3, "n_features x", "n_features"),
-            (4, "n_classes", "n_classes"),
-            (7, "prior -0.5x", "prior"),
-            (9, "ensemble 0 trees", "ensemble"),
-            (3, "n_features 1 2", "n_features"),
-            (5, "classy", "class"),
-            (9, "ensembles 0 trees 1", "ensemble"),
-            (9, "ensemble 0 tree 1", "ensemble"),
-            # values the trainer never writes
-            (2, "learning_rate nan", "learning_rate"),
-            (2, "learning_rate inf", "learning_rate"),
-            (2, "learning_rate 0.0", "learning_rate"),
-            (2, "learning_rate -0.1", "learning_rate"),
-            (3, "n_features -3", "n_features"),
-            (4, "n_classes 0", "n_classes"),
-            (4, "n_classes -1", "n_classes"),
-            (6, "class a", "class"),
-            (7, "prior inf", "prior"),
-            (7, "prior nan", "prior"),
-            (9, "ensemble 0 trees -1", "ensemble"),
-        ],
-    )
-    def test_bad_header_value_rejected(self, tmp_path, line, text, prefix):
-        lines = model_text(["leaf 0.0"]).splitlines()
-        lines[line - 1] = text
-        path = tmp_path / "bad.model"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"bad.model:{line}: bad {prefix} line"):
-            load_model(path)
-
-    def test_ensembles_out_of_order_rejected(self, tmp_path):
-        path = tmp_path / "bad.model"
-        path.write_text(model_text(["leaf 0.0"]).replace("ensemble 0", "ensemble 1", 1))
-        with pytest.raises(DataError, match="bad.model:9: ensembles out of order"):
-            load_model(path)
-
-    @pytest.mark.parametrize(
-        "node_line",
-        ["leaf", "leaf x", "split 0 0.5 1", "split a b c d", "leaf nan", "leaf -inf"],
-    )
-    def test_malformed_node_rejected(self, tmp_path, node_line):
-        path = tmp_path / "bad.model"
-        path.write_text(model_text([node_line, "leaf 0.0", "leaf 0.0"]))
-        with pytest.raises(DataError, match="bad.model:11: bad node line"):
-            load_model(path)
 
 
 class TestHelpers:
