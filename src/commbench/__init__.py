@@ -26,8 +26,8 @@ from .covers import (
     write_cover,
 )
 from .detectors import detect_cover
-from .detectors.louvain import LouvainResult, louvain, parameterized_modularity
-from .detectors.gce import gce, maximal_cliques
+from .detectors.louvain import louvain, parameterized_modularity
+from .detectors.gce import maximal_cliques
 from .detectors.linkclust import Dendrogram, cut_link_dendrogram, edge_similarity, link_clustering
 from .coverops import (
     AssignmentMatrix,
@@ -79,7 +79,6 @@ __all__ = [
     "GBDTParams",
     "Graph",
     "LabeledDataset",
-    "LouvainResult",
     "MISSING",
     "MethodSpec",
     "Partition",
@@ -98,7 +97,6 @@ __all__ = [
     "detect_cover",
     "edge_similarity",
     "flatten_cover",
-    "gce",
     "generate_planted",
     "import_cover",
     "induced_subgraph",

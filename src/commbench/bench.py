@@ -8,7 +8,8 @@ cell's fold rows are written atomically to a file of their own, and covers
 are persisted per (network, method) the same way, so an interrupted run
 resumes by skipping completed cells (unless forced). A cell file is reused
 only when its rows are exactly the folds the config evaluates, in order;
-otherwise the cell is recomputed. Every run reads each cover file back and
+otherwise the cell is recomputed. A failed cell or cover leaves no file, so a
+resume computes it again. Every run reads each cover file back and
 computes its statistics and every missing cell from it, so a dataset or
 cover that cannot be read fails all its cells, cached ones too.
 The final report is a deterministic fold over the cell rows, so a finished
@@ -321,6 +322,12 @@ def _atomic_write(path, text):
         raise
 
 
+def _unlink(path):
+    """Remove a file if present; a directory squatting on the name stays."""
+    with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+        path.unlink()
+
+
 def _record_line(record):
     """One network,method,attribute,fold,accuracy CSV line, without its newline."""
     network, method, attribute, fold, accuracy = record
@@ -404,6 +411,7 @@ def run_benchmark(config, force=False):
                 cover = import_cover(cover_path, graph)
             except (CommbenchError, OSError, ValueError) as exc:
                 log.error("method %s on %s failed: %s", method.name, net_name, exc)
+                _unlink(cover_path)
                 failures.extend(
                     (net_name, method.name, attribute, f"detect: {exc}")
                     for attribute in config.attributes
@@ -445,6 +453,9 @@ def run_benchmark(config, force=False):
                 _write_cell(path, rows)
                 records.extend(rows)
 
+    # a resume must not serve a file its cell failed to reproduce
+    for cell in failures:
+        _unlink(_cell_path(out, *cell[:3]))
     if failures and len(failures) >= total_cells:
         raise AllCellsFailedError(f"all {total_cells} benchmark cells failed")
     records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
@@ -476,12 +487,15 @@ def _write_report(out, config, records, stats, summary, histograms, failures):
     for (network, method), st in sorted(stats.items()):
         lines.append(f"{network}\t{method}\t{format_cover_stats(st)}")
     _atomic_write(out / "stats.tsv", "\n".join(lines) + "\n")
+    written = set()
     for (method, attribute), bins in sorted(histograms.items()):
         body = "\n".join(f"{b} {c}" for b, c in bins.items())
-        _atomic_write(
-            out / "hist" / f"{_safe(method)}__{_safe(attribute)}.txt",
-            body + ("\n" if body else ""),
-        )
+        path = out / "hist" / f"{_safe(method)}__{_safe(attribute)}.txt"
+        _atomic_write(path, body + ("\n" if body else ""))
+        written.add(path)
+    for path in (out / "hist").glob("*.txt"):
+        if path not in written:
+            _unlink(path)
     lines = []
     for network, method, attribute, message in failures:
         clean = " ".join(str(message).split())

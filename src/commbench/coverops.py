@@ -4,7 +4,7 @@ These operations treat covers as data and never touch the detectors, so
 externally imported covers flow through identically. Dedup and combine are
 deterministic set-level operations: candidates are processed ascending by
 (size, sorted member list), which also makes combine independent of input
-order.
+order. Exact duplicates are left to Cover, which keeps one of each.
 """
 
 from __future__ import annotations
@@ -63,19 +63,13 @@ def dedup(cover, epsilon=DEDUP_EPSILON):
         retained.append(community)
         for v in community:
             containing[v].append(rid)
-    provenance = (
-        f"{cover.provenance}+dedup({epsilon:g})"
-        if cover.provenance
-        else f"dedup({epsilon:g})"
-    )
-    return Cover(cover.n, retained, provenance=provenance)
+    return Cover(cover.n, retained)
 
 
 def combine_runs(covers):
     """Pool covers over one universe: exact dedupe, then dedup(0.5).
 
-    The output is independent of the input cover order; provenance tags are
-    concatenated in first-seen order for the human-readable trail.
+    The output is independent of the input cover order.
     """
     if not covers:
         raise DataError("no covers to combine")
@@ -83,14 +77,8 @@ def combine_runs(covers):
     for c in covers:
         if c.n != n:
             raise DataError("covers span different node universes")
-    distinct = set()
-    for c in covers:
-        distinct.update(c.communities)
-    tags = []
-    for c in covers:
-        if c.provenance and c.provenance not in tags:
-            tags.append(c.provenance)
-    return dedup(Cover(n, distinct, provenance="+".join(tags)), DEDUP_EPSILON)
+    pooled = Cover(n, (fs for c in covers for fs in c.communities))
+    return dedup(pooled, DEDUP_EPSILON)
 
 
 @dataclass

@@ -4,6 +4,9 @@ A cover is an ordered list of node communities that may overlap. A partition
 assigns every node to exactly one community (indices are normalized to a
 dense 0..c-1 range, so two partitions with the same grouping compare equal).
 
+A Cover holds only its communities: it keeps the first occurrence of each
+distinct node set, so every producer can hand it duplicates.
+
 This module owns the cover text format, writer and reader both. The writer
 emits a canonical ordering - communities sorted by size then by their sorted
 member-label list - so detector output is byte-stable run to run, and
@@ -63,14 +66,13 @@ class Partition:
 class Cover:
     """Overlapping community list over a fixed node universe 0..n-1.
 
-    Communities are non-empty frozensets; exact duplicates are rejected at
-    construction (producers de-duplicate first). The provenance tag records
-    which detector/parameters produced the cover.
+    Communities are non-empty frozensets in the order given; of exact
+    duplicates only the first occurrence is kept.
     """
 
-    __slots__ = ("n", "communities", "provenance")
+    __slots__ = ("n", "communities")
 
-    def __init__(self, n, communities, provenance=""):
+    def __init__(self, n, communities):
         self.n = int(n)
         if self.n <= 0:
             raise DataError("cover universe must contain at least one node")
@@ -78,6 +80,8 @@ class Cover:
         seen = set()
         for c in communities:
             fs = frozenset(c)
+            if fs in seen:
+                continue
             if not fs:
                 raise DataError("cover contains an empty community")
             for v in fs:
@@ -85,12 +89,9 @@ class Cover:
                     raise DataError(
                         f"community member {v} outside universe 0..{self.n - 1}"
                     )
-            if fs in seen:
-                raise DataError("cover contains exact-duplicate communities")
             seen.add(fs)
             comms.append(fs)
         self.communities = comms
-        self.provenance = provenance
 
     def __len__(self):
         return len(self.communities)
@@ -99,19 +100,7 @@ class Cover:
         return iter(self.communities)
 
     def __repr__(self):
-        return f"Cover(n={self.n}, communities={len(self.communities)}, provenance={self.provenance!r})"
-
-
-def dedupe_exact(communities):
-    """Drop exact-duplicate node sets, keeping first occurrences in order."""
-    seen = set()
-    out = []
-    for c in communities:
-        fs = frozenset(c)
-        if fs not in seen:
-            seen.add(fs)
-            out.append(fs)
-    return out
+        return f"Cover(n={self.n}, communities={len(self.communities)})"
 
 
 def serialize_cover(cover, graph):
@@ -135,8 +124,6 @@ def import_cover(path, graph):
     to feed downstream stages a cover with zero communities).
     """
     communities = []
-    seen = set()
-    dropped = 0
     any_line = False
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -152,16 +139,16 @@ def import_cover(path, graph):
                     members.add(graph.index_of(lab))
                 except DataError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-            fs = frozenset(members)
-            if fs in seen:
-                dropped += 1
-                continue
-            seen.add(fs)
-            communities.append(fs)
+            communities.append(members)
     if not any_line:
         raise DataError(f"{path}: empty cover file")
-    if dropped:
-        log.warning("%s: dropped %d exact-duplicate communities", path, dropped)
-    if not communities:
+    cover = Cover(graph.n, communities)
+    if len(communities) > len(cover):
+        log.warning(
+            "%s: dropped %d exact-duplicate communities",
+            path,
+            len(communities) - len(cover),
+        )
+    if not cover.communities:
         log.warning("%s: imported cover has zero communities", path)
-    return Cover(graph.n, communities, provenance=f"import({path})")
+    return cover

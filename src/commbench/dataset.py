@@ -22,7 +22,6 @@ class LabeledDataset:
     features: np.ndarray  # (rows, columns) uint8, each 0 or 1
     labels: np.ndarray  # (rows,) int class indices
     classes: list  # class vocabulary, sorted
-    rows: list  # node index per dataset row
 
 
 def build_dataset(matrix, attrs, attribute):
@@ -37,7 +36,7 @@ def build_dataset(matrix, attrs, attribute):
     class_index = {c: k for k, c in enumerate(classes)}
     features = matrix.matrix[keep]
     labels = np.array([class_index[column[i]] for i in keep], dtype=np.int64)
-    return LabeledDataset(features, labels, classes, keep)
+    return LabeledDataset(features, labels, classes)
 
 
 def stratified_folds(labels, k, seed):
@@ -53,15 +52,9 @@ def stratified_folds(labels, k, seed):
 
 
 def _subset(data, rows):
-    labels = [data.classes[t] for t in data.labels[rows]]
-    classes = sorted(set(labels))
-    class_index = {c: k for k, c in enumerate(classes)}
-    return LabeledDataset(
-        features=data.features[rows],
-        labels=np.array([class_index[c] for c in labels], dtype=np.int64),
-        classes=classes,
-        rows=[data.rows[int(r)] for r in rows],
-    )
+    present, labels = np.unique(data.labels[rows], return_inverse=True)
+    classes = [data.classes[t] for t in present]
+    return LabeledDataset(data.features[rows], labels, classes)
 
 
 def fold_seed(seed, fold):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..covers import Cover
 from ..errors import ConfigError
-from .gce import _check_alpha, gce, gce_sweep, maximal_cliques
+from .gce import _check_alpha, gce_sweep, maximal_cliques
 from .linkclust import (
     _check_threshold,
     cut_link_dendrogram,
@@ -21,15 +21,13 @@ from .linkclust import (
     link_clustering,
     sweep_link_dendrogram,
 )
-from .louvain import LouvainResult, _check_markov_time, louvain, parameterized_modularity
+from .louvain import _check_markov_time, louvain, parameterized_modularity
 
 __all__ = [
     "DETECTORS",
     "detect_cover",
     "louvain",
     "parameterized_modularity",
-    "LouvainResult",
-    "gce",
     "maximal_cliques",
     "link_clustering",
     "cut_link_dendrogram",
@@ -69,15 +67,14 @@ class DetectorKind:
 
 
 def _louvain_cover(graph, t, multi_level=False):
-    result = louvain(graph, t, multi_level=multi_level)
-    if multi_level:
-        return result.cover
-    final = result.levels[-1]
-    return Cover(
-        graph.n,
-        [frozenset(c) for c in final.communities()],
-        provenance=f"louvain(t={t:g})",
-    )
+    """The final level's communities, or with multi_level every level's."""
+    levels = louvain(graph, t)
+    chosen = levels if multi_level else levels[-1:]
+    return Cover(graph.n, (c for p in chosen for c in p.communities()))
+
+
+def _gce_cover(graph, alpha):
+    return gce_sweep(graph, [alpha])[0]
 
 
 def _link_covers(graph, thresholds):
@@ -102,7 +99,7 @@ DETECTORS = {
         flags={"multi_level": "keep every aggregation level as a community"},
     ),
     "gce": DetectorKind(
-        run=gce,
+        run=_gce_cover,
         key="alpha",
         type=float,
         check=_check_alpha,

@@ -15,7 +15,7 @@ F. A finished candidate is discarded when its minimum-overlap distance
 Seeds are processed largest first (ties by member list), frontier ties go to
 the lowest node index, so the whole run is deterministic. ``gce_sweep``
 lists the seed cliques once and grows the same seeds for every alpha of a
-grid; ``gce`` is its one-alpha case.
+grid.
 
 An expansion step scores one frontier node per degree, not the whole
 frontier, while every value the fitness is computed from is an integer.
@@ -309,11 +309,6 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-def gce(graph, alpha):
-    """Detect overlapping communities by expanding maximal-clique seeds."""
-    return gce_sweep(graph, [alpha])[0]
-
-
 def gce_sweep(graph, alphas):
     """One cover per alpha, all grown from one clique enumeration."""
     for alpha in alphas:
@@ -335,5 +330,5 @@ def gce_sweep(graph, alphas):
             community = _expand(graph, seed, alpha, integer_degrees)
             if not _is_duplicate(community, accepted):
                 accepted.append(community)
-        covers.append(Cover(graph.n, accepted, provenance=f"gce(alpha={alpha:g})"))
+        covers.append(Cover(graph.n, accepted))
     return covers

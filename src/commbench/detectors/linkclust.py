@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..covers import Cover, dedupe_exact
+from ..covers import Cover
 from ..errors import DataError
 
 MIN_NODES = 4
@@ -375,9 +375,5 @@ def sweep_link_dendrogram(dendrogram, thresholds, graph):
             if community is None:
                 community = passing[root] = frozenset(nodes[root])
             communities.append(community)
-        covers[threshold_percent] = Cover(
-            graph.n,
-            dedupe_exact(communities),
-            provenance=f"linkcluster(threshold={threshold_percent})",
-        )
+        covers[threshold_percent] = Cover(graph.n, communities)
     return [covers[threshold_percent] for threshold_percent in thresholds]

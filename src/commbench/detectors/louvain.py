@@ -34,9 +34,7 @@ the one a scan of every node gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..covers import Cover, Partition, dedupe_exact
+from ..covers import Partition
 from ..errors import DataError
 from ..graph import build_meta_graph
 
@@ -141,19 +139,11 @@ def _one_level(graph, t):
     return comm, moved_any
 
 
-@dataclass
-class LouvainResult:
-    levels: list  # Partition per aggregation level over original nodes, coarsest last
-    cover: Cover | None  # union of all levels' communities when multi_level
-
-
-def louvain(graph, t, multi_level=False):
+def louvain(graph, t):
     """Run the multi-level heuristic at Markov time t; deterministic.
 
-    Returns every aggregation level as a partition of the original nodes
-    (coarsest last). With ``multi_level`` the result also carries a cover
-    holding the union of communities across all levels, exact duplicates
-    removed. A graph with no edges yields the all-singletons level.
+    Returns every aggregation level as a partition of the original nodes,
+    coarsest last. A graph with no edges yields the all-singletons level.
     """
     _check_markov_time(t)
     if graph.n == 0:
@@ -170,14 +160,4 @@ def louvain(graph, t, multi_level=False):
         if not moved:
             break
         current = build_meta_graph(current, level.communities())
-    cover = None
-    if multi_level:
-        comms = []
-        for p in levels:
-            comms.extend(frozenset(c) for c in p.communities())
-        cover = Cover(
-            graph.n,
-            dedupe_exact(comms),
-            provenance=f"louvain(t={t:g},multilevel)",
-        )
-    return LouvainResult(levels, cover)
+    return levels

@@ -420,9 +420,6 @@ class AttributeTable:
                 )
             self._columns[name] = col
 
-    def has(self, name):
-        return name in self._columns
-
     def column(self, name):
         try:
             return self._columns[name]
@@ -487,7 +484,8 @@ def induced_subgraph(graph, nodes):
         raise DataError(f"node {node_list[bad]} outside graph with {graph.n} nodes")
     pos = np.full(graph.n, -1, dtype=np.int64)
     pos[keep] = np.arange(len(keep))
-    # only the subset's own adjacency is read, so a small subset costs little
+    # reads only the subset's lists, but graph.adj builds every node's list
+    # on first use, so even a small subset pays for the whole graph's once
     lists = list(map(graph.adj.__getitem__, node_list))
     pairs = list(chain.from_iterable(lists))
     neighbour = np.fromiter(map(itemgetter(0), pairs), dtype=np.int64, count=len(pairs))

@@ -39,7 +39,7 @@ class BlockOrdering:
 def _within_block_order(graph, members, t):
     # members arrive in ascending index order
     sub, mapping = induced_subgraph(graph, members)
-    partition = louvain(sub, t).levels[-1]
+    partition = louvain(sub, t)[-1]
     groups = {}
     for local, comm in enumerate(partition.assignment):
         groups.setdefault(comm, []).append(mapping[local])
@@ -59,8 +59,6 @@ def order_adjacency(graph, attrs, attribute, t=1.0):
     The same Markov time t drives both the within-block and the block-level
     Louvain detections.
     """
-    if not attrs.has(attribute):
-        raise DataError(f"unknown attribute {attribute!r}")
     column = attrs.column(attribute)
     blocks = {}
     unlabeled = []
@@ -77,7 +75,7 @@ def order_adjacency(graph, attrs, attribute, t=1.0):
     within = {label: _within_block_order(graph, blocks[label], t) for label in block_labels}
 
     meta = build_meta_graph(graph, [blocks[label] for label in block_labels], labels=block_labels)
-    meta_partition = louvain(without_self_loops(meta), t).levels[-1]
+    meta_partition = louvain(without_self_loops(meta), t)[-1]
     meta_groups = {}
     for b, comm in enumerate(meta_partition.assignment):
         meta_groups.setdefault(comm, []).append(b)

@@ -113,13 +113,13 @@ def test_criterion_2_louvain_micro_optimality():
                     for assignment in enumerate_partitions(n)
                 )
                 result = louvain(graph, t)
-                achieved = parameterized_modularity(graph, result.levels[-1], t)
+                achieved = parameterized_modularity(graph, result[-1], t)
                 if abs(achieved - best) > 1e-12:
                     problems.append(
                         f"{name} t={t}: achieved {achieved!r}, exhaustive {best!r}"
                     )
         barbell = make_micro("barbell6")
-        high = louvain(barbell, 1.0).levels[-1]
+        high = louvain(barbell, 1.0)[-1]
         if abs(parameterized_modularity(barbell, high, 1.0) - 0.357142857) > 1e-9:
             problems.append("barbell6 r(1.0) off its two-triangle optimum")
         if {frozenset(c) for c in high.communities()} != {
@@ -127,7 +127,7 @@ def test_criterion_2_louvain_micro_optimality():
             frozenset({3, 4, 5}),
         }:
             problems.append("barbell6 t=1.0 argmax is not the two triangles")
-        low = louvain(barbell, 0.2).levels[-1]
+        low = louvain(barbell, 0.2)[-1]
         if abs(parameterized_modularity(barbell, low, 0.2) - 0.626530612) > 1e-9:
             problems.append("barbell6 r(0.2) off its all-singleton optimum")
         if low.n_communities != 6:
@@ -214,7 +214,6 @@ def _labeled(X, raw_labels):
         features=np.asarray(X, dtype=np.float64),
         labels=np.array([index[c] for c in raw_labels], dtype=np.int64),
         classes=classes,
-        rows=list(range(len(raw_labels))),
     )
 
 

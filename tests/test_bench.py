@@ -22,6 +22,7 @@ from commbench import (
     combine_runs,
     detect_cover,
     flatten_cover,
+    generate_planted,
     method_cover,
     parse_config,
     run_benchmark,
@@ -292,12 +293,15 @@ class TestDetectorTable:
         args = build_parser().parse_args([*command, "--method", name])
         assert getattr(args, DETECTORS[name].key) == DETECTORS[name].default
 
-    def test_detect_cover_runs_named_detector_at_value(self, barbell6, name):
+    def test_detect_cover_runs_named_detector_at_value(self, name):
+        # a graph on which every detector's cover at grid[0] differs from
+        # its cover at the default, so an ignored value shows
+        spec = PlantedPartitionSpec(n=60, groups=3, p_in=0.5, p_out=0.05, seed=1)
+        graph, _, _ = generate_planted(spec)
         kind = DETECTORS[name]
-        value = kind.grid[0]
-        assert value != kind.default
-        cover = detect_cover(barbell6, name, value)
-        assert cover.provenance == f"{name}({kind.key}={value:g})"
+        at_value = kind.run(graph, kind.grid[0]).communities
+        assert at_value != kind.run(graph, kind.default).communities
+        assert detect_cover(graph, name, kind.grid[0]).communities == at_value
 
     def test_detect_cover_refuses_flags_it_does_not_take(self, barbell6, name):
         kind = DETECTORS[name]
@@ -508,6 +512,46 @@ class TestRunBenchmark:
         assert report.failures[0][3].startswith("detect:")
         assert report.summary[("flat", "block")][0] == 1.0
         assert not list((tmp_path / "out").rglob("*.tmp"))
+
+    def fail_after_first_run(self, tmp_path):
+        """Run once cleanly, then break parity and the imported cover.
+
+        Returns the config, now failing the cells of (flat, parity) with
+        "no labeled rows" and both cells of the import method with detect.
+        """
+        _, edge_path, attr_path = two_clique_dataset(tmp_path)
+        source = tmp_path / "ext.txt"
+        source.write_text("0 1 2 3\n12 13 14 15\n")
+        extra = f"attribute parity\nmethod import ext path={source}\n"
+        text = bench_config_text(edge_path, attr_path, tmp_path / "out", extra)
+        config = parse_config(write_config(tmp_path, text))
+        assert run_benchmark(config).failures == []
+        rows = [f"{i}\t{i // 12}\t\n" for i in range(24)]
+        attr_path.write_text("node\tblock\tparity\n" + "".join(rows))
+        source.unlink()
+        return config
+
+    def test_resume_serves_no_file_of_a_failed_cell_or_cover(self, tmp_path):
+        config = self.fail_after_first_run(tmp_path)
+        failed = [
+            ("twoclique", "ext", "block"),
+            ("twoclique", "ext", "parity"),
+            ("twoclique", "flat", "parity"),
+        ]
+        for force in (True, False):
+            report = run_benchmark(config, force=force)
+            assert sorted(f[:3] for f in report.failures) == failed
+            assert list(report.summary) == [("flat", "block")]
+        out = tmp_path / "out"
+        assert [p.name for p in (out / "covers").iterdir()] == ["twoclique__flat.txt"]
+        assert [p.name for p in (out / "cells").iterdir()] == ["twoclique__flat__block.csv"]
+
+    def test_hist_holds_only_this_runs_pairs(self, tmp_path):
+        config = self.fail_after_first_run(tmp_path)
+        out = tmp_path / "out"
+        assert len(list((out / "hist").iterdir())) == 4
+        run_benchmark(config, force=True)
+        assert [p.name for p in (out / "hist").iterdir()] == ["flat__block.txt"]
 
     def test_parallel_run_matches_serial_bytes(self, tmp_path):
         # jobs is accepted and ignored: the same cells give the same bytes

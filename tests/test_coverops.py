@@ -21,7 +21,6 @@ from commbench import (
     serialize_cover,
     write_cover,
 )
-from commbench.covers import dedupe_exact
 from commbench.coverops import DEDUP_EPSILON, format_cover_stats
 from commbench import Graph
 from conftest import random_cover_communities, random_partition
@@ -76,19 +75,14 @@ class TestCover:
         with pytest.raises(DataError, match="outside universe"):
             Cover(3, [{0, 3}])
 
-    def test_rejects_exact_duplicates(self):
-        with pytest.raises(DataError, match="exact-duplicate"):
-            Cover(4, [{0, 1}, {1, 0}])
-
     def test_len_and_iteration(self):
-        c = Cover(5, [{0, 1}, {2, 3, 4}], provenance="x")
+        c = Cover(5, [{0, 1}, {2, 3, 4}])
         assert len(c) == 2
         assert list(c) == [frozenset({0, 1}), frozenset({2, 3, 4})]
-        assert c.provenance == "x"
 
     def test_dedupe_exact_keeps_first_occurrence(self):
-        out = dedupe_exact([{1, 2}, {3}, {2, 1}, {3}, {4}])
-        assert out == [frozenset({1, 2}), frozenset({3}), frozenset({4})]
+        c = Cover(5, [{1, 2}, {3}, {2, 1}, {3}, {4}])
+        assert c.communities == [frozenset({1, 2}), frozenset({3}), frozenset({4})]
 
 
 class TestCoverSerialization:
@@ -110,7 +104,6 @@ class TestCoverSerialization:
         write_cover(cover, g, path)
         back = import_cover(path, g)
         assert set(back.communities) == set(cover.communities)
-        assert back.provenance == f"import({path})"
 
 
 class TestImportCover:
@@ -141,11 +134,11 @@ class TestImportCover:
     def test_duplicate_lines_dropped_with_warning(self, tmp_path, caplog):
         g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
         path = tmp_path / "dup.txt"
-        path.write_text("a b\nb a\nc\n")
+        path.write_text("a b\nb a\nc\n# note\na  b\n")
         with caplog.at_level(logging.WARNING, logger="commbench.covers"):
             cover = import_cover(path, g)
-        assert len(cover) == 2
-        assert "duplicate" in caplog.text
+        assert cover.communities == [frozenset({0, 1}), frozenset({2})]
+        assert "dup.txt: dropped 2 exact-duplicate communities" in caplog.text
 
 
 class TestDedup:
@@ -171,12 +164,6 @@ class TestDedup:
             with pytest.raises(ValueError, match="epsilon"):
                 dedup(cover, eps)
         assert len(dedup(cover, 0.999)) == 1
-
-    def test_provenance_tagged(self):
-        tagged = dedup(Cover(3, [{0}], provenance="gce(alpha=1.5)"))
-        assert tagged.provenance == "gce(alpha=1.5)+dedup(0.5)"
-        bare = dedup(Cover(3, [{0}]))
-        assert bare.provenance == "dedup(0.5)"
 
     def test_postcondition_and_idempotence_on_random_covers(self, rng):
         for _ in range(100):
@@ -210,15 +197,10 @@ class TestCombineRuns:
             combine_runs([Cover(3, [{0}]), Cover(4, [{0}])])
 
     def test_exact_duplicates_across_runs_collapse(self):
-        a = Cover(6, [{0, 1, 2}], provenance="a")
-        b = Cover(6, [{0, 1, 2}, {3, 4, 5}], provenance="b")
+        a = Cover(6, [{0, 1, 2}])
+        b = Cover(6, [{0, 1, 2}, {3, 4, 5}])
         out = combine_runs([a, b])
         assert set(out.communities) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
-
-    def test_provenance_joins_first_seen_tags(self):
-        a = Cover(4, [{0, 1}], provenance="runA")
-        b = Cover(4, [{2, 3}], provenance="runB")
-        assert combine_runs([a, b]).provenance == "runA+runB+dedup(0.5)"
 
     def test_near_duplicates_across_runs_dropped(self):
         a = Cover(6, [{0, 1, 2, 3}])
@@ -230,8 +212,8 @@ class TestCombineRuns:
         for _ in range(40):
             n = rng.randint(4, 12)
             covers = [
-                Cover(n, random_cover_communities(rng, n), provenance=f"r{i}")
-                for i in range(rng.randint(2, 4))
+                Cover(n, random_cover_communities(rng, n))
+                for _ in range(rng.randint(2, 4))
             ]
             baseline = combine_runs(covers).communities
             shuffled = covers[:]

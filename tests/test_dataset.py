@@ -31,7 +31,6 @@ class TestBuildDataset:
         matrix = assignment_matrix(Cover(4, [{0, 1}, {2, 3}]))
         attrs = table(4, color=["red", MISSING, "blue", "red"])
         data = build_dataset(matrix, attrs, "color")
-        assert data.rows == [0, 2, 3]
         assert data.classes == ["blue", "red"]
         assert data.labels.tolist() == [1, 0, 1]
         assert data.features.dtype == np.uint8
@@ -97,7 +96,7 @@ class TestStratifiedFolds:
 def separable_data(n_per_class=15):
     X = np.array([[0.0]] * n_per_class + [[1.0]] * n_per_class)
     labels = np.array([0] * n_per_class + [1] * n_per_class, dtype=np.int64)
-    return LabeledDataset(X, labels, classes=["no", "yes"], rows=list(range(2 * n_per_class)))
+    return LabeledDataset(X, labels, classes=["no", "yes"])
 
 
 class TestCrossValidate:
@@ -117,9 +116,7 @@ class TestCrossValidate:
         # no split is possible, so every test row gets the same prediction;
         # accuracy must equal the majority-class share of the test fold
         labels = np.array([0] * 20 + [1] * 10, dtype=np.int64)
-        data = LabeledDataset(
-            np.zeros((30, 2)), labels, classes=["maj", "min"], rows=list(range(30))
-        )
+        data = LabeledDataset(np.zeros((30, 2)), labels, classes=["maj", "min"])
         params = GBDTParams(n_trees=5, subsample=1.0)
         folds = stratified_folds(labels, 3, seed=params.seed)
         got = cross_validate(data, params, k=3, folds_evaluated=1)

@@ -41,7 +41,6 @@ def dataset_from(X, raw_labels):
         features=np.asarray(X),
         labels=np.array([index[c] for c in raw_labels], dtype=np.int64),
         classes=classes,
-        rows=list(range(len(raw_labels))),
     )
 
 
@@ -118,7 +117,6 @@ class TestTraining:
             features=np.zeros((0, 2)),
             labels=np.zeros(0, dtype=np.int64),
             classes=["a", "b"],
-            rows=[],
         )
         with pytest.raises(DataError, match="empty dataset"):
             train_gbdt(data, FAST)

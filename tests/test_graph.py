@@ -223,7 +223,6 @@ class TestAttributeTable:
         assert attrs.names == ["dorm", "year"]
         assert attrs.column("dorm") == ["A", "B", MISSING, MISSING, MISSING, MISSING]
         assert attrs.column("year") == ["1930", MISSING, MISSING, "1931", MISSING, MISSING]
-        assert attrs.has("dorm") and not attrs.has("house")
 
     def test_unknown_label_errors_with_line(self, tmp_path, barbell6):
         path = self.write(tmp_path, "id\tdorm\n9\tA\n")

@@ -24,7 +24,6 @@ from commbench import (
     link_clustering,
     method_cover,
 )
-from commbench.covers import dedupe_exact
 from commbench.detectors import linkclust
 from commbench.detectors.linkclust import sweep_link_dendrogram
 from conftest import four_group_spec, random_graph
@@ -266,7 +265,6 @@ class TestCutCover:
         assert cut_link_dendrogram(dend, 50, barbell6).communities == []
         full = cut_link_dendrogram(dend, 90, barbell6)
         assert full.communities == [frozenset(range(6))]
-        assert full.provenance == "linkcluster(threshold=90)"
 
     def test_threshold_validation(self, barbell6):
         dend = link_clustering(barbell6)
@@ -305,11 +303,7 @@ def cut_cover(dendrogram, threshold_percent, graph):
         nodes = {v for eid in leaf_ids for v in dendrogram.leaves[eid]}
         if len(leaf_ids) >= 3 and len(nodes) >= 4:
             communities.append(frozenset(nodes))
-    return Cover(
-        graph.n,
-        dedupe_exact(communities),
-        provenance=f"linkcluster(threshold={threshold_percent})",
-    )
+    return Cover(graph.n, dict.fromkeys(communities))
 
 
 class TestSweep:
@@ -331,27 +325,20 @@ class TestSweep:
         for t, got in zip(grid, sweep_link_dendrogram(dend, grid, graph)):
             want = cut_cover(dend, t, graph)
             assert got.communities == want.communities, t  # same order too
-            assert got.provenance == want.provenance
 
     def test_unsorted_repeated_grid(self):
         graph = self.CASES[-1][1]
         dend = link_clustering(graph)
-        covers = sweep_link_dendrogram(dend, [50, 10, 50], graph)
-        assert [c.provenance for c in covers] == [
-            "linkcluster(threshold=50)",
-            "linkcluster(threshold=10)",
-            "linkcluster(threshold=50)",
-        ]
+        covers = sweep_link_dendrogram(dend, [80, 70, 80], graph)
+        want = [cut_cover(dend, t, graph).communities for t in (80, 70, 80)]
+        assert want[0] != want[1]
+        assert [c.communities for c in covers] == want
         pooled = method_cover(
             graph,
-            MethodSpec("m", "linkcluster-sweep", {"thresholds": (50, 10, 50), "dedup": False}),
+            MethodSpec("m", "linkcluster-sweep", {"thresholds": (80, 70, 80), "dedup": False}),
         )
-        want = combine_runs([cut_cover(dend, t, graph) for t in (50, 10, 50)])
+        want = combine_runs([cut_cover(dend, t, graph) for t in (80, 70, 80)])
         assert pooled.communities == want.communities
-        assert pooled.provenance == want.provenance
-        assert pooled.provenance.startswith(
-            "linkcluster(threshold=50)+linkcluster(threshold=10)"
-        )
 
     def test_one_threshold_is_the_cut(self):
         # a lone threshold starts the walk from scratch, with no lower heights
@@ -364,7 +351,6 @@ class TestSweep:
                     cut_link_dendrogram(dend, t, graph),
                 ):
                     assert got.communities == want.communities, (name, t)
-                    assert got.provenance == want.provenance
 
     def test_redundant_merges_are_skipped(self):
         # a hand-built forest may join two leaves already in one cluster

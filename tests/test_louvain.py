@@ -5,11 +5,13 @@ import random
 import pytest
 
 from commbench import (
-    Cover,
     DataError,
     Graph,
     Partition,
+    PlantedPartitionSpec,
     build_meta_graph,
+    detect_cover,
+    generate_planted,
     parameterized_modularity,
 )
 from commbench.detectors.louvain import _one_level, louvain
@@ -33,16 +35,16 @@ class TestMicroOptimality:
                 parameterized_modularity(g, Partition(a), t)
                 for a in enumerate_partitions(g.n)
             )
-            got = parameterized_modularity(g, louvain(g, t).levels[-1], t)
+            got = parameterized_modularity(g, louvain(g, t)[-1], t)
             assert got == pytest.approx(best, abs=1e-12), (name, t)
 
     def test_barbell_argmax_structures(self, barbell6):
-        final = louvain(barbell6, 1.0).levels[-1]
+        final = louvain(barbell6, 1.0)[-1]
         assert set(map(frozenset, final.communities())) == {
             frozenset({0, 1, 2}),
             frozenset({3, 4, 5}),
         }
-        fine = louvain(barbell6, 0.2).levels[-1]
+        fine = louvain(barbell6, 0.2)[-1]
         assert fine.n_communities == 6
 
 
@@ -50,15 +52,14 @@ class TestDeterminismAndStructure:
     def test_repeat_runs_identical(self, barbell6):
         a = louvain(barbell6, 1.0)
         b = louvain(barbell6, 1.0)
-        assert [p.assignment for p in a.levels] == [p.assignment for p in b.levels]
-        assert [parameterized_modularity(barbell6, p, 1.0) for p in a.levels] == [
-            parameterized_modularity(barbell6, p, 1.0) for p in b.levels
+        assert [p.assignment for p in a] == [p.assignment for p in b]
+        assert [parameterized_modularity(barbell6, p, 1.0) for p in a] == [
+            parameterized_modularity(barbell6, p, 1.0) for p in b
         ]
 
     def test_levels_project_to_original_nodes(self):
         g = make_micro("kite7")
-        res = louvain(g, 1.0)
-        for level in res.levels:
+        for level in louvain(g, 1.0):
             assert len(level.assignment) == g.n
 
     def test_objectives_non_decreasing(self):
@@ -67,15 +68,15 @@ class TestDeterminismAndStructure:
             for t in (0.2, 0.5, 1.0):
                 obj = [
                     parameterized_modularity(g, level, t)
-                    for level in louvain(g, t).levels
+                    for level in louvain(g, t)
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(obj, obj[1:]))
 
     def test_coarser_levels_nest(self):
         # every later-level community is a union of earlier-level communities
         g = make_micro("kite7")
-        res = louvain(g, 1.0)
-        for fine, coarse in zip(res.levels, res.levels[1:]):
+        levels = louvain(g, 1.0)
+        for fine, coarse in zip(levels, levels[1:]):
             fine_of = {}
             for v in range(g.n):
                 fine_of.setdefault(coarse.assignment[v], set()).add(fine.assignment[v])
@@ -84,10 +85,10 @@ class TestDeterminismAndStructure:
 
     def test_edgeless_graph_single_singleton_level(self):
         g = Graph(["a", "b", "c"], [])
-        res = louvain(g, 0.5)
-        assert len(res.levels) == 1
-        assert res.levels[-1].n_communities == 3
-        assert [parameterized_modularity(g, p, 0.5) for p in res.levels] == [0.5]
+        levels = louvain(g, 0.5)
+        assert len(levels) == 1
+        assert levels[-1].n_communities == 3
+        assert [parameterized_modularity(g, p, 0.5) for p in levels] == [0.5]
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError, match="empty graph"):
@@ -95,7 +96,7 @@ class TestDeterminismAndStructure:
 
     def test_disjoint_components_never_merge_at_full_time(self):
         g = make_micro("twotri")
-        final = louvain(g, 1.0).levels[-1]
+        final = louvain(g, 1.0)[-1]
         assert set(map(frozenset, final.communities())) == {
             frozenset({0, 1, 2}),
             frozenset({3, 4, 5}),
@@ -108,23 +109,25 @@ class TestDeterminismAndStructure:
 
 
 class TestMultiLevelCover:
-    def test_flat_run_has_no_cover(self, barbell6):
-        assert louvain(barbell6, 1.0).cover is None
+    def test_flat_cover_is_final_level(self):
+        g = make_micro("kite7")
+        final = [frozenset(c) for c in louvain(g, 1.0)[-1].communities()]
+        assert detect_cover(g, "louvain", 1.0).communities == final
 
     def test_cover_is_union_of_levels(self):
-        g = make_micro("kite7")
-        res = louvain(g, 1.0, multi_level=True)
-        assert isinstance(res.cover, Cover)
-        expected = set()
-        for level in res.levels:
-            expected.update(frozenset(c) for c in level.communities())
-        assert set(res.cover.communities) == expected
-        assert res.cover.provenance.startswith("louvain(t=1")
-        assert "multilevel" in res.cover.provenance
+        spec = PlantedPartitionSpec(n=60, groups=4, p_in=0.3, p_out=0.05, seed=1)
+        g, _, _ = generate_planted(spec)
+        levels = louvain(g, 1.0)
+        assert len(levels) > 1
+        expected = []
+        for level in levels:
+            expected.extend(frozenset(c) for c in level.communities())
+        cover = detect_cover(g, "louvain", 1.0, multi_level=True)
+        assert cover.communities == list(dict.fromkeys(expected))
+        assert len(cover) > levels[-1].n_communities
 
     def test_cover_exact_duplicates_removed(self, barbell6):
-        res = louvain(barbell6, 1.0, multi_level=True)
-        comms = res.cover.communities
+        comms = detect_cover(barbell6, "louvain", 1.0, multi_level=True).communities
         assert len(comms) == len(set(comms))
 
 
