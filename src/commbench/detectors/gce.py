@@ -114,10 +114,7 @@ def _core(adj, nodes, k):
 
 def _neighbour_sets(graph):
     """Each node's neighbours as a set, filled in ascending order."""
-    start, neighbour, _ = graph.neighbours()
-    flat = neighbour.tolist()
-    bounds = start.tolist()
-    return list(map(set, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+    return list(map(set, graph.neighbour_lists()[0]))
 
 
 def maximal_cliques(graph, min_size=1):
@@ -236,12 +233,13 @@ def _expand(graph, seed, alpha, integer_degrees=False):
     into the community are integers; otherwise it scans the whole frontier.
     """
     degrees = graph.degrees
+    ids, weights = graph.neighbour_lists()
     members = set(seed)
     kin = 0.0
     kout = 0.0
     w_in = {}  # frontier node -> weight into the community
     for v in members:
-        for u, w in graph.adj[v]:
+        for u, w in zip(ids[v], weights[v]):
             if u in members:
                 kin += w  # counted from both endpoints: k_in = 2 * internal
             else:
@@ -279,7 +277,7 @@ def _expand(graph, seed, alpha, integer_degrees=False):
         kin += 2.0 * wv
         kout += degrees[best_v] - 2.0 * wv
         members.add(best_v)
-        for u, w in graph.adj[best_v]:
+        for u, w in zip(ids[best_v], weights[best_v]):
             if u not in members:
                 wu = w_in[u] = w_in.get(u, 0.0) + w
                 if buckets is None:

@@ -123,8 +123,9 @@ def edge_similarity(graph, edge_a, edge_b):
         return None
     i = next(iter(a - shared))
     j = next(iter(b - shared))
-    ni = {u for u, _ in graph.adj[i]} | {i}
-    nj = {u for u, _ in graph.adj[j]} | {j}
+    ids = graph.neighbour_lists()[0]
+    ni = set(ids[i]) | {i}
+    nj = set(ids[j]) | {j}
     return len(ni & nj) / len(ni | nj)
 
 

@@ -30,9 +30,17 @@ a unit of 2m * s at each of the at most n * s updates since. A skipped node
 still removes k_i from its community and adds it back, so the totals keep
 the same bits as a full scan leaves them, and each level's assignment is
 the one a scan of every node gives.
+
+A scan sums i's edge weight per neighbouring community over the graph's
+``neighbour_lists()``, in ascending neighbour order. When every edge weight
+is 1.0 it counts the neighbours' communities instead, in C with the helper
+``collections.Counter`` uses; integer counts are the same values as those
+sums of ones, so both paths move the same nodes.
 """
 
 from __future__ import annotations
+
+from collections import _count_elements
 
 from ..covers import Partition
 from ..errors import DataError
@@ -83,6 +91,8 @@ def _one_level(graph, t):
         return list(range(n)), False
     inv2m = 1.0 / (2.0 * graph.m)
     degrees = graph.degrees
+    ids, weights = graph.neighbour_lists()
+    unit = bool((graph.weights == 1.0).all())
     comm = list(range(n))
     tot = list(degrees)  # total degree per community, loops included
     own = [0.0] * n  # t * weight to its own community, from its last scan
@@ -103,11 +113,14 @@ def _one_level(graph, t):
             if base - rival[i] > ki * ((moved - moved_at[i]) * inv2m + slack):
                 tot[old] += ki
                 continue
-            nbrs = graph.adj[i]
+            nbrs = ids[i]
             w2c = {}
-            for j, w in nbrs:
-                cj = comm[j]
-                w2c[cj] = w2c.get(cj, 0.0) + w
+            if unit:
+                _count_elements(w2c, map(comm.__getitem__, nbrs))
+            else:
+                for j, w in zip(nbrs, weights[i]):
+                    cj = comm[j]
+                    w2c[cj] = w2c.get(cj, 0.0) + w
             # gain of re-inserting into the old community is the baseline;
             # the node's own loop contributes equally to every choice
             own[i] = t * w2c.get(old, 0.0)
@@ -126,7 +139,7 @@ def _one_level(graph, t):
                 comm[i] = top_comm
                 moved += ki
                 rival[i] = INF
-                for j, _ in nbrs:
+                for j in nbrs:
                     rival[j] = INF
                 changed = True
                 moved_any = True

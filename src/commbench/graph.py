@@ -12,19 +12,20 @@ endpoints of each proper edge with lo < hi, sorted by (lo, hi); ``weights``
 (float64) holds its weight; ``loops`` holds each node's self-loop weight, 0.0
 for none. Every constructor checks its edges with one vectorised pass
 (``_canonical``): node range, weight in (0, inf), self-loops, and duplicates
-in either direction, reporting the earliest offending edge. ``adj``, the
-per-node lists of ``(neighbour, weight)`` tuples, is built from the arrays on
-first access, so work that never walks neighbours never pays for it.
+in either direction, reporting the earliest offending edge.
+``neighbour_lists()``, each node's neighbour ids and edge weights as Python
+lists, is built from the arrays on first use, so work that never walks
+neighbours never pays for it; the detectors walk these lists.
 
-The values are bit-identical to sums taken over ``adj`` in Python:
+The values are bit-identical to sums taken over those lists in Python:
 
 - a node's degree is an ``np.bincount`` over its half-edges in ascending
-  neighbour order, the same left-to-right sum as over ``adj[i]``, plus twice
-  its loop weight;
+  neighbour order, the same left-to-right sum as over its weight list, plus
+  twice its loop weight;
 - ``m`` is half the Python ``sum`` of those per-node sums, plus the Python
   ``sum`` of the loops;
-- in ``adj`` one int object stands for each node, and both directions of an
-  edge share one weight float;
+- in the lists one int object stands for each node, and both directions of
+  an edge share one weight float;
 - a meta-edge's weight adds up its member edges in ``edges()`` order.
 
 Graphs and attribute tables are treated as immutable after construction.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import logging
 from itertools import chain, compress, filterfalse
-from operator import itemgetter
 
 import numpy as np
 
@@ -133,15 +133,13 @@ class Graph:
     """Undirected graph with positive edge weights, kept as edge arrays.
 
     ``lo``, ``hi``, ``weights`` and ``loops`` are laid out as the module
-    docstring says. ``adj[i]`` holds node i's ``(neighbor, weight)`` pairs
-    sorted by neighbor and is built on first access. Self-loop weight is
-    stored apart from the neighbor lists, so iteration over ``adj[i]`` only
-    ever yields proper neighbors.
+    docstring says. Self-loop weight is stored apart from the neighbour
+    lists, so they only ever hold proper neighbours.
     """
 
     __slots__ = (
         "labels", "lo", "hi", "weights", "loops", "degrees", "m",
-        "allow_self_loops", "_index", "_adj",
+        "allow_self_loops", "_index", "_lists", "_adj",
     )
 
     def __init__(self, labels, edges, allow_self_loops=False):
@@ -174,6 +172,7 @@ class Graph:
         self._index = index
         self.allow_self_loops = bool(allow_self_loops)
         self.lo, self.hi, self.weights = lo, hi, weights
+        self._lists = None
         self._adj = None
         # in (lo, hi) order, node v's edges to lower neighbours come ascending
         # as its hi-side half-edges, then those to higher ones as its lo side
@@ -191,26 +190,35 @@ class Graph:
     def n(self):
         return len(self.labels)
 
+    def neighbour_lists(self):
+        """Per-node neighbour ids and edge weights ``(ids, weights)``, built on first use.
+
+        ``ids[i]`` lists node i's neighbours in ascending order and
+        ``weights[i]`` the weights of the edges to them. One int object
+        stands for each node, and both directions of an edge share one
+        weight float.
+        """
+        if self._lists is None:
+            start, neighbour, edge = self.neighbours()
+            nodes = list(range(self.n))
+            floats = self.weights.tolist()
+            ids = list(map(nodes.__getitem__, neighbour.tolist()))
+            weights = list(map(floats.__getitem__, edge.tolist()))
+            bounds = start.tolist()
+            cuts = list(map(slice, bounds[:-1], bounds[1:]))
+            self._lists = list(map(ids.__getitem__, cuts)), list(map(weights.__getitem__, cuts))
+        return self._lists
+
     @property
     def adj(self):
-        """Per-node ``(neighbor, weight)`` lists sorted by neighbor, built on first use."""
-        if self._adj is None:
-            start, neighbour, edge = self.neighbours()
-            ids = list(range(self.n))
-            weights = self.weights.tolist()
-            pairs = list(
-                zip(
-                    map(ids.__getitem__, neighbour.tolist()),
-                    map(weights.__getitem__, edge.tolist()),
-                )
-            )
-            bounds = start.tolist()
-            self._adj = list(map(pairs.__getitem__, map(slice, bounds[:-1], bounds[1:])))
-        return self._adj
+        """Per-node ``(neighbour, weight)`` pairs sorted by neighbour, built on first use.
 
-    @adj.setter
-    def adj(self, lists):
-        self._adj = lists
+        A library view zipped from ``neighbour_lists()``; the package itself
+        never reads it.
+        """
+        if self._adj is None:
+            self._adj = list(map(list, map(zip, *self.neighbour_lists())))
+        return self._adj
 
     def neighbours(self):
         """Half-edges grouped by node, as arrays ``(start, neighbour, edge)``.
@@ -484,21 +492,14 @@ def induced_subgraph(graph, nodes):
         raise DataError(f"node {node_list[bad]} outside graph with {graph.n} nodes")
     pos = np.full(graph.n, -1, dtype=np.int64)
     pos[keep] = np.arange(len(keep))
-    # reads only the subset's lists, but graph.adj builds every node's list
-    # on first use, so even a small subset pays for the whole graph's once
-    lists = list(map(graph.adj.__getitem__, node_list))
-    pairs = list(chain.from_iterable(lists))
-    neighbour = np.fromiter(map(itemgetter(0), pairs), dtype=np.int64, count=len(pairs))
-    weights = np.fromiter(map(itemgetter(1), pairs), dtype=np.float64, count=len(pairs))
-    source = np.repeat(keep, list(map(len, lists)))
-    inside = (pos[neighbour] >= 0) & (source < neighbour)
+    inside = (pos[graph.lo] >= 0) & (pos[graph.hi] >= 0)
     loops = np.array(list(map(graph.loops.__getitem__, node_list)), dtype=np.float64)
     looped = np.flatnonzero(loops)
     sub = Graph.from_arrays(
         list(map(graph.labels.__getitem__, node_list)),
-        np.concatenate((pos[source[inside]], looped)),
-        np.concatenate((pos[neighbour[inside]], looped)),
-        np.concatenate((weights[inside], loops[looped])),
+        np.concatenate((pos[graph.lo[inside]], looped)),
+        np.concatenate((pos[graph.hi[inside]], looped)),
+        np.concatenate((graph.weights[inside], loops[looped])),
         allow_self_loops=graph.allow_self_loops,
     )
     return sub, node_list

@@ -112,13 +112,14 @@ def generate_planted(spec):
 def _connected(graph):
     if graph.n == 0:
         return True
+    ids = graph.neighbour_lists()[0]
     seen = [False] * graph.n
     seen[0] = True
     queue = deque([0])
     reached = 1
     while queue:
         v = queue.popleft()
-        for u, _ in graph.adj[v]:
+        for u in ids[v]:
             if not seen[u]:
                 seen[u] = True
                 reached += 1

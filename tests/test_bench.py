@@ -429,9 +429,9 @@ class TestRunBenchmark:
         fresh = [(tmp_path / "out" / name).read_bytes() for name in names]
 
         def refuse(graph):
-            raise AssertionError("a resumed run built the adjacency lists")
+            raise AssertionError("a resumed run built the neighbour lists")
 
-        monkeypatch.setattr(Graph, "adj", property(refuse))
+        monkeypatch.setattr(Graph, "neighbour_lists", refuse)
         for path in (tmp_path / "out" / "cells").glob("*__parity.csv"):
             path.unlink()
         for _ in ("missing cells", "full cache"):

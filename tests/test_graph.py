@@ -11,13 +11,17 @@ from commbench import (
     MISSING,
     DataError,
     Graph,
+    PlantedPartitionSpec,
     build_meta_graph,
+    detect_cover,
+    generate_planted,
     induced_subgraph,
     load_attributes,
     load_edge_list,
     without_self_loops,
     write_edge_list,
 )
+from commbench.detectors import DETECTORS, edge_similarity
 from commbench.graph import _SPACE
 from conftest import make_micro, random_graph
 from oracles import GraphOracle, build_meta_graph_oracle, load_edge_list_oracle
@@ -98,17 +102,28 @@ class TestGraphConstruction:
         # one int object per node and one float per edge, as in a per-edge build
         n = 300
         g = Graph([f"v{k}" for k in range(n)], [(k, (7 * k + 1) % n, k + 0.25) for k in range(n)])
+        ids, weights = g.neighbour_lists()
         first = {}
-        for i, nbrs in enumerate(g.adj):
-            for j, w in nbrs:
+        for i in range(n):
+            assert ids[i] == sorted(ids[i])
+            for j, w in zip(ids[i], weights[i]):
                 assert first.setdefault(j, j) is j
-                assert dict(g.adj[j])[i] is w
+                assert weights[j][ids[j].index(i)] is w
+        assert g.neighbour_lists() is g.neighbour_lists()
+        # the library view pairs up the same objects
+        assert all(
+            a is j and b is w
+            for i in range(n)
+            for (a, b), j, w in zip(g.adj[i], ids[i], weights[i])
+        )
 
     def test_adjacency_built_on_first_use(self):
         g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 2.0)])
-        assert g._adj is None
+        assert g._lists is None and g._adj is None
         assert g.edge_count() == 2 and g.degrees == [1.0, 3.0, 2.0]
         assert list(g.edges()) == [(0, 1, 1.0), (1, 2, 2.0)]
+        assert g._lists is None and g._adj is None
+        assert g.neighbour_lists() == ([[1], [0, 2], [1]], [[1.0], [1.0, 2.0], [2.0]])
         assert g._adj is None
         assert g.adj == [[(1, 1.0)], [(0, 1.0), (2, 2.0)], [(1, 2.0)]]
 
@@ -287,6 +302,21 @@ class TestInducedSubgraph:
             kept = [(pos[i], pos[j], w) for i, j, w in edges if i in pos and j in pos]
             want = GraphOracle([g.labels[v] for v in mapping], kept, allow_self_loops=True)
             assert exact(sub) == exact(want)
+
+
+def test_program_paths_leave_adj_unbuilt():
+    # the package walks neighbour_lists(); graph.adj is a library view only
+    spec = PlantedPartitionSpec(n=120, groups=4, p_in=0.3, p_out=0.02, seed=5)
+    graph = generate_planted(spec)[0]
+    for name, kind in DETECTORS.items():
+        detect_cover(graph, name, kind.default, **dict.fromkeys(kind.flags, True))
+        if kind.sweep is not None:
+            kind.sweep(graph, kind.grid)
+    sub, _ = induced_subgraph(graph, range(0, graph.n, 2))
+    (a, b), (c, d) = zip(graph.lo[:2].tolist(), graph.hi[:2].tolist())
+    assert edge_similarity(graph, (a, b), (c, d)) is not None
+    assert graph._lists is not None
+    assert graph._adj is None and sub._lists is None and sub._adj is None
 
 
 class TestMetaGraph:

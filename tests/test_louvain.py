@@ -159,14 +159,25 @@ class TestMovePhaseMatchesOracle:
     def test_skipped_nodes_are_not_scanned(self):
         # the oracle reads every node's neighbours in every sweep; the skip
         # test must spare some of those reads and still give its answer
-        reads = {}
-        for run in (_one_level, louvain_level_oracle):
-            graph = float_planted_graph(3)
-            graph.adj = CountingList(graph.adj)
-            reads[run] = (run(graph, 0.1), graph.adj.reads)
-        (got, fast), (want, slow) = reads[_one_level], reads[louvain_level_oracle]
+        graph = float_planted_graph(3)
+        ids, weights = graph.neighbour_lists()
+        graph._lists = CountingList(ids), weights
+        got = _one_level(graph, 0.1)
+        fast = graph._lists[0].reads
+        graph._adj = CountingList(graph.adj)
+        want = louvain_level_oracle(graph, 0.1)
+        slow = graph._adj.reads
         assert got == want
-        assert fast < 0.9 * slow
+        assert 0 < fast < 0.9 * slow
+
+    def test_doubled_weights_give_the_unit_graph_levels(self):
+        # doubling every weight scales each gain by 2 exactly, so the
+        # weighted sums must move the nodes the unit-weight counts move
+        unit = heavy_tailed_graph(2000, 11)
+        assert (unit.weights == 1.0).all()
+        doubled = Graph.from_arrays(unit.labels, unit.lo, unit.hi, 2.0 * unit.weights)
+        for t in (0.1, 0.5, 1.0):
+            assert louvain(doubled, t) == louvain(unit, t), t
 
     def test_every_aggregation_level(self):
         # meta-graphs add self-loops and summed weights to the ties
