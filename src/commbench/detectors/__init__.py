@@ -48,10 +48,11 @@ class DetectorKind:
     `sweep(graph, values)`, when set, replaces the per-point runs with one
     that shares work across the grid and returns one cover per value, in grid
     order: GCE enumerates the cliques once, link clustering builds one
-    dendrogram and walks its merges once. A sweep takes no flags and does not
-    pass through `detect_cover`. `flags` maps each boolean option to its help
-    text. Detection is deterministic by construction (fixed scan orders and
-    tie-breaks), so no detector takes a seed.
+    dendrogram up to the largest threshold and walks its merges once. A
+    sweep takes no flags and does not pass through `detect_cover`. `flags`
+    maps each boolean option to its help text. Detection is deterministic by
+    construction (fixed scan orders and tie-breaks), so no detector takes a
+    seed.
     """
 
     run: Callable
@@ -78,8 +79,12 @@ def _gce_cover(graph, alpha):
 
 
 def _link_covers(graph, thresholds):
-    """One link dendrogram, swept once over every threshold."""
-    return sweep_link_dendrogram(link_clustering(graph), thresholds, graph)
+    """One link dendrogram, built up to the largest threshold and swept once."""
+    thresholds = list(thresholds)
+    for threshold in thresholds:
+        _check_threshold(threshold)
+    top = max(thresholds, default=100) / 100
+    return sweep_link_dendrogram(link_clustering(graph, top), thresholds, graph)
 
 
 def _link_cover(graph, threshold):

@@ -4,7 +4,7 @@ Two edges sharing a keystone node k, say (i, k) and (j, k), are scored with
 the Jaccard similarity of the *other* endpoints' inclusive neighborhoods
 N+(x) = N(x) + {x}; non-adjacent edges are never compared. Single-linkage
 agglomeration over the heights 1 - S builds a merge forest whose leaves are
-the graph's edges, kept as the height-sorted list of the edge pairs that
+the graph's edges, kept as the height-sorted arrays of the edge pairs that
 joined two clusters. Cutting it at a height and mapping every edge cluster
 to the nodes it spans yields an overlapping node cover; clusters
 spanning fewer than four nodes or holding fewer than three edges are
@@ -16,27 +16,44 @@ whole grid of cut heights, keeping each cluster's node set and edge count as
 it grows, so a sweep costs one build plus one walk, not one replay per
 threshold. ``cut_link_dendrogram`` is its one-threshold case.
 
+``link_clustering(graph, top)`` builds only the merges at or below the height
+``top``. Single linkage is Kruskal's algorithm, so dropping the pairs above
+``top`` before the walk leaves exactly the full forest's merges at or below
+it; the detector passes its largest threshold, and a cut or sweep above a
+dendrogram's ``top`` is refused rather than answered from a partial forest.
+
 The heights come from numpy arrays over all sum_k deg(k)(deg(k) - 1)/2 edge
 pairs, without sets: |N+(i) & N+(j)| is the number of keystones i and j
 share (how often the node pair turns up among the pairs) plus 2 when i and
 j are adjacent, |N+(i) | N+(j)| is deg(i) + deg(j) + 2 minus that, and the
-integer quotient is rounded exactly as Python's would be.
+integer quotient is rounded exactly as Python's would be. A height is fixed
+by those two small integers, so the build ranks heights by integer code: a
+dense table over the (intersection, union) codes that occur, whose size is
+O(max degree^2) and so O(pairs), gets each code's height once, and every
+node pair takes its rank from the table in one gather.
 
-The merges come from one in-place sort of packed (height rank, pair) keys,
-then a walk over slices of the sorted pairs: each slice's merges are the
-spanning forest of its pairs over the clusters live at its start, found by
-Boruvka's algorithm in numpy, so no pair reaches a Python loop. The order of
-the keys is strict, so that forest is unique and holds exactly the merges a
-pair-by-pair union-find would make.
+Both orders the build needs, the pairs grouped by node pair and the pairs in
+(height rank, pair) order, come from ``_sort_packed``: one in-place sort of
+packed (major, minor) int64 keys, or a ``lexsort`` when a key would not fit.
+The merges come from a walk over slices of the pairs in height order: each
+slice's merges are the spanning forest of its pairs over the clusters live
+at its start, found by Boruvka's algorithm in numpy, so no pair reaches a
+Python loop. The order of the keys is strict, so that forest is unique and
+holds exactly the merges a pair-by-pair union-find would make.
 
-The build peaks while it computes the heights, at about 53 bytes per pair
-(traced with tracemalloc: 104.6 MB for the 1,974,823 pairs of the benchmark's
-10,000-node graph), so a graph with more than ``MAX_EDGE_PAIRS`` pairs
-(about 1.5 GiB) is refused with a ``DataError`` before any per-pair array is
+The build peaks while it groups the pairs, at about 43 bytes per pair
+(traced with tracemalloc: 84.0 MB for the 1,974,823 pairs of the benchmark's
+10,000-node graph); on graphs of a few hundred thousand pairs the walk's
+fixed slice workspace lifts that to 48, and the tests hold it to 53. So a
+graph with more than ``MAX_EDGE_PAIRS`` pairs (about 1.5 GiB at 53 bytes
+each) is refused with a ``DataError`` before any per-pair array is
 allocated.
 """
 
 from __future__ import annotations
+
+import numbers
+from itertools import islice
 
 import numpy as np
 
@@ -45,9 +62,9 @@ from ..errors import DataError
 
 MIN_NODES = 4
 MIN_EDGES = 3
-MAX_EDGE_PAIRS = 30_000_000  # ~53 bytes each at the build's peak
+MAX_EDGE_PAIRS = 30_000_000  # at most 53 bytes each at the build's peak
 WALK_CHUNK = 1 << 16
-KEY_BITS = 63  # a packed (rank, pair) sort key must fit an int64
+KEY_BITS = 63  # a packed (major, minor) sort key must fit an int64
 
 
 def _find(parent, x):
@@ -69,30 +86,101 @@ def _union(parent, a, b):
     return True
 
 
-class Dendrogram:
-    """Single-linkage merge forest over leaves 0..L-1, as a height-sorted list.
+def _check_top(top):
+    if not 0.0 <= top <= 1.0:
+        raise ValueError(f"top must be a height in [0, 1], got {top}")
 
-    Each merge is ``(edge_a, edge_b, height)``: the leaf ids of the pair that
-    joined two clusters, with heights in [0, 1] and non-decreasing along the
-    list. A cut at height h is the components of the merges at or below h.
+
+def _first(mask):
+    """Index of the first True in mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _leaf_ids(column):
+    """One leaf-id column of hand-written merges; a non-integer id is refused."""
+    # one by one: numpy's type discovery reads a bool among ints as an int
+    for k, leaf in enumerate(column):
+        if isinstance(leaf, bool) or not isinstance(leaf, numbers.Integral):
+            raise DataError(f"merge {k} has leaf id {leaf!r}, which is not an integer")
+    return np.array(column)
+
+
+class Dendrogram:
+    """Single-linkage merge forest over leaves 0..L-1, built up to ``top``.
+
+    ``ends`` holds each leaf's two end nodes. Merge k joined the clusters of
+    leaves ``edge_a[k]`` and ``edge_b[k]`` at ``heights[k]``; the heights are
+    non-decreasing and in [0, top]. The forest holds every merge at or below
+    ``top``, so a cut at a height h is the components of the merges at or
+    below h, and a cut above ``top`` is refused. ``leaves`` and ``merges`` are
+    list views, built on first use: ``(lo, hi)`` tuples and ``(edge_a,
+    edge_b, height)`` triples. The constructor takes those two lists;
+    ``link_clustering`` hands over its arrays instead.
     """
 
-    __slots__ = ("leaves", "merges")
+    __slots__ = ("ends", "edge_a", "edge_b", "heights", "top", "_leaves", "_merges")
 
-    def __init__(self, leaves, merges):
-        self.leaves = list(leaves)
-        self.merges = list(merges)
-        nleaf = len(self.leaves)
-        previous = 0.0
-        for k, (a, b, h) in enumerate(self.merges):
-            if not 0.0 <= h <= 1.0:
-                raise DataError(f"merge height {h} outside [0, 1]")
-            if h < previous:
-                raise DataError(f"merge {k} height {h} is below the previous {previous}")
-            previous = h
-            for leaf in (a, b):
-                if not 0 <= leaf < nleaf:
-                    raise DataError(f"merge {k} references unknown leaf {leaf}")
+    def __init__(self, leaves, merges, top=1.0):
+        merges = list(merges)
+        a, b, h = zip(*merges) if merges else ((), (), ())
+        heights = np.array(h, dtype=np.float64)
+        self._store(np.asarray(leaves), _leaf_ids(a), _leaf_ids(b), heights, top)
+
+    @classmethod
+    def _from_arrays(cls, ends, edge_a, edge_b, heights, top):
+        dendrogram = cls.__new__(cls)
+        dendrogram._store(ends, edge_a, edge_b, heights, top)
+        return dendrogram
+
+    def _store(self, ends, edge_a, edge_b, heights, top):
+        _check_top(top)
+        k = _first(~((heights >= 0.0) & (heights <= 1.0)))
+        if k is not None:
+            raise DataError(f"merge {k} height {heights[k]} outside [0, 1]")
+        k = _first(heights > top)
+        if k is not None:
+            raise DataError(f"merge {k} height {heights[k]} is above the top {top}")
+        k = _first(heights[1:] < heights[:-1])
+        if k is not None:
+            raise DataError(
+                f"merge {k + 1} height {heights[k + 1]} is below the previous {heights[k]}"
+            )
+        nleaf = len(ends)
+        unknown_a = (edge_a < 0) | (edge_a >= nleaf)
+        k = _first(unknown_a | (edge_b < 0) | (edge_b >= nleaf))
+        if k is not None:
+            leaf = edge_a[k] if unknown_a[k] else edge_b[k]
+            raise DataError(f"merge {k} references unknown leaf {leaf}")
+        self.ends = ends
+        self.edge_a = edge_a.astype(np.int64, copy=False)
+        self.edge_b = edge_b.astype(np.int64, copy=False)
+        self.heights = heights
+        self.top = top
+        self._leaves = self._merges = None  # the list views, built on first use
+
+    @property
+    def leaves(self):
+        if self._leaves is None:
+            self._leaves = list(map(tuple, self.ends.tolist()))
+        return self._leaves
+
+    @property
+    def merges(self):
+        if self._merges is None:
+            self._merges = list(
+                zip(self.edge_a.tolist(), self.edge_b.tolist(), self.heights.tolist())
+            )
+        return self._merges
+
+    def _merges_through(self, height):
+        """How many merges lie at or below height; refuses a height above top."""
+        if not height <= self.top:
+            raise ValueError(
+                f"cut height {height} is above the height {self.top} "
+                "the dendrogram was built to"
+            )
+        return int(np.searchsorted(self.heights, height, side="right"))
 
     def cut(self, height):
         """Leaf clusters after applying every merge at or below the cut.
@@ -100,10 +188,9 @@ class Dendrogram:
         Returns ascending lists of leaf indices, ordered by each cluster's
         smallest leaf. Unmerged leaves come back as singleton clusters.
         """
-        parent = list(range(len(self.leaves)))
-        for a, b, h in self.merges:
-            if h > height:
-                break
+        stop = self._merges_through(height)
+        parent = list(range(len(self.ends)))
+        for a, b in zip(self.edge_a[:stop].tolist(), self.edge_b[:stop].tolist()):
             _union(parent, a, b)
         clusters = {}
         for leaf in range(len(parent)):
@@ -129,8 +216,13 @@ def edge_similarity(graph, edge_a, edge_b):
     return len(ni & nj) / len(ni | nj)
 
 
-def link_clustering(graph):
-    """Build the single-linkage merge forest over the graph's edges."""
+def link_clustering(graph, top=1.0):
+    """Build the single-linkage merge forest over the graph's edges, up to ``top``.
+
+    Only the pairs at or below the height ``top`` are walked, so the forest
+    holds exactly the full forest's merges at or below it.
+    """
+    _check_top(top)
     if not len(graph.lo):
         raise DataError("link clustering requires at least one edge")
     deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
@@ -145,51 +237,55 @@ def link_clustering(graph):
     # the graph's edges are already sorted by (lo, hi)
     edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
     pair, rank, heights = _pair_heights(graph.n, edges, deg)
-    lo, hi, rank = _spanning_merges(len(edges), pair, rank, len(heights))
-    # the Python lists outlive the build: made once the pair array is freed,
-    # they fill the heap's holes instead of pinning its top above them
+    nrank = int(np.searchsorted(heights, top, side="right"))
+    if nrank < len(heights):
+        keep = rank < nrank
+        pair, rank = pair[keep], rank[keep]
+        del keep
+    lo, hi, rank = _spanning_merges(len(edges), pair, rank, nrank)
     del pair
-    leaves = list(zip(graph.lo.tolist(), graph.hi.tolist()))
-    return Dendrogram(leaves, zip(lo.tolist(), hi.tolist(), heights[rank].tolist()))
+    return Dendrogram._from_arrays(edges, lo, hi, heights[rank], top)
+
+
+def _sort_packed(major, nmajor, minor, nminor):
+    """The pairs (major[k], minor[k]) in ascending order, as two int64 arrays.
+
+    ``0 <= major < nmajor`` and ``0 <= minor < nminor``, and ``minor`` is an
+    int64 array the call consumes: the packed keys ``major << b | minor``, b
+    the bits of nminor - 1, are written into its buffer and sorted in place.
+    When a key would need more than ``KEY_BITS`` bits, a ``lexsort`` gives the
+    same order instead.
+    """
+    bits = (nminor - 1).bit_length()
+    if bits + (nmajor - 1).bit_length() > KEY_BITS:
+        order = np.lexsort((minor, major))
+        return major[order].astype(np.int64), minor[order]
+    for start in range(0, len(minor), WALK_CHUNK):
+        block = slice(start, start + WALK_CHUNK)
+        minor[block] |= major[block].astype(np.int64) << bits
+    minor.sort()
+    major = minor >> bits
+    minor &= (1 << bits) - 1
+    return major, minor
 
 
 def _spanning_merges(nedge, pair, rank, nrank):
     """Merges of a single-linkage walk over the pairs in (height, lo, hi) order.
 
-    ``rank`` holds values below ``nrank``. The pairs are ordered by one
-    in-place sort of the packed keys ``rank << b | pair``, with b the bits of
-    L*L - 1, written into ``pair``'s own buffer (so ``pair`` is consumed);
-    when a key would need more than ``KEY_BITS`` bits, a ``lexsort`` gives
-    the same order instead. The walk goes a slice of ``WALK_CHUNK`` pairs at a
-    time: a pair whose edges already share a cluster at the slice's start
-    cannot merge, and ``_boruvka`` finds which of the others do. The order is
+    ``pair`` holds ``lo * L + hi`` and is consumed; ``rank`` holds values
+    below ``nrank``. The walk goes a slice of ``WALK_CHUNK`` pairs at a time:
+    a pair whose edges already share a cluster at the slice's start cannot
+    merge, and ``_boruvka`` finds which of the others do. The order is
     strict, so the spanning forest is unique and Boruvka picks exactly the
     pairs a greedy walk would. Returns the merges as arrays ``(lo, hi, rank)``
     in walk order.
     """
-    bits = (nedge * nedge - 1).bit_length()
-    if bits + (nrank - 1).bit_length() <= KEY_BITS:
-        for start in range(0, len(pair), WALK_CHUNK):
-            block = slice(start, start + WALK_CHUNK)
-            pair[block] |= rank[block].astype(np.int64) << bits
-        pair.sort()
-        mask = (1 << bits) - 1
-
-        def ordered(start):
-            key = pair[start:start + WALK_CHUNK]
-            return key & mask, key >> bits
-    else:
-        order = np.lexsort((pair, rank))
-
-        def ordered(start):
-            chunk = order[start:start + WALK_CHUNK]
-            return pair[chunk], rank[chunk]
-
+    rank, pair = _sort_packed(rank, nrank, pair, nedge * nedge)
     roots = np.arange(nedge)  # each leaf's cluster as of the slice start
     remap = np.arange(nedge)
     merges = []
     for start in range(0, len(pair), WALK_CHUNK):
-        ids, ranks = ordered(start)
+        ids, ranks = pair[start:start + WALK_CHUNK], rank[start:start + WALK_CHUNK]
         lo, hi = np.divmod(ids, nedge)
         a, b = roots[lo], roots[hi]
         live = np.flatnonzero(a != b)
@@ -287,15 +383,17 @@ def _pair_heights(n, edges, deg):
     pair = eid[first].astype(np.int64) * nedge + eid[second]
     del first, second, eid, other
     # group the pairs by node pair; the group sizes are the shared keystones
-    by_node_pair = np.argsort(node_pair)
-    node_pair = node_pair[by_node_pair]
-    group_start = np.ones(len(pair), dtype=bool)
+    npair = len(pair)
+    node_pair, order = _sort_packed(
+        node_pair, n * n, np.arange(npair, dtype=np.int64), npair
+    )
+    group_start = np.ones(npair, dtype=bool)
     np.not_equal(node_pair[1:], node_pair[:-1], out=group_start[1:])
     starts = np.flatnonzero(group_start)
     del group_start
     keys = node_pair[starts]
     del node_pair
-    shared = np.diff(starts, append=len(pair)).astype(np.int32)
+    shared = np.diff(starts, append=npair).astype(np.int32)
     del starts
     edge_keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
     at = np.minimum(np.searchsorted(edge_keys, keys), nedge - 1)
@@ -303,15 +401,29 @@ def _pair_heights(n, edges, deg):
     del at, edge_keys
     i, j = np.divmod(keys, n)
     del keys
+    # the group arrays set the build's peak, so union is summed in place
+    union = deg[i]
+    del i
+    union += deg[j]
+    del j
     inter = shared + 2 * adjacent
     del adjacent
-    h = 1.0 - inter / (deg[i] + deg[j] + 2 - inter)
-    del i, j, inter
-    heights = np.unique(h)
-    group_rank = np.searchsorted(heights, h).astype(np.int32)
-    del h
-    rank = np.empty(len(pair), dtype=np.int32)
-    rank[by_node_pair] = np.repeat(group_rank, shared)
+    union += 2
+    union -= inter
+    # a height depends only on the small integers (inter, union): rank the
+    # codes that occur in a dense table, then every group by one gather
+    width = int(union.max(initial=0)) + 1
+    code = inter * width + union
+    del inter, union
+    table = np.zeros(int(code.max(initial=0)) + 1, dtype=np.int32)
+    table[code] = 1
+    codes = np.flatnonzero(table)
+    code_heights = 1.0 - (codes // width) / (codes % width)
+    heights, table[codes] = np.unique(code_heights, return_inverse=True)
+    group_rank = table[code]
+    del code, table
+    rank = np.empty(npair, dtype=np.int32)
+    rank[order] = np.repeat(group_rank, shared)
     return pair, rank, heights
 
 
@@ -337,31 +449,35 @@ def sweep_link_dendrogram(dendrogram, thresholds, graph):
     root keeps its cluster's node set and edge count. A cover holds the
     clusters passing the size filter, ordered by root, with the frozenset of
     each cached until its cluster next merges. Covers come back in the order
-    of ``thresholds``, repeats included.
+    of ``thresholds``, repeats included. A threshold above the dendrogram's
+    ``top`` is refused.
     """
     thresholds = list(thresholds)
     for threshold_percent in thresholds:
         _check_threshold(threshold_percent)
-    leaves = dendrogram.leaves
-    merges = dendrogram.merges
-    parent = list(range(len(leaves)))
+    grid = sorted(set(thresholds))
+    stops = [dendrogram._merges_through(t / 100.0) for t in grid]
+    ends = dendrogram.ends
+    used = stops[-1] if stops else 0
+    edge_a, edge_b = dendrogram.edge_a[:used], dendrogram.edge_b[:used]
+    # each merge's two leaves and their end nodes, as flat int lists
+    walk = zip(*(x.tolist() for x in (edge_a, edge_b, *ends[edge_a].T, *ends[edge_b].T)))
+    parent = list(range(len(ends)))
     nodes = {}  # root -> node set, for clusters of two or more edges
     edge_count = {}  # root -> edges, likewise
     passing = {}  # root -> its frozenset once emitted, else None
     covers = {}
     k = 0
-    for threshold_percent in sorted(set(thresholds)):
-        height = threshold_percent / 100.0
-        while k < len(merges) and merges[k][2] <= height:
-            a, b, _ = merges[k]
-            k += 1
+    for threshold_percent, stop in zip(grid, stops):
+        for a, b, lo_a, hi_a, lo_b, hi_b in islice(walk, stop - k):
             ra, rb = _find(parent, a), _find(parent, b)
             if ra == rb:
                 continue
+            # a root without a node set is a one-edge cluster: leaf a or b
+            big = nodes.pop(ra, None) or {lo_a, hi_a}
+            small = nodes.pop(rb, None) or {lo_b, hi_b}
             root, other = min(ra, rb), max(ra, rb)
             parent[other] = root
-            big = nodes.pop(root, None) or set(leaves[root])
-            small = nodes.pop(other, None) or set(leaves[other])
             if len(big) < len(small):
                 big, small = small, big
             big |= small
@@ -370,6 +486,7 @@ def sweep_link_dendrogram(dendrogram, thresholds, graph):
             passing.pop(other, None)
             if count >= MIN_EDGES and len(big) >= MIN_NODES:
                 passing[root] = None  # new, or grown past its cached set
+        k = stop
         communities = []
         for root in sorted(passing):
             community = passing[root]

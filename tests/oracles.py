@@ -5,9 +5,10 @@ and brute-force enumeration, deliberately sharing no code or algorithmic
 shape with the package: quadratic pairwise sums instead of per-community
 accumulators, base-2 logarithms for NMI, restricted-growth-string partition
 enumeration, subset enumeration for cliques, a per-pair set-Jaccard walk
-for the link dendrogram, a recursive per-row tree grower that re-reads the
-rows of every node (a queue walk renumbers a tree into level order, and a
-row-by-row descent scores it), and a row-by-row subsample draw. The Louvain
+for the link dendrogram and a float search for its height ranks, a
+recursive per-row tree grower that re-reads the rows of every node (a queue
+walk renumbers a tree into level order, and a row-by-row descent scores
+it), and a row-by-row subsample draw. The Louvain
 move phase and the GCE expansion step are kept in their earlier form, which
 scans candidates in sorted order, and so is the all-sizes Bron-Kerbosch
 enumerator GCE used before its clique search took a minimum size. The graph
@@ -264,6 +265,28 @@ def link_clustering_oracle(graph):
             parent[ra] = rb
             merges.append((ea, eb, h))
     return SimpleNamespace(leaves=edges, merges=merges)
+
+
+def pair_heights_oracle(graph, pair):
+    """Each edge pair's height rank and the ascending distinct heights.
+
+    ``pair`` holds edge pairs ``lo * L + hi`` over the graph's sorted non-loop
+    edges. Each pair's height 1 - S is a set Jaccard of the two other
+    endpoints' inclusive neighbourhoods; the ranks are a float search of
+    those heights in their ``np.unique``.
+    """
+    edges = sorted((i, j) for i, j, _ in graph.edges() if i != j)
+    inclusive = [
+        frozenset(u for u, _ in graph.adj[v]) | {v} for v in range(graph.n)
+    ]
+    h = []
+    for lo, hi in zip(*(x.tolist() for x in np.divmod(pair, len(edges)))):
+        (i,) = set(edges[lo]) - set(edges[hi])
+        (j,) = set(edges[hi]) - set(edges[lo])
+        ni, nj = inclusive[i], inclusive[j]
+        h.append(1.0 - len(ni & nj) / len(ni | nj))
+    heights = np.unique(np.array(h))
+    return np.searchsorted(heights, h), heights
 
 
 def _best_split_oracle(X, g, rows):

@@ -26,8 +26,8 @@ from commbench import (
 )
 from commbench.detectors import linkclust
 from commbench.detectors.linkclust import sweep_link_dendrogram
-from conftest import four_group_spec, random_graph
-from oracles import edge_components_oracle, link_clustering_oracle
+from conftest import four_group_spec, heavy_tailed_graph, random_graph
+from oracles import edge_components_oracle, link_clustering_oracle, pair_heights_oracle
 
 
 def path3_plus_k5():
@@ -77,6 +77,28 @@ def disjoint_union(graphs, isolated=0):
     return Graph(labels, edges, allow_self_loops=True)
 
 
+def two_hub_graph(leaves):
+    """Two non-adjacent hubs 0 and 1, both joined to every one of `leaves` nodes.
+
+    The hubs' node pair turns up once per leaf, so the (intersection, union)
+    code table spans about one entry per edge pair, its widest.
+    """
+    edges = [(hub, leaf, 1.0) for hub in (0, 1) for leaf in range(2, leaves + 2)]
+    return Graph([str(i) for i in range(leaves + 2)], edges)
+
+
+def pair_count(graph):
+    deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
+    return int((deg * (deg - 1) // 2).sum())
+
+
+def pair_heights(graph):
+    """``_pair_heights`` over the graph's edges, as ``link_clustering`` calls it."""
+    deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
+    edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
+    return linkclust._pair_heights(graph.n, edges, deg)
+
+
 def pair_build_cases():
     """(name, graph) pairs, each with at least one non-loop edge."""
     rng = random.Random(41)
@@ -106,6 +128,19 @@ def pair_build_cases():
 
 class TestPairBuild:
     CASES = pair_build_cases()
+    HEAVY = [
+        ("heavy-tailed2000", heavy_tailed_graph(2000, 11)),
+        ("two-hub300", two_hub_graph(300)),
+    ]
+
+    @pytest.mark.parametrize("name, graph", CASES + HEAVY, ids=[n for n, _ in CASES + HEAVY])
+    def test_height_ranks_match_float_reference(self, name, graph):
+        # random13 has no edge pair: its code table holds no code at all
+        pair, rank, heights = pair_heights(graph)
+        assert len(np.unique(pair)) == len(pair) == pair_count(graph)
+        want_rank, want_heights = pair_heights_oracle(graph, pair)
+        assert np.array_equal(heights, want_heights)  # exact floats
+        assert np.array_equal(rank, want_rank)
 
     @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
     def test_matches_per_pair_oracle(self, name, graph):
@@ -124,11 +159,26 @@ class TestPairBuild:
 
     @pytest.mark.parametrize("chunk", [3, linkclust.WALK_CHUNK])
     def test_unpacked_order_matches_oracle(self, chunk, monkeypatch):
-        # keys wider than the bit budget are ordered by a lexsort instead
+        # keys wider than the bit budget are ordered by a lexsort instead,
+        # both when the pairs are grouped by node pair and for the walk
+        lexsorts = []
+        numpy_lexsort = np.lexsort
+
+        def lexsort(keys):
+            lexsorts.append(len(keys[0]))
+            return numpy_lexsort(keys)
+
         monkeypatch.setattr(linkclust, "KEY_BITS", 0)
         monkeypatch.setattr(linkclust, "WALK_CHUNK", chunk)
+        monkeypatch.setattr(linkclust.np, "lexsort", lexsort)
         for name, graph in self.CASES[1::3]:
+            lexsorts.clear()
             assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
+            assert lexsorts == [pair_count(graph)] * 2, name
+            pair, rank, heights = pair_heights(graph)
+            want_rank, want_heights = pair_heights_oracle(graph, pair)
+            assert np.array_equal(heights, want_heights), name
+            assert np.array_equal(rank, want_rank), name
 
     def test_long_path_matches_oracle(self):
         # all but the end pairs share one height, so edge ids order the walk
@@ -179,9 +229,30 @@ class TestPairBuild:
 
     def test_matching_has_no_pairs(self):
         g = Graph([str(i) for i in range(6)], [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)])
-        dend = link_clustering(g)
-        assert dend.leaves == [(0, 1), (2, 3), (4, 5)]
-        assert dend.merges == []
+        for top in (1.0, 0.5):
+            dend = link_clustering(g, top)
+            assert dend.leaves == [(0, 1), (2, 3), (4, 5)]
+            assert dend.merges == []
+        pair, rank, heights = pair_heights(g)
+        assert len(pair) == len(rank) == len(heights) == 0
+
+    @pytest.mark.parametrize(
+        "name, graph",
+        [HEAVY[0], ("two-hub1000", two_hub_graph(1000))],
+        ids=["heavy-tailed2000", "two-hub1000"],
+    )
+    def test_build_peak_per_pair(self, name, graph):
+        # MAX_EDGE_PAIRS is sized from this figure; the walk's slice
+        # workspace is fixed, so the graphs are large enough that the pair
+        # arrays set the peak
+        link_clustering(graph)
+        tracemalloc.start()
+        try:
+            link_clustering(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / pair_count(graph) <= 53
 
 
 class TestDendrogram:
@@ -213,11 +284,16 @@ class TestDendrogram:
             ([(0, 1, -0.1)], r"outside \[0, 1\]"),
             ([(0, 3, 0.5)], "unknown leaf 3"),
             ([(-1, 0, 0.5)], "unknown leaf -1"),
+            ([(0, 1.0, 0.5)], r"merge 0 has leaf id 1\.0, which is not an integer"),
+            ([(0, True, 0.5)], "merge 0 has leaf id True, which is not an integer"),
+            ([("0", 1, 0.5)], "merge 0 has leaf id '0', which is not an integer"),
+            ([(0, 1, 0.1), (True, 2, 0.2)], "merge 1 has leaf id True"),
+            ([(0, 1, 0.1), (1, 2, 0.2)], "merge 1 height 0.2 is above the top 0.15"),
         ],
     )
     def test_malformed_merges_rejected(self, merges, message):
         with pytest.raises(DataError, match=message):
-            Dendrogram(["a", "b", "c"], merges)
+            Dendrogram(["a", "b", "c"], merges, top=0.15 if "top" in message else 1.0)
 
     def test_merges_span_the_forest_in_height_order(self):
         rng = random.Random(29)
@@ -369,3 +445,30 @@ class TestSweep:
         dend = link_clustering(barbell6)
         with pytest.raises(ValueError, match="between 1 and 100"):
             sweep_link_dendrogram(dend, [50, 0], barbell6)
+
+    @pytest.mark.parametrize("name, graph", CASES, ids=[name for name, _ in CASES])
+    def test_build_to_top_matches_full(self, name, graph):
+        full = link_clustering(graph)
+        covers = sweep_link_dendrogram(full, range(1, 101), graph)
+        for t, want in zip(range(1, 101), covers):
+            part = link_clustering(graph, t / 100)
+            assert part.merges == [m for m in full.merges if m[2] <= t / 100], t
+            got = sweep_link_dendrogram(part, [t], graph)[0]
+            assert got.communities == want.communities, t
+
+    def test_cut_above_top_refused(self, barbell6):
+        dend = link_clustering(barbell6, 0.5)
+        assert [h for _, _, h in dend.merges] == [0.0, 0.0, 0.25, 0.25]
+        assert cut_link_dendrogram(dend, 50, barbell6).communities == []
+        above = "above the height 0.5 the dendrogram was built to"
+        with pytest.raises(ValueError, match=above):
+            dend.cut(0.51)
+        with pytest.raises(ValueError, match=above):
+            cut_link_dendrogram(dend, 51, barbell6)
+        with pytest.raises(ValueError, match=above):
+            sweep_link_dendrogram(dend, [10, 90], barbell6)
+
+    @pytest.mark.parametrize("top", [-0.1, 1.01, float("nan")])
+    def test_top_outside_unit_interval_rejected(self, top, barbell6):
+        with pytest.raises(ValueError, match=r"top must be a height in \[0, 1\]"):
+            link_clustering(barbell6, top)
