@@ -86,24 +86,21 @@ def _union(parent, a, b):
     return True
 
 
-def _check_top(top):
-    if not 0.0 <= top <= 1.0:
-        raise ValueError(f"top must be a height in [0, 1], got {top}")
-
-
 def _first(mask):
     """Index of the first True in mask, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
 
 
-def _leaf_ids(column):
-    """One leaf-id column of hand-written merges; a non-integer id is refused."""
-    # one by one: numpy's type discovery reads a bool among ints as an int
-    for k, leaf in enumerate(column):
-        if isinstance(leaf, bool) or not isinstance(leaf, numbers.Integral):
-            raise DataError(f"merge {k} has leaf id {leaf!r}, which is not an integer")
-    return np.array(column)
+def _merge_column(column, kind, what, dtype=None):
+    """One column of hand-written merges; a value that is not a ``kind`` is refused."""
+    # one by one: numpy's type discovery reads a bool as a number, and a
+    # numeric string as a float when a dtype is given
+    noun = "an integer" if kind is numbers.Integral else "a real number"
+    for k, value in enumerate(column):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise DataError(f"merge {k} has {what} {value!r}, which is not {noun}")
+    return np.array(column, dtype=dtype)
 
 
 class Dendrogram:
@@ -115,17 +112,23 @@ class Dendrogram:
     ``top``, so a cut at a height h is the components of the merges at or
     below h, and a cut above ``top`` is refused. ``leaves`` and ``merges`` are
     list views, built on first use: ``(lo, hi)`` tuples and ``(edge_a,
-    edge_b, height)`` triples. The constructor takes those two lists;
-    ``link_clustering`` hands over its arrays instead.
+    edge_b, height)`` triples. The constructor takes those two lists for a
+    full forest, ``top`` 1; ``link_clustering`` hands over its arrays and
+    its ``top`` instead.
     """
 
     __slots__ = ("ends", "edge_a", "edge_b", "heights", "top", "_leaves", "_merges")
 
-    def __init__(self, leaves, merges, top=1.0):
+    def __init__(self, leaves, merges):
         merges = list(merges)
         a, b, h = zip(*merges) if merges else ((), (), ())
-        heights = np.array(h, dtype=np.float64)
-        self._store(np.asarray(leaves), _leaf_ids(a), _leaf_ids(b), heights, top)
+        self._store(
+            np.asarray(leaves),
+            _merge_column(a, numbers.Integral, "leaf id"),
+            _merge_column(b, numbers.Integral, "leaf id"),
+            _merge_column(h, numbers.Real, "height", np.float64),
+            1.0,
+        )
 
     @classmethod
     def _from_arrays(cls, ends, edge_a, edge_b, heights, top):
@@ -134,13 +137,9 @@ class Dendrogram:
         return dendrogram
 
     def _store(self, ends, edge_a, edge_b, heights, top):
-        _check_top(top)
         k = _first(~((heights >= 0.0) & (heights <= 1.0)))
         if k is not None:
             raise DataError(f"merge {k} height {heights[k]} outside [0, 1]")
-        k = _first(heights > top)
-        if k is not None:
-            raise DataError(f"merge {k} height {heights[k]} is above the top {top}")
         k = _first(heights[1:] < heights[:-1])
         if k is not None:
             raise DataError(
@@ -222,7 +221,8 @@ def link_clustering(graph, top=1.0):
     Only the pairs at or below the height ``top`` are walked, so the forest
     holds exactly the full forest's merges at or below it.
     """
-    _check_top(top)
+    if not 0.0 <= top <= 1.0:
+        raise ValueError(f"top must be a height in [0, 1], got {top}")
     if not len(graph.lo):
         raise DataError("link clustering requires at least one edge")
     deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
@@ -247,19 +247,29 @@ def link_clustering(graph, top=1.0):
     return Dendrogram._from_arrays(edges, lo, hi, heights[rank], top)
 
 
-def _sort_packed(major, nmajor, minor, nminor):
+def _sort_packed(major, nmajor, minor=None, nminor=None):
     """The pairs (major[k], minor[k]) in ascending order, as two int64 arrays.
 
     ``0 <= major < nmajor`` and ``0 <= minor < nminor``, and ``minor`` is an
     int64 array the call consumes: the packed keys ``major << b | minor``, b
     the bits of nminor - 1, are written into its buffer and sorted in place.
-    When a key would need more than ``KEY_BITS`` bits, a ``lexsort`` gives the
-    same order instead.
+    Without ``minor`` the pairs are (major[k], k), so the second array is the
+    stable sort order of ``major``. When a key would need more than
+    ``KEY_BITS`` bits, a ``lexsort`` gives the same order instead, or for the
+    index pairs a stable ``argsort`` of ``major`` alone.
     """
+    by_index = minor is None
+    if by_index:
+        nminor = len(major)
     bits = (nminor - 1).bit_length()
     if bits + (nmajor - 1).bit_length() > KEY_BITS:
+        if by_index:
+            order = np.argsort(major, kind="stable")
+            return major[order].astype(np.int64, copy=False), order
         order = np.lexsort((minor, major))
         return major[order].astype(np.int64), minor[order]
+    if by_index:
+        minor = np.arange(nminor, dtype=np.int64)
     for start in range(0, len(minor), WALK_CHUNK):
         block = slice(start, start + WALK_CHUNK)
         minor[block] |= major[block].astype(np.int64) << bits
@@ -384,9 +394,7 @@ def _pair_heights(n, edges, deg):
     del first, second, eid, other
     # group the pairs by node pair; the group sizes are the shared keystones
     npair = len(pair)
-    node_pair, order = _sort_packed(
-        node_pair, n * n, np.arange(npair, dtype=np.int64), npair
-    )
+    node_pair, order = _sort_packed(node_pair, n * n)
     group_start = np.ones(npair, dtype=bool)
     np.not_equal(node_pair[1:], node_pair[:-1], out=group_start[1:])
     starts = np.flatnonzero(group_start)

@@ -159,22 +159,29 @@ class TestPairBuild:
 
     @pytest.mark.parametrize("chunk", [3, linkclust.WALK_CHUNK])
     def test_unpacked_order_matches_oracle(self, chunk, monkeypatch):
-        # keys wider than the bit budget are ordered by a lexsort instead,
-        # both when the pairs are grouped by node pair and for the walk
-        lexsorts = []
-        numpy_lexsort = np.lexsort
+        # keys wider than the bit budget are ordered without packing: the
+        # node pairs by a stable argsort, the walk by a lexsort
+        sorts = []
+        numpy_lexsort, numpy_argsort = np.lexsort, np.argsort
 
         def lexsort(keys):
-            lexsorts.append(len(keys[0]))
+            sorts.append(("lexsort", len(keys[0])))
             return numpy_lexsort(keys)
+
+        def argsort(a, **kwargs):
+            sorts.append(("argsort", len(a)))
+            return numpy_argsort(a, **kwargs)
 
         monkeypatch.setattr(linkclust, "KEY_BITS", 0)
         monkeypatch.setattr(linkclust, "WALK_CHUNK", chunk)
         monkeypatch.setattr(linkclust.np, "lexsort", lexsort)
+        monkeypatch.setattr(linkclust.np, "argsort", argsort)
         for name, graph in self.CASES[1::3]:
-            lexsorts.clear()
+            sorts.clear()
             assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
-            assert lexsorts == [pair_count(graph)] * 2, name
+            npairs = pair_count(graph)
+            # the first argsort orders the half-edges by keystone
+            assert sorts[1:] == [("argsort", npairs), ("lexsort", npairs)], name
             pair, rank, heights = pair_heights(graph)
             want_rank, want_heights = pair_heights_oracle(graph, pair)
             assert np.array_equal(heights, want_heights), name
@@ -288,12 +295,14 @@ class TestDendrogram:
             ([(0, True, 0.5)], "merge 0 has leaf id True, which is not an integer"),
             ([("0", 1, 0.5)], "merge 0 has leaf id '0', which is not an integer"),
             ([(0, 1, 0.1), (True, 2, 0.2)], "merge 1 has leaf id True"),
-            ([(0, 1, 0.1), (1, 2, 0.2)], "merge 1 height 0.2 is above the top 0.15"),
+            ([(0, 1, "0.5")], "merge 0 has height '0.5', which is not a real number"),
+            ([(0, 1, 0.1), (1, 2, True)], "merge 1 has height True, which is not a real"),
+            ([(0, 1, None)], "merge 0 has height None, which is not a real number"),
         ],
     )
     def test_malformed_merges_rejected(self, merges, message):
         with pytest.raises(DataError, match=message):
-            Dendrogram(["a", "b", "c"], merges, top=0.15 if "top" in message else 1.0)
+            Dendrogram(["a", "b", "c"], merges)
 
     def test_merges_span_the_forest_in_height_order(self):
         rng = random.Random(29)
