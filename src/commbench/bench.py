@@ -345,12 +345,20 @@ def _csv_quote(value):
     return value
 
 
+def _accuracy(text):
+    """A cached accuracy: a float in [0, 1], so not NaN or infinite."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(text)
+    return value
+
+
 def _read_cell(path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             return [
-                (network, method, attribute, int(fold), float(accuracy))
+                (network, method, attribute, int(fold), _accuracy(accuracy))
                 for network, method, attribute, fold, accuracy in filter(None, reader)
             ]
         except ValueError:

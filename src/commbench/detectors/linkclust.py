@@ -16,11 +16,13 @@ whole grid of cut heights, keeping each cluster's node set and edge count as
 it grows, so a sweep costs one build plus one walk, not one replay per
 threshold. ``cut_link_dendrogram`` is its one-threshold case.
 
-``link_clustering(graph, top)`` builds only the merges at or below the height
-``top``. Single linkage is Kruskal's algorithm, so dropping the pairs above
-``top`` before the walk leaves exactly the full forest's merges at or below
-it; the detector passes its largest threshold, and a cut or sweep above a
-dendrogram's ``top`` is refused rather than answered from a partial forest.
+``link_clustering(graph, top)`` is the only code that builds a ``Dendrogram``,
+and it builds only the merges at or below the height ``top``. Single linkage
+is Kruskal's algorithm, so dropping the pairs above ``top`` before the walk
+leaves exactly the full forest's merges at or below it, none of which joins
+a cluster to itself; the detector passes its largest threshold, and a cut or
+sweep above a dendrogram's ``top`` is refused rather than answered from a
+partial forest.
 
 The heights come from numpy arrays over all sum_k deg(k)(deg(k) - 1)/2 edge
 pairs, without sets: |N+(i) & N+(j)| is the number of keystones i and j
@@ -78,82 +80,31 @@ def _find(parent, x):
 
 
 def _union(parent, a, b):
-    """Join the sets of a and b under the smaller root; False if already one."""
+    """Join the sets of a and b under the smaller root."""
     ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
     parent[max(ra, rb)] = min(ra, rb)
-    return True
-
-
-def _first(mask):
-    """Index of the first True in mask, or None."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
-def _merge_column(column, kind, what, dtype=None):
-    """One column of hand-written merges; a value that is not a ``kind`` is refused."""
-    # one by one: numpy's type discovery reads a bool as a number, and a
-    # numeric string as a float when a dtype is given
-    noun = "an integer" if kind is numbers.Integral else "a real number"
-    for k, value in enumerate(column):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise DataError(f"merge {k} has {what} {value!r}, which is not {noun}")
-    return np.array(column, dtype=dtype)
 
 
 class Dendrogram:
     """Single-linkage merge forest over leaves 0..L-1, built up to ``top``.
 
-    ``ends`` holds each leaf's two end nodes. Merge k joined the clusters of
-    leaves ``edge_a[k]`` and ``edge_b[k]`` at ``heights[k]``; the heights are
-    non-decreasing and in [0, top]. The forest holds every merge at or below
+    Only ``link_clustering`` builds one, and the constructor stores its
+    arrays as they are. ``ends`` holds each leaf's two end nodes. Merge k
+    joined the clusters of leaves ``edge_a[k]`` and ``edge_b[k]`` at
+    ``heights[k]``; the heights are non-decreasing and in [0, top], and no
+    merge joins a cluster to itself. The forest holds every merge at or below
     ``top``, so a cut at a height h is the components of the merges at or
-    below h, and a cut above ``top`` is refused. ``leaves`` and ``merges`` are
-    list views, built on first use: ``(lo, hi)`` tuples and ``(edge_a,
-    edge_b, height)`` triples. The constructor takes those two lists for a
-    full forest, ``top`` 1; ``link_clustering`` hands over its arrays and
-    its ``top`` instead.
+    below h, and a cut above ``top`` is refused. ``leaves`` and ``merges``
+    are list views, built on first use: ``(lo, hi)`` tuples and ``(edge_a,
+    edge_b, height)`` triples.
     """
 
     __slots__ = ("ends", "edge_a", "edge_b", "heights", "top", "_leaves", "_merges")
 
-    def __init__(self, leaves, merges):
-        merges = list(merges)
-        a, b, h = zip(*merges) if merges else ((), (), ())
-        self._store(
-            np.asarray(leaves),
-            _merge_column(a, numbers.Integral, "leaf id"),
-            _merge_column(b, numbers.Integral, "leaf id"),
-            _merge_column(h, numbers.Real, "height", np.float64),
-            1.0,
-        )
-
-    @classmethod
-    def _from_arrays(cls, ends, edge_a, edge_b, heights, top):
-        dendrogram = cls.__new__(cls)
-        dendrogram._store(ends, edge_a, edge_b, heights, top)
-        return dendrogram
-
-    def _store(self, ends, edge_a, edge_b, heights, top):
-        k = _first(~((heights >= 0.0) & (heights <= 1.0)))
-        if k is not None:
-            raise DataError(f"merge {k} height {heights[k]} outside [0, 1]")
-        k = _first(heights[1:] < heights[:-1])
-        if k is not None:
-            raise DataError(
-                f"merge {k + 1} height {heights[k + 1]} is below the previous {heights[k]}"
-            )
-        nleaf = len(ends)
-        unknown_a = (edge_a < 0) | (edge_a >= nleaf)
-        k = _first(unknown_a | (edge_b < 0) | (edge_b >= nleaf))
-        if k is not None:
-            leaf = edge_a[k] if unknown_a[k] else edge_b[k]
-            raise DataError(f"merge {k} references unknown leaf {leaf}")
+    def __init__(self, ends, edge_a, edge_b, heights, top):
         self.ends = ends
-        self.edge_a = edge_a.astype(np.int64, copy=False)
-        self.edge_b = edge_b.astype(np.int64, copy=False)
+        self.edge_a = edge_a
+        self.edge_b = edge_b
         self.heights = heights
         self.top = top
         self._leaves = self._merges = None  # the list views, built on first use
@@ -244,7 +195,7 @@ def link_clustering(graph, top=1.0):
         del keep
     lo, hi, rank = _spanning_merges(len(edges), pair, rank, nrank)
     del pair
-    return Dendrogram._from_arrays(edges, lo, hi, heights[rank], top)
+    return Dendrogram(edges, lo, hi, heights[rank], top)
 
 
 def _sort_packed(major, nmajor, minor=None, nminor=None):
@@ -436,7 +387,9 @@ def _pair_heights(n, edges, deg):
 
 
 def _check_threshold(threshold_percent):
-    if not isinstance(threshold_percent, int) or isinstance(threshold_percent, bool):
+    if not isinstance(threshold_percent, numbers.Integral) or isinstance(
+        threshold_percent, bool
+    ):
         raise ValueError("threshold must be an integer percentage")
     if not 1 <= threshold_percent <= 100:
         raise ValueError(
@@ -479,8 +432,6 @@ def sweep_link_dendrogram(dendrogram, thresholds, graph):
     for threshold_percent, stop in zip(grid, stops):
         for a, b, lo_a, hi_a, lo_b, hi_b in islice(walk, stop - k):
             ra, rb = _find(parent, a), _find(parent, b)
-            if ra == rb:
-                continue
             # a root without a node set is a one-edge cluster: leaf a or b
             big = nodes.pop(ra, None) or {lo_a, hi_a}
             small = nodes.pop(rb, None) or {lo_b, hi_b}

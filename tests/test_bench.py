@@ -399,6 +399,15 @@ class TestRunBenchmark:
                 "twoclique,flat,block,0,1.0\ntwoclique,flat,block,x,0.5\n",
                 r"twoclique__flat__block\.csv:2: bad cell row",
             ),
+            *(
+                (
+                    "cells/twoclique__flat__block.csv",
+                    f"twoclique,flat,block,0,{accuracy}\ntwoclique,flat,block,1,1.0\n",
+                    r"twoclique__flat__block\.csv:1: bad cell row",
+                )
+                # an accuracy must be a finite fraction
+                for accuracy in ("nan", "inf", "1.5", "-0.2")
+            ),
         ],
     )
     def test_malformed_cache_file_is_a_data_error(self, tmp_path, name, text, message):

@@ -283,35 +283,26 @@ class TestDendrogram:
         dend = link_clustering(g)
         assert dend.leaves == [(0, 1), (1, 2)]
 
-    @pytest.mark.parametrize(
-        "merges, message",
-        [
-            ([(0, 1, 0.5), (1, 2, 0.25)], "below the previous"),
-            ([(0, 1, 1.5)], r"outside \[0, 1\]"),
-            ([(0, 1, -0.1)], r"outside \[0, 1\]"),
-            ([(0, 3, 0.5)], "unknown leaf 3"),
-            ([(-1, 0, 0.5)], "unknown leaf -1"),
-            ([(0, 1.0, 0.5)], r"merge 0 has leaf id 1\.0, which is not an integer"),
-            ([(0, True, 0.5)], "merge 0 has leaf id True, which is not an integer"),
-            ([("0", 1, 0.5)], "merge 0 has leaf id '0', which is not an integer"),
-            ([(0, 1, 0.1), (True, 2, 0.2)], "merge 1 has leaf id True"),
-            ([(0, 1, "0.5")], "merge 0 has height '0.5', which is not a real number"),
-            ([(0, 1, 0.1), (1, 2, True)], "merge 1 has height True, which is not a real"),
-            ([(0, 1, None)], "merge 0 has height None, which is not a real number"),
-        ],
-    )
-    def test_malformed_merges_rejected(self, merges, message):
-        with pytest.raises(DataError, match=message):
-            Dendrogram(["a", "b", "c"], merges)
-
     def test_merges_span_the_forest_in_height_order(self):
         rng = random.Random(29)
         for _ in range(30):
             g, _ = random_graph(rng, max_n=12)
             dend = link_clustering(g)
+            assert isinstance(dend, Dendrogram)
             heights = [h for _, _, h in dend.merges]
             assert heights == sorted(heights)
             assert len(dend.merges) == len(dend.leaves) - len(dend.cut(1.0))
+
+    @pytest.mark.parametrize("top", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "name, graph", TestPairBuild.HEAVY, ids=[name for name, _ in TestPairBuild.HEAVY]
+    )
+    def test_heavy_merges_span_the_forest(self, name, graph, top):
+        # the sweep never checks whether a merge joins a cluster to itself:
+        # every merge of a Kruskal forest lowers the cluster count by one
+        dend = link_clustering(graph, top)
+        assert np.all(np.diff(dend.heights) >= 0)
+        assert len(dend.merges) == len(dend.leaves) - len(dend.cut(top))
 
     def test_cut_matches_component_oracle(self):
         rng = random.Random(13)
@@ -356,9 +347,18 @@ class TestCutCover:
         for bad in (0, 101, -5):
             with pytest.raises(ValueError, match="between 1 and 100"):
                 cut_link_dendrogram(dend, bad, barbell6)
-        for bad in (0.5, "50", True):
+        for bad in (0.5, "50", True, np.float64(50), np.bool_(True)):
             with pytest.raises(ValueError, match="integer"):
                 cut_link_dendrogram(dend, bad, barbell6)
+        for t in (50, 90):
+            want = cut_link_dendrogram(dend, t, barbell6).communities
+            for numpy_int in (np.int64(t), np.int32(t), np.uint8(t)):
+                assert cut_link_dendrogram(dend, numpy_int, barbell6).communities == want
+                assert detect_cover(barbell6, "linkcluster", numpy_int).communities == want
+        grid = np.arange(10, 101, 10)
+        want = sweep_link_dendrogram(dend, grid.tolist(), barbell6)
+        got = sweep_link_dendrogram(dend, grid, barbell6)
+        assert [c.communities for c in got] == [c.communities for c in want]
 
     def test_duplicate_node_sets_collapse(self):
         # two 4-cliques sharing no similarity structure with each other,
@@ -436,19 +436,6 @@ class TestSweep:
                     cut_link_dendrogram(dend, t, graph),
                 ):
                     assert got.communities == want.communities, (name, t)
-
-    def test_redundant_merges_are_skipped(self):
-        # a hand-built forest may join two leaves already in one cluster
-        leaves = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]
-        merges = [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3), (2, 3, 0.4), (3, 4, 0.5)]
-        dend = Dendrogram(leaves, merges)
-        graph = Graph([str(i) for i in range(5)], [(i, j, 1.0) for i, j in leaves])
-        grid = [10, 20, 30, 40, 50]
-        got = sweep_link_dendrogram(dend, grid, graph)
-        assert [c.communities for c in got] == [
-            cut_cover(dend, t, graph).communities for t in grid
-        ]
-        assert got[3].communities == [frozenset(range(4))]
 
     def test_bad_threshold_in_grid_rejected(self, barbell6):
         dend = link_clustering(barbell6)
