@@ -30,7 +30,6 @@ import os
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from urllib.parse import quote
 
 from .coverops import (
     assignment_matrix,
@@ -131,6 +130,8 @@ def _parse_method(kind, name, pairs, where):
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"{where}: expected key=value, got {pair!r}")
+        if key in raw:
+            raise ConfigError(f"{where}: method option {key!r} given twice")
         raw[key] = value
     opts = {"dedup": _parse_bool(raw.pop("dedup", "false"), where)}
     try:
@@ -216,6 +217,8 @@ def parse_config(path):
                 if len(parts) != 2:
                     raise ConfigError(f"{where}: {key} takes exactly one value")
                 cast, name = _SCALARS[key]
+                if name in values:
+                    raise ConfigError(f"{where}: directive {key!r} given twice")
                 try:
                     values[name] = cast(parts[1])
                 except ValueError:
@@ -296,9 +299,16 @@ def cell_seed(seed, network, method, attribute):
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+_UNENCODED = frozenset(b"abcdefghijklmnopqrstuvwxyz0123456789-.~")
+
+
 def _safe(name):
-    # "_" is encoded too, so "__" in a file name only ever separates names
-    return quote(name, safe="").replace("_", "%5F")
+    # every other UTF-8 byte is percent-encoded: "_", so "__" in a file name
+    # only ever separates names, and capitals, so names differing only in
+    # case keep distinct files on case-insensitive file systems
+    return "".join(
+        chr(byte) if byte in _UNENCODED else f"%{byte:02X}" for byte in name.encode("utf-8")
+    )
 
 
 def _cell_path(out, network, method, attribute):

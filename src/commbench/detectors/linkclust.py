@@ -6,15 +6,17 @@ N+(x) = N(x) + {x}; non-adjacent edges are never compared. Single-linkage
 agglomeration over the heights 1 - S builds a merge forest whose leaves are
 the graph's edges, kept as the height-sorted arrays of the edge pairs that
 joined two clusters. Cutting it at a height and mapping every edge cluster
-to the nodes it spans yields an overlapping node cover; clusters
-spanning fewer than four nodes or holding fewer than three edges are
-dropped. Similarities ignore edge weights. Everything is deterministic:
-candidate pairs are processed in (height, edge-id, edge-id) order.
+to the nodes it spans yields an overlapping node cover; clusters spanning
+fewer than four nodes are dropped. That filter is by nodes alone, and it
+also drops every cluster of fewer than three edges: a cluster's edges connect
+the nodes it spans, so k nodes take at least k - 1 edges. Similarities ignore
+edge weights. Everything is deterministic: candidate pairs are processed in
+(height, edge-id, edge-id) order.
 
 ``sweep_link_dendrogram`` makes every cover: it walks the merges once for a
-whole grid of cut heights, keeping each cluster's node set and edge count as
-it grows, so a sweep costs one build plus one walk, not one replay per
-threshold. ``cut_link_dendrogram`` is its one-threshold case.
+whole grid of cut heights, keeping each cluster's node set as it grows, so
+a sweep costs one build plus one walk, not one replay per threshold.
+``cut_link_dendrogram`` is its one-threshold case.
 
 ``link_clustering(graph, top)`` is the only code that builds a ``Dendrogram``,
 and it builds only the merges at or below the height ``top``. Single linkage
@@ -25,9 +27,11 @@ sweep above a dendrogram's ``top`` is refused rather than answered from a
 partial forest.
 
 The heights come from numpy arrays over all sum_k deg(k)(deg(k) - 1)/2 edge
-pairs, without sets: |N+(i) & N+(j)| is the number of keystones i and j
-share (how often the node pair turns up among the pairs) plus 2 when i and
-j are adjacent, |N+(i) | N+(j)| is deg(i) + deg(j) + 2 minus that, and the
+pairs, without sets. The build reads the half-edges grouped by keystone from
+``Graph.neighbours()`` and pairs each with every later half-edge of its
+keystone. |N+(i) & N+(j)| is the number of keystones i and j share (how
+often the node pair turns up among the pairs) plus 2 when i and j are
+adjacent, |N+(i) | N+(j)| is deg(i) + deg(j) + 2 minus that, and the
 integer quotient is rounded exactly as Python's would be. A height is fixed
 by those two small integers, so the build ranks heights by integer code: a
 dense table over the (intersection, union) codes that occur, whose size is
@@ -63,7 +67,6 @@ from ..covers import Cover
 from ..errors import DataError
 
 MIN_NODES = 4
-MIN_EDGES = 3
 MAX_EDGE_PAIRS = 30_000_000  # at most 53 bytes each at the build's peak
 WALK_CHUNK = 1 << 16
 KEY_BITS = 63  # a packed (major, minor) sort key must fit an int64
@@ -187,7 +190,7 @@ def link_clustering(graph, top=1.0):
         )
     # the graph's edges are already sorted by (lo, hi)
     edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
-    pair, rank, heights = _pair_heights(graph.n, edges, deg)
+    pair, rank, heights = _pair_heights(graph, edges, deg)
     nrank = int(np.searchsorted(heights, top, side="right"))
     if nrank < len(heights):
         keep = rank < nrank
@@ -302,46 +305,33 @@ def _boruvka(ncluster, a, b):
     return np.unique(np.concatenate(picked)), label
 
 
-def _pair_heights(n, edges, deg):
+def _pair_heights(graph, edges, deg):
     """Every two edges lo < hi sharing a node, with the height 1 - S of each.
 
     Returns ``(pair, rank, heights)``: ``pair`` is ``lo * L + hi``,
     ``heights`` the ascending distinct heights, ``rank`` each pair's index
-    into it. ``edges`` is the sorted (L, 2) int32 endpoint array, ``deg``
-    each node's count of distinct neighbours. The two edges end in other
-    endpoints i < j, and the node pair (i, j) comes up once per common
+    into it. ``edges`` is the graph's sorted (L, 2) int32 endpoint array,
+    ``deg`` each node's count of distinct neighbours. The two edges end in
+    other endpoints i < j, and the node pair (i, j) comes up once per common
     neighbour: |N+(i) & N+(j)| is that multiplicity plus 2 when i and j are
     adjacent, and |N+(i) | N+(j)| is deg_i + deg_j + 2 minus it.
     """
-    nedge = len(edges)
-    # half-edges (keystone, other endpoint, edge id), keystones ascending and
-    # edge ids ascending within each keystone: with the edges sorted, the
-    # (i, v) edges of a keystone v precede its (v, j) ones, so the half-edges
-    # keyed on the larger endpoint go first into the stable sort
-    keystone = np.concatenate((edges[:, 1], edges[:, 0]))
-    by_keystone = np.argsort(keystone, kind="stable")
-    del keystone
-    other = np.concatenate((edges[:, 0], edges[:, 1]))[by_keystone]
-    eid = np.tile(np.arange(nedge, dtype=np.int32), 2)[by_keystone]
-    del by_keystone
-    # half-edge a pairs with every later half-edge b of its keystone; within a
-    # keystone other endpoints and edge ids both ascend, so i < j and lo < hi
-    seg_end = np.repeat(np.cumsum(deg).astype(np.int32), deg)
-    partners = seg_end - 1 - np.arange(2 * nedge, dtype=np.int32)
-    del seg_end
+    n, nedge = graph.n, len(edges)
+    # half-edges grouped by keystone, where other endpoints and edge ids both
+    # ascend: half-edge a pairs with every later half-edge b of its keystone,
+    # so i < j and lo < hi
+    start, other, eid = graph.neighbours()
+    partners = np.repeat(start[1:].astype(np.int32), deg)
+    partners -= 1 + np.arange(2 * nedge, dtype=np.int32)
     first = np.repeat(np.arange(2 * nedge, dtype=np.int32), partners)
-    # second = first + 1 + position within the run, as a running sum of
-    # steps that are 1 inside a run and jump to the next half-edge's successor
-    step = np.ones(len(first), dtype=np.int32)
-    runs = np.flatnonzero(partners)
-    run_start = np.cumsum(partners[runs]) - partners[runs]
-    last = runs + partners[runs]
-    step[run_start] = runs + 1 - np.concatenate(([0], last[:-1]))
-    del partners, runs, run_start, last
-    second = np.cumsum(step, dtype=np.int32)
-    del step
-    node_pair = other[first].astype(np.int64) * n + other[second]
-    pair = eid[first].astype(np.int64) * nedge + eid[second]
+    # second = first + 1 + its position within first's run of partners
+    second = np.arange(len(first), dtype=np.int32)
+    second -= np.repeat(np.cumsum(partners, dtype=np.int32) - partners, partners)
+    del partners
+    second += first
+    second += 1
+    node_pair = other[first].astype(np.int64, copy=False) * n + other[second]
+    pair = eid[first].astype(np.int64, copy=False) * nedge + eid[second]
     del first, second, eid, other
     # group the pairs by node pair; the group sizes are the shared keystones
     npair = len(pair)
@@ -407,11 +397,10 @@ def sweep_link_dendrogram(dendrogram, thresholds, graph):
 
     The distinct thresholds are visited in ascending order while a union-find
     (root = smallest leaf) applies the merges at or below each height; every
-    root keeps its cluster's node set and edge count. A cover holds the
-    clusters passing the size filter, ordered by root, with the frozenset of
-    each cached until its cluster next merges. Covers come back in the order
-    of ``thresholds``, repeats included. A threshold above the dendrogram's
-    ``top`` is refused.
+    root of two or more edges keeps its cluster's node set. A cover holds the
+    clusters spanning at least ``MIN_NODES`` nodes, ordered by root. Covers
+    come back in the order of ``thresholds``, repeats included. A threshold
+    above the dendrogram's ``top`` is refused.
     """
     thresholds = list(thresholds)
     for threshold_percent in thresholds:
@@ -425,8 +414,6 @@ def sweep_link_dendrogram(dendrogram, thresholds, graph):
     walk = zip(*(x.tolist() for x in (edge_a, edge_b, *ends[edge_a].T, *ends[edge_b].T)))
     parent = list(range(len(ends)))
     nodes = {}  # root -> node set, for clusters of two or more edges
-    edge_count = {}  # root -> edges, likewise
-    passing = {}  # root -> its frozenset once emitted, else None
     covers = {}
     k = 0
     for threshold_percent, stop in zip(grid, stops):
@@ -435,22 +422,13 @@ def sweep_link_dendrogram(dendrogram, thresholds, graph):
             # a root without a node set is a one-edge cluster: leaf a or b
             big = nodes.pop(ra, None) or {lo_a, hi_a}
             small = nodes.pop(rb, None) or {lo_b, hi_b}
-            root, other = min(ra, rb), max(ra, rb)
-            parent[other] = root
+            root = parent[max(ra, rb)] = min(ra, rb)
             if len(big) < len(small):
                 big, small = small, big
             big |= small
             nodes[root] = big
-            count = edge_count[root] = edge_count.get(root, 1) + edge_count.pop(other, 1)
-            passing.pop(other, None)
-            if count >= MIN_EDGES and len(big) >= MIN_NODES:
-                passing[root] = None  # new, or grown past its cached set
         k = stop
-        communities = []
-        for root in sorted(passing):
-            community = passing[root]
-            if community is None:
-                community = passing[root] = frozenset(nodes[root])
-            communities.append(community)
-        covers[threshold_percent] = Cover(graph.n, communities)
+        # a cluster's edges connect its nodes, so four nodes take three edges
+        roots = sorted(root for root, spanned in nodes.items() if len(spanned) >= MIN_NODES)
+        covers[threshold_percent] = Cover(graph.n, [nodes[root] for root in roots])
     return [covers[threshold_percent] for threshold_percent in thresholds]

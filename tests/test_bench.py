@@ -29,7 +29,7 @@ from commbench import (
     sanity_check,
     write_edge_list,
 )
-from commbench.bench import GCE_GRID, LINK_GRID, LOUVAIN_GRID, cell_seed
+from commbench.bench import GCE_GRID, LINK_GRID, LOUVAIN_GRID, _cell_path, _cover_path, cell_seed
 from commbench.cli import build_parser
 from commbench.detectors import DETECTORS
 
@@ -190,6 +190,14 @@ class TestParseConfig:
             ("version 1\nmethod linkcluster-sweep x thresholds=50,101\n", "threshold must be between"),
             ("version 1\nk two\n", "bad value for k"),
             ("version 1\nk 2 3\n", "takes exactly one value"),
+            # a repeated option or directive would silently replace the first
+            (
+                "version 1\nmethod linkcluster-sweep l thresholds=10-20 thresholds=30\n",
+                r"cfg:2: method option 'thresholds' given twice",
+            ),
+            ("version 1\nmethod louvain m t=1.0 t=0.05\n", r"cfg:2: method option 't' given twice"),
+            ("version 1\nseed 1\nseed 2\n", r"cfg:3: directive 'seed' given twice"),
+            ("version 1\noutput a\noutput b\n", r"cfg:3: directive 'output' given twice"),
         ],
     )
     def test_rejections(self, tmp_path, text, message):
@@ -572,6 +580,40 @@ class TestRunBenchmark:
                 tmp_path / "two" / name
             ).read_bytes()
 
+    def test_names_differing_only_in_case_keep_their_own_files(self, tmp_path):
+        # a case-insensitive file system compares names as if lowercased
+        for a, b in (("A", "a"), ("Net", "net"), ("A", "%41")):
+            assert _cell_path(tmp_path, a, a, a).name.lower() != (
+                _cell_path(tmp_path, b, b, b).name.lower()
+            )
+            assert _cover_path(tmp_path, a, a).name.lower() != (
+                _cover_path(tmp_path, b, b).name.lower()
+            )
+        # every workload's all-lowercase names keep their file names
+        assert _cell_path(tmp_path, "net", "m-1.~", "x").name == "net__m-1.~__x.csv"
+
+    def test_comma_and_quote_names_are_quoted_and_resumed(self, tmp_path, caplog):
+        _, edge_path, attr_path = two_clique_dataset(tmp_path)
+        text = bench_config_text(edge_path, attr_path, tmp_path / "out")
+        text = text.replace("dataset twoclique ", 'dataset two,"clique" ')
+        text = text.replace("method louvain flat ", 'method louvain "fl,at" ')
+        config = parse_config(write_config(tmp_path, text))
+        first = run_benchmark(config)
+        out = tmp_path / "out"
+        quoted = '"two,""clique""","""fl,at""",block'
+        assert (out / "report.csv").read_text().splitlines()[1:] == [
+            f"{quoted},{fold},1.0" for fold in (0, 1)
+        ]
+        cell = _cell_path(out, 'two,"clique"', '"fl,at"', "block")
+        assert cell.read_text() == (out / "report.csv").read_text().split("\n", 1)[1]
+        report_bytes = (out / "report.csv").read_bytes()
+        with caplog.at_level("WARNING", logger="commbench"):
+            resumed = run_benchmark(config)
+        assert "recomputing" not in caplog.text
+        assert resumed.records == first.records
+        assert resumed.records[0][:3] == ('two,"clique"', '"fl,at"', "block")
+        assert (out / "report.csv").read_bytes() == report_bytes
+
     def test_double_underscore_names_keep_their_own_cells(self, tmp_path):
         # (m, x__block) and (m__x, block) once shared one cache file name
         _, edge_path, _ = two_clique_dataset(tmp_path)
@@ -670,3 +712,13 @@ class TestSanityCheck:
             sanity_check("louvain", 1.0, spec, multilevel=True)
         with pytest.raises(ConfigError, match="'gce' takes no flag 'multi_level'"):
             sanity_check("gce", 1.5, spec, multi_level=True)
+
+    def test_empty_cover_is_an_error(self):
+        # at height 0.01 no cluster of this graph spans four nodes
+        spec = PlantedPartitionSpec(128, 4, 14 / 31, 2 / 96)
+        with pytest.raises(DataError, match="detector produced an empty cover"):
+            sanity_check("linkcluster", 1, spec)
+
+    def test_unknown_detector_is_refused(self, barbell6):
+        with pytest.raises(ConfigError, match="unknown detector 'nope'"):
+            detect_cover(barbell6, "nope", 1.0)

@@ -148,6 +148,18 @@ class TestBench:
         assert "bench.cfg:14: threshold must be between" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_failed_cell_is_reported_and_exits_0(self, tmp_path, capsys):
+        # 'dead' has no labeled rows, so its cell fails while 'block' scores
+        _, edge_path, attr_path = two_clique_dataset(tmp_path)
+        cfg = tmp_path / "bench.cfg"
+        extra = "attribute dead\n"
+        cfg.write_text(bench_config_text(edge_path, attr_path, tmp_path / "out", extra))
+        assert main(["bench", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("flat\tblock\t")
+        assert "1 cell(s) failed; see failures.tsv" in captured.err
+        assert "dead" in (tmp_path / "out" / "failures.tsv").read_text()
+
     def test_all_cells_failed_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "boom.cfg"
         cfg.write_text(

@@ -9,6 +9,7 @@ import pytest
 import commbench.graph
 from commbench import (
     MISSING,
+    AttributeTable,
     DataError,
     Graph,
     PlantedPartitionSpec,
@@ -260,6 +261,15 @@ class TestAttributeTable:
         with pytest.raises(DataError, match="more fields than header"):
             load_attributes(path, barbell6)
 
+    def test_empty_node_id_header_rejected(self, tmp_path, barbell6):
+        path = self.write(tmp_path, "# comment\n\tdorm\n0\tA\n")
+        with pytest.raises(DataError, match=r"attrs\.tsv:2: node-id column missing"):
+            load_attributes(path, barbell6)
+
+    def test_column_of_wrong_length_rejected(self):
+        with pytest.raises(DataError, match="attribute 'dorm' has 2 rows, expected 3"):
+            AttributeTable(["dorm"], {"dorm": ["A", "B"]}, 3)
+
     def test_headerless_file_rejected(self, tmp_path, barbell6):
         path = self.write(tmp_path, "# only a comment\n")
         with pytest.raises(DataError, match="no header"):
@@ -343,6 +353,11 @@ class TestMetaGraph:
     def test_overlapping_blocks_rejected(self, barbell6):
         with pytest.raises(DataError, match="overlapping blocks"):
             build_meta_graph(barbell6, [[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize("member", [6, -1])
+    def test_member_outside_graph_rejected(self, barbell6, member):
+        with pytest.raises(DataError, match=f"node {member} outside graph with 6 nodes"):
+            build_meta_graph(barbell6, [[0, 1], [2, member]])
 
     def test_label_count_mismatch(self, barbell6):
         with pytest.raises(DataError, match="labels do not match"):

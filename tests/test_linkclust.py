@@ -96,7 +96,7 @@ def pair_heights(graph):
     """``_pair_heights`` over the graph's edges, as ``link_clustering`` calls it."""
     deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
     edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
-    return linkclust._pair_heights(graph.n, edges, deg)
+    return linkclust._pair_heights(graph, edges, deg)
 
 
 def pair_build_cases():
