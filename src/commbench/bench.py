@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import logging
 import math
 import os
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .coverops import (
+    COVER_STATS_COLUMNS,
     assignment_matrix,
     cover_stats,
     dedup,
@@ -97,9 +99,14 @@ def _parse_grid(raw, spec, where):
     if spec.type is int and "-" in raw and "," not in raw:
         lo, _, hi = raw.partition("-")
         try:
-            values = tuple(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         except ValueError:
             raise ConfigError(f"{where}: bad range {raw!r}") from None
+        # the valid values are an interval: check the ends before expanding
+        if values:
+            spec.check(values[0])
+            spec.check(values[-1])
+        values = tuple(values)
     else:
         try:
             values = tuple(spec.type(x) for x in raw.split(",")) if raw else ()
@@ -338,21 +345,15 @@ def _unlink(path):
         path.unlink()
 
 
-def _record_line(record):
-    """One network,method,attribute,fold,accuracy CSV line, without its newline."""
-    network, method, attribute, fold, accuracy = record
-    names = ",".join(_csv_quote(x) for x in (network, method, attribute))
-    return f"{names},{fold},{accuracy!r}"
+def _write_csv(path, rows):
+    """Write rows in the CSV dialect ``_read_cell`` reads back."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _atomic_write(path, text.getvalue())
 
 
-def _write_cell(path, rows):
-    _atomic_write(path, "\n".join(map(_record_line, rows)) + "\n")
-
-
-def _csv_quote(value):
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+def _write_lines(path, lines):
+    _atomic_write(path, "".join(f"{line}\n" for line in lines))
 
 
 def _accuracy(text):
@@ -468,7 +469,7 @@ def run_benchmark(config, force=False):
                     failures.append((*cell, f"classify: {exc}"))
                     continue
                 rows = [(*cell, fold, acc) for fold, acc in enumerate(accuracies)]
-                _write_cell(path, rows)
+                _write_csv(path, rows)
                 records.extend(rows)
 
     # a resume must not serve a file its cell failed to reproduce
@@ -490,26 +491,25 @@ def run_benchmark(config, force=False):
     for pair, accs in sorted(by_pair.items()):
         summary[pair] = (sum(accs) / len(accs), len(accs))
         histograms[pair] = accuracy_histogram(accs)
-    _write_report(out, config, records, stats, summary, histograms, failures)
+    _write_report(out, records, stats, summary, histograms, failures)
     return BenchmarkReport(records, stats, summary, histograms, failures)
 
 
-def _write_report(out, config, records, stats, summary, histograms, failures):
-    lines = ["network,method,attribute,fold,accuracy", *map(_record_line, records)]
-    _atomic_write(out / "report.csv", "\n".join(lines) + "\n")
+def _write_report(out, records, stats, summary, histograms, failures):
+    header = ("network", "method", "attribute", "fold", "accuracy")
+    _write_csv(out / "report.csv", [header, *records])
     lines = ["method\tattribute\tmean_accuracy\trecords"]
     for (method, attribute), (mean, count) in sorted(summary.items()):
         lines.append(f"{method}\t{attribute}\t{mean!r}\t{count}")
-    _atomic_write(out / "summary.tsv", "\n".join(lines) + "\n")
-    lines = ["network\tmethod\tcommunities\tmedian_smallest\tuncovered\tsizes"]
+    _write_lines(out / "summary.tsv", lines)
+    lines = ["\t".join(("network", "method", *COVER_STATS_COLUMNS))]
     for (network, method), st in sorted(stats.items()):
         lines.append(f"{network}\t{method}\t{format_cover_stats(st)}")
-    _atomic_write(out / "stats.tsv", "\n".join(lines) + "\n")
+    _write_lines(out / "stats.tsv", lines)
     written = set()
     for (method, attribute), bins in sorted(histograms.items()):
-        body = "\n".join(f"{b} {c}" for b, c in bins.items())
         path = out / "hist" / f"{_safe(method)}__{_safe(attribute)}.txt"
-        _atomic_write(path, body + ("\n" if body else ""))
+        _write_lines(path, (f"{b} {c}" for b, c in bins.items()))
         written.add(path)
     for path in (out / "hist").glob("*.txt"):
         if path not in written:
@@ -518,7 +518,7 @@ def _write_report(out, config, records, stats, summary, histograms, failures):
     for network, method, attribute, message in failures:
         clean = " ".join(str(message).split())
         lines.append(f"{network}\t{method}\t{attribute}\t{clean}")
-    _atomic_write(out / "failures.tsv", "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(out / "failures.tsv", lines)
 
 
 def flatten_cover(cover):

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 from . import __version__
 from .bench import parse_config, run_benchmark, sanity_check
-from .coverops import combine_runs, cover_stats, format_cover_stats
+from .coverops import COVER_STATS_COLUMNS, combine_runs, cover_stats, format_cover_stats
 from .covers import import_cover, serialize_cover, write_cover
 from .detectors import DETECTORS, detect_cover
 from .errors import AllCellsFailedError, CommbenchError, ConfigError
@@ -155,9 +156,7 @@ def cmd_combine(args):
 def cmd_bench(args):
     config = parse_config(args.config)
     report = run_benchmark(config, force=args.force)
-    print("method\tattribute\tmean_accuracy\trecords")
-    for (method, attribute), (mean, count) in sorted(report.summary.items()):
-        print(f"{method}\t{attribute}\t{mean!r}\t{count}")
+    sys.stdout.write((Path(config.output_dir) / "summary.tsv").read_text(encoding="utf-8"))
     if report.failures:
         print(f"{len(report.failures)} cell(s) failed; see failures.tsv", file=sys.stderr)
     print(f"report written to {config.output_dir}", file=sys.stderr)
@@ -186,7 +185,7 @@ def cmd_sanity(args):
 def cmd_stats(args):
     graph = load_edge_list(args.graph)
     cover = import_cover(args.cover, graph)
-    print("communities\tmedian_smallest\tuncovered\tsizes")
+    print("\t".join(COVER_STATS_COLUMNS))
     print(format_cover_stats(cover_stats(cover)))
     return 0
 

@@ -139,8 +139,11 @@ def cover_stats(cover):
     )
 
 
+COVER_STATS_COLUMNS = ("communities", "median_smallest", "uncovered", "sizes")
+
+
 def format_cover_stats(stats):
-    """One-line TSV: count, median (NA when undefined), uncovered, histogram."""
+    """One TSV line in ``COVER_STATS_COLUMNS`` order; the median is NA when undefined."""
     median = "NA" if stats.median_smallest is None else repr(stats.median_smallest)
     hist = ",".join(f"{s}:{c}" for s, c in sorted(stats.size_histogram.items()))
     return f"{stats.community_count}\t{median}\t{stats.uncovered_nodes}\t{hist}"

@@ -38,17 +38,18 @@ dense table over the (intersection, union) codes that occur, whose size is
 O(max degree^2) and so O(pairs), gets each code's height once, and every
 node pair takes its rank from the table in one gather.
 
-Both orders the build needs, the pairs grouped by node pair and the pairs in
-(height rank, pair) order, come from ``_sort_packed``: one in-place sort of
-packed (major, minor) int64 keys, or a ``lexsort`` when a key would not fit.
+Both orders the build needs, the pairs grouped by node pair (with each
+pair's index as the minor key) and the pairs in (height rank, pair) order,
+come from ``_sort_packed``: one in-place sort of packed (major, minor) int64
+keys, or a ``lexsort`` when a key would not fit.
 The merges come from a walk over slices of the pairs in height order: each
 slice's merges are the spanning forest of its pairs over the clusters live
 at its start, found by Boruvka's algorithm in numpy, so no pair reaches a
 Python loop. The order of the keys is strict, so that forest is unique and
 holds exactly the merges a pair-by-pair union-find would make.
 
-The build peaks while it groups the pairs, at about 43 bytes per pair
-(traced with tracemalloc: 84.0 MB for the 1,974,823 pairs of the benchmark's
+The build peaks while it groups the pairs, at about 42 bytes per pair
+(traced with tracemalloc: 83.3 MB for the 1,974,823 pairs of the benchmark's
 10,000-node graph); on graphs of a few hundred thousand pairs the walk's
 fixed slice workspace lifts that to 48, and the tests hold it to 53. So a
 graph with more than ``MAX_EDGE_PAIRS`` pairs (about 1.5 GiB at 53 bytes
@@ -188,42 +189,32 @@ def link_clustering(graph, top=1.0):
             f"bound of {MAX_EDGE_PAIRS}; node {hub!r} has the highest degree "
             f"({int(deg.max())})"
         )
-    # the graph's edges are already sorted by (lo, hi)
-    edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
-    pair, rank, heights = _pair_heights(graph, edges, deg)
+    pair, rank, heights = _pair_heights(graph, deg)
     nrank = int(np.searchsorted(heights, top, side="right"))
     if nrank < len(heights):
         keep = rank < nrank
         pair, rank = pair[keep], rank[keep]
         del keep
-    lo, hi, rank = _spanning_merges(len(edges), pair, rank, nrank)
+    lo, hi, rank = _spanning_merges(len(graph.lo), pair, rank, nrank)
     del pair
+    # the graph's edges are already sorted by (lo, hi)
+    edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
     return Dendrogram(edges, lo, hi, heights[rank], top)
 
 
-def _sort_packed(major, nmajor, minor=None, nminor=None):
+def _sort_packed(major, nmajor, minor, nminor):
     """The pairs (major[k], minor[k]) in ascending order, as two int64 arrays.
 
     ``0 <= major < nmajor`` and ``0 <= minor < nminor``, and ``minor`` is an
     int64 array the call consumes: the packed keys ``major << b | minor``, b
     the bits of nminor - 1, are written into its buffer and sorted in place.
-    Without ``minor`` the pairs are (major[k], k), so the second array is the
-    stable sort order of ``major``. When a key would need more than
-    ``KEY_BITS`` bits, a ``lexsort`` gives the same order instead, or for the
-    index pairs a stable ``argsort`` of ``major`` alone.
+    When a key would need more than ``KEY_BITS`` bits, a ``lexsort`` gives
+    the same order instead.
     """
-    by_index = minor is None
-    if by_index:
-        nminor = len(major)
     bits = (nminor - 1).bit_length()
     if bits + (nmajor - 1).bit_length() > KEY_BITS:
-        if by_index:
-            order = np.argsort(major, kind="stable")
-            return major[order].astype(np.int64, copy=False), order
         order = np.lexsort((minor, major))
         return major[order].astype(np.int64), minor[order]
-    if by_index:
-        minor = np.arange(nminor, dtype=np.int64)
     for start in range(0, len(minor), WALK_CHUNK):
         block = slice(start, start + WALK_CHUNK)
         minor[block] |= major[block].astype(np.int64) << bits
@@ -305,18 +296,17 @@ def _boruvka(ncluster, a, b):
     return np.unique(np.concatenate(picked)), label
 
 
-def _pair_heights(graph, edges, deg):
+def _pair_heights(graph, deg):
     """Every two edges lo < hi sharing a node, with the height 1 - S of each.
 
     Returns ``(pair, rank, heights)``: ``pair`` is ``lo * L + hi``,
     ``heights`` the ascending distinct heights, ``rank`` each pair's index
-    into it. ``edges`` is the graph's sorted (L, 2) int32 endpoint array,
-    ``deg`` each node's count of distinct neighbours. The two edges end in
-    other endpoints i < j, and the node pair (i, j) comes up once per common
-    neighbour: |N+(i) & N+(j)| is that multiplicity plus 2 when i and j are
-    adjacent, and |N+(i) | N+(j)| is deg_i + deg_j + 2 minus it.
+    into it. ``deg`` is each node's count of distinct neighbours. The two
+    edges end in other endpoints i < j, and the node pair (i, j) comes up once
+    per common neighbour: |N+(i) & N+(j)| is that multiplicity plus 2 when i
+    and j are adjacent, and |N+(i) | N+(j)| is deg_i + deg_j + 2 minus it.
     """
-    n, nedge = graph.n, len(edges)
+    n, nedge = graph.n, len(graph.lo)
     # half-edges grouped by keystone, where other endpoints and edge ids both
     # ascend: half-edge a pairs with every later half-edge b of its keystone,
     # so i < j and lo < hi
@@ -335,7 +325,8 @@ def _pair_heights(graph, edges, deg):
     del first, second, eid, other
     # group the pairs by node pair; the group sizes are the shared keystones
     npair = len(pair)
-    node_pair, order = _sort_packed(node_pair, n * n)
+    order = np.arange(npair, dtype=np.int64)
+    node_pair, order = _sort_packed(node_pair, n * n, order, npair)
     group_start = np.ones(npair, dtype=bool)
     np.not_equal(node_pair[1:], node_pair[:-1], out=group_start[1:])
     starts = np.flatnonzero(group_start)
@@ -344,7 +335,7 @@ def _pair_heights(graph, edges, deg):
     del node_pair
     shared = np.diff(starts, append=npair).astype(np.int32)
     del starts
-    edge_keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
+    edge_keys = graph.lo * n + graph.hi
     at = np.minimum(np.searchsorted(edge_keys, keys), nedge - 1)
     adjacent = edge_keys[at] == keys
     del at, edge_keys

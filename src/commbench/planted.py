@@ -84,11 +84,14 @@ def generate_planted(spec):
     size = spec.n // spec.groups
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(spec.seed)))
     ends = []
-    iu, ju = np.triu_indices(size, k=1)
+    # within-group pair k is the k-th (i, j), i < j, in row-major order; row
+    # i starts at first[i], so k decodes exactly without listing every pair
+    rows = np.arange(size, dtype=np.int64)
+    first = rows * (2 * size - rows - 1) // 2
     for a in range(spec.groups):
-        base = a * size
-        idx = _sample_pairs(rng, len(iu), spec.p_in)
-        ends.append((base + iu[idx], base + ju[idx]))
+        idx = _sample_pairs(rng, size * (size - 1) // 2, spec.p_in)
+        i = np.searchsorted(first, idx, side="right") - 1
+        ends.append((a * size + i, a * size + i + 1 + idx - first[i]))
     for a in range(spec.groups):
         for b in range(a + 1, spec.groups):
             if spec.hierarchy and a // 2 == b // 2:

@@ -188,6 +188,8 @@ class TestParseConfig:
             ("version 1\nmethod gce-sweep x alphas=1.0,0\n", "alpha must be positive"),
             ("version 1\nmethod linkcluster-sweep x thresholds=0-3\n", "threshold must be between"),
             ("version 1\nmethod linkcluster-sweep x thresholds=50,101\n", "threshold must be between"),
+            # a range is checked at its ends, before it is expanded
+            ("version 1\nmethod linkcluster-sweep x thresholds=1-3000000\n", "got 3000000"),
             ("version 1\nk two\n", "bad value for k"),
             ("version 1\nk 2 3\n", "takes exactly one value"),
             # a repeated option or directive would silently replace the first

@@ -95,8 +95,7 @@ def pair_count(graph):
 def pair_heights(graph):
     """``_pair_heights`` over the graph's edges, as ``link_clustering`` calls it."""
     deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
-    edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
-    return linkclust._pair_heights(graph, edges, deg)
+    return linkclust._pair_heights(graph, deg)
 
 
 def pair_build_cases():
@@ -160,7 +159,7 @@ class TestPairBuild:
     @pytest.mark.parametrize("chunk", [3, linkclust.WALK_CHUNK])
     def test_unpacked_order_matches_oracle(self, chunk, monkeypatch):
         # keys wider than the bit budget are ordered without packing: the
-        # node pairs by a stable argsort, the walk by a lexsort
+        # node pairs (with their indices) and the walk each by a lexsort
         sorts = []
         numpy_lexsort, numpy_argsort = np.lexsort, np.argsort
 
@@ -181,7 +180,7 @@ class TestPairBuild:
             assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
             npairs = pair_count(graph)
             # the first argsort orders the half-edges by keystone
-            assert sorts[1:] == [("argsort", npairs), ("lexsort", npairs)], name
+            assert sorts[1:] == [("lexsort", npairs), ("lexsort", npairs)], name
             pair, rank, heights = pair_heights(graph)
             want_rank, want_heights = pair_heights_oracle(graph, pair)
             assert np.array_equal(heights, want_heights), name

@@ -1,11 +1,34 @@
 """Planted-partition generator: spec validation, determinism, edge structure."""
 
 import logging
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from commbench import DataError, PlantedPartitionSpec, generate_planted
 from commbench.covers import Partition
+from commbench.gbdt import seed_entropy
+from commbench.planted import _sample_pairs
+
+
+def listed_pair_edges(spec):
+    """Sorted (m, 2) edges of ``spec``, with every within-group pair listed by
+    ``np.triu_indices`` and indexed by the sampled pair numbers."""
+    size = spec.n // spec.groups
+    rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(spec.seed)))
+    iu, ju = np.triu_indices(size, k=1)
+    parts = []
+    for a in range(spec.groups):
+        idx = _sample_pairs(rng, len(iu), spec.p_in)
+        parts.append(np.column_stack((a * size + iu[idx], a * size + ju[idx])))
+    for a in range(spec.groups):
+        for b in range(a + 1, spec.groups):
+            p = spec.p_mid if spec.hierarchy and a // 2 == b // 2 else spec.p_out
+            idx = _sample_pairs(rng, size * size, p)
+            parts.append(np.column_stack((a * size + idx // size, b * size + idx % size)))
+    edges = np.concatenate(parts)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 class TestSpecValidation:
@@ -134,3 +157,32 @@ class TestGeneration:
         expected_cross = 6 * 50 * 50 * 0.02
         assert abs(within - expected_within) < 0.2 * expected_within
         assert abs(cross - expected_cross) < 0.35 * expected_cross
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PlantedPartitionSpec(n=1, groups=1, p_in=1.0, p_out=0.0),
+            PlantedPartitionSpec(n=2, groups=1, p_in=1.0, p_out=0.0),
+            PlantedPartitionSpec(n=12, groups=3, p_in=1.0, p_out=0.0),
+            PlantedPartitionSpec(n=40, groups=4, p_in=0.6, p_out=0.05, seed=11),
+            PlantedPartitionSpec(n=90, groups=3, p_in=0.1, p_out=0.01, seed=2),
+            PlantedPartitionSpec(
+                n=64, groups=4, p_in=0.7, p_out=0.01, seed=5, hierarchy=True, p_mid=0.2
+            ),
+        ],
+    )
+    def test_pairs_decode_as_listed(self, spec):
+        graph, _, _ = generate_planted(spec)
+        assert np.array_equal(np.column_stack((graph.lo, graph.hi)), listed_pair_edges(spec))
+
+    def test_sparse_group_does_not_list_its_pairs(self):
+        # listing a 3,000-node group's 4.5M pairs as two int64 arrays peaked
+        # near 80 MB, whatever p_in
+        spec = PlantedPartitionSpec(n=3000, groups=1, p_in=1e-6, p_out=0.0)
+        tracemalloc.start()
+        try:
+            generate_planted(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
