@@ -26,35 +26,39 @@ a cluster to itself; the detector passes its largest threshold, and a cut or
 sweep above a dendrogram's ``top`` is refused rather than answered from a
 partial forest.
 
-The heights come from numpy arrays over all sum_k deg(k)(deg(k) - 1)/2 edge
-pairs, without sets. The build reads the half-edges grouped by keystone from
-``Graph.neighbours()`` and pairs each with every later half-edge of its
-keystone. |N+(i) & N+(j)| is the number of keystones i and j share (how
-often the node pair turns up among the pairs) plus 2 when i and j are
-adjacent, |N+(i) | N+(j)| is deg(i) + deg(j) + 2 minus that, and the
-integer quotient is rounded exactly as Python's would be. A height is fixed
-by those two small integers, so the build ranks heights by integer code: a
-dense table over the (intersection, union) codes that occur, whose size is
-O(max degree^2) and so O(pairs), gets each code's height once, and every
-node pair takes its rank from the table in one gather.
+The heights come from numpy arrays, without sets. A height depends only on
+the node pair (i, j) of the two edges' other endpoints: |N+(i) & N+(j)| is
+the number of keystones i and j share plus 2 when they are adjacent,
+|N+(i) | N+(j)| is deg(i) + deg(j) + 2 minus that, and the integer quotient
+is rounded exactly as Python's would be. The build reads the rows of
+``Graph.neighbours()`` a chunk of whole rows i at a time, about ``WALK_CHUNK``
+triples (i, k, j) with j > i each; it groups a chunk's triples by node pair
+and keeps only the edge pairs of the node pairs at or below ``top``, each with
+the (intersection, union) code that fixes its height. So only kept pairs need
+ranks: a dense table over the kept codes, whose size is O(max degree^2) and so
+O(pairs), gets each code's height once, and every kept pair takes its rank
+from the table in one gather.
 
-Both orders the build needs, the pairs grouped by node pair (with each
-pair's index as the minor key) and the pairs in (height rank, pair) order,
-come from ``_sort_packed``: one in-place sort of packed (major, minor) int64
-keys, or a ``lexsort`` when a key would not fit.
+Both orders the build needs, a chunk's triples grouped by node pair (with
+each triple's index as the minor key) and the kept pairs in (height rank,
+pair) order, come from ``_sort_packed``: one in-place sort of packed (major,
+minor) int64 keys, or a ``lexsort`` when a key would not fit.
 The merges come from a walk over slices of the pairs in height order: each
 slice's merges are the spanning forest of its pairs over the clusters live
 at its start, found by Boruvka's algorithm in numpy, so no pair reaches a
 Python loop. The order of the keys is strict, so that forest is unique and
 holds exactly the merges a pair-by-pair union-find would make.
 
-The build peaks while it groups the pairs, at about 42 bytes per pair
-(traced with tracemalloc: 83.3 MB for the 1,974,823 pairs of the benchmark's
-10,000-node graph); on graphs of a few hundred thousand pairs the walk's
-fixed slice workspace lifts that to 48, and the tests hold it to 53. So a
-graph with more than ``MAX_EDGE_PAIRS`` pairs (about 1.5 GiB at 53 bytes
-each) is refused with a ``DataError`` before any per-pair array is
-allocated.
+The build holds arrays over the half-edges, one chunk, and about 20 bytes
+per kept pair (traced with tracemalloc on the benchmark's 10,000-node graph:
+12.1 MB at ``top`` 0.8, which keeps 205 of its 1,974,823 pairs, and 51.9 MB
+at 1.0, which keeps them all; the tests hold the peak at 1.0 to 53 bytes per
+pair). Every pair is still enumerated whatever ``top`` is, so
+``MAX_EDGE_PAIRS`` bounds the build's work: a graph with more pairs is
+refused with a ``DataError`` before any per-pair array is allocated. A star
+just under the bound (29,996,385 pairs, all at one height) builds in 1.2 s at
+``top`` 0.5, which keeps none of them, and in 3.2 s and 0.9 GiB more RSS at
+1.0 (two-core Xeon, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from ..covers import Cover
 from ..errors import DataError
 
 MIN_NODES = 4
-MAX_EDGE_PAIRS = 30_000_000  # at most 53 bytes each at the build's peak
+MAX_EDGE_PAIRS = 30_000_000  # bounds the work; keeps codes and triple counts in int32
 WALK_CHUNK = 1 << 16
 KEY_BITS = 63  # a packed (major, minor) sort key must fit an int64
 
@@ -156,15 +160,25 @@ class Dendrogram:
 
 
 def edge_similarity(graph, edge_a, edge_b):
-    """Inclusive-neighborhood Jaccard of two adjacent edges, or None."""
+    """Inclusive-neighborhood Jaccard of two adjacent edges, or None.
+
+    None also for two edges that share both nodes, and for a self-loop: link
+    clustering never compares loops. An edge the graph lacks is refused with
+    a ``DataError``.
+    """
+    if edge_a[0] == edge_a[1] or edge_b[0] == edge_b[1]:
+        return None
+    ids = graph.neighbour_lists()[0]
+    for u, v in (edge_a, edge_b):
+        if not (0 <= u < graph.n and v in ids[u]):
+            raise DataError(f"the graph has no edge ({u}, {v})")
     a = frozenset(edge_a)
     b = frozenset(edge_b)
     shared = a & b
     if len(shared) != 1:
         return None
-    i = next(iter(a - shared))
-    j = next(iter(b - shared))
-    ids = graph.neighbour_lists()[0]
+    (i,) = a - shared
+    (j,) = b - shared
     ni = set(ids[i]) | {i}
     nj = set(ids[j]) | {j}
     return len(ni & nj) / len(ni | nj)
@@ -173,14 +187,19 @@ def edge_similarity(graph, edge_a, edge_b):
 def link_clustering(graph, top=1.0):
     """Build the single-linkage merge forest over the graph's edges, up to ``top``.
 
-    Only the pairs at or below the height ``top`` are walked, so the forest
+    Only the pairs at or below the height ``top`` are kept, so the forest
     holds exactly the full forest's merges at or below it.
     """
-    if not 0.0 <= top <= 1.0:
-        raise ValueError(f"top must be a height in [0, 1], got {top}")
+    if (
+        isinstance(top, bool)
+        or not isinstance(top, numbers.Real)
+        or not 0.0 <= top <= 1.0
+    ):
+        raise ValueError(f"top must be a height in [0, 1], got {top!r}")
     if not len(graph.lo):
         raise DataError("link clustering requires at least one edge")
-    deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
+    neighbours = graph.neighbours()
+    deg = np.diff(neighbours[0])
     npairs = int((deg * (deg - 1) // 2).sum())
     if npairs > MAX_EDGE_PAIRS:
         hub = graph.labels[int(np.argmax(deg))]
@@ -189,13 +208,8 @@ def link_clustering(graph, top=1.0):
             f"bound of {MAX_EDGE_PAIRS}; node {hub!r} has the highest degree "
             f"({int(deg.max())})"
         )
-    pair, rank, heights = _pair_heights(graph, deg)
-    nrank = int(np.searchsorted(heights, top, side="right"))
-    if nrank < len(heights):
-        keep = rank < nrank
-        pair, rank = pair[keep], rank[keep]
-        del keep
-    lo, hi, rank = _spanning_merges(len(graph.lo), pair, rank, nrank)
+    pair, rank, heights = _pair_heights(graph, neighbours, top)
+    lo, hi, rank = _spanning_merges(len(graph.lo), pair, rank, len(heights))
     del pair
     # the graph's edges are already sorted by (lo, hi)
     edges = np.column_stack((graph.lo, graph.hi)).astype(np.int32)
@@ -296,75 +310,103 @@ def _boruvka(ncluster, a, b):
     return np.unique(np.concatenate(picked)), label
 
 
-def _pair_heights(graph, deg):
-    """Every two edges lo < hi sharing a node, with the height 1 - S of each.
+def _pair_heights(graph, neighbours, top):
+    """The edge pairs lo < hi sharing a node whose height 1 - S is at most top.
 
     Returns ``(pair, rank, heights)``: ``pair`` is ``lo * L + hi``,
-    ``heights`` the ascending distinct heights, ``rank`` each pair's index
-    into it. ``deg`` is each node's count of distinct neighbours. The two
-    edges end in other endpoints i < j, and the node pair (i, j) comes up once
-    per common neighbour: |N+(i) & N+(j)| is that multiplicity plus 2 when i
-    and j are adjacent, and |N+(i) | N+(j)| is deg_i + deg_j + 2 minus it.
+    ``heights`` the ascending distinct heights of the kept pairs, ``rank``
+    each pair's index into it. ``neighbours`` is ``graph.neighbours()``. The
+    two edges of a pair meet at a keystone k and end in other endpoints
+    i < j; the node pair (i, j) comes up once per common neighbour k, so
+    |N+(i) & N+(j)| is that multiplicity plus 2 when i and j are adjacent, and
+    |N+(i) | N+(j)| is deg_i + deg_j + 2 minus it.
+
+    The triples (i, k, j) are enumerated a chunk of whole rows i at a time:
+    for the half-edge i -> k, the j's are the half-edges after its twin
+    k -> i in k's row, where other endpoints and edge ids both ascend, so
+    j > i and eid(i, k) < eid(k, j). A chunk groups its node pairs with one
+    packed sort and emits only the pairs of the groups at or below ``top``,
+    each with the int32 code of its (intersection, union).
     """
+    start, other, eid = neighbours
     n, nedge = graph.n, len(graph.lo)
-    # half-edges grouped by keystone, where other endpoints and edge ids both
-    # ascend: half-edge a pairs with every later half-edge b of its keystone,
-    # so i < j and lo < hi
-    start, other, eid = graph.neighbours()
-    partners = np.repeat(start[1:].astype(np.int32), deg)
-    partners -= 1 + np.arange(2 * nedge, dtype=np.int32)
-    first = np.repeat(np.arange(2 * nedge, dtype=np.int32), partners)
-    # second = first + 1 + its position within first's run of partners
-    second = np.arange(len(first), dtype=np.int32)
-    second -= np.repeat(np.cumsum(partners, dtype=np.int32) - partners, partners)
-    del partners
-    second += first
-    second += 1
-    node_pair = other[first].astype(np.int64, copy=False) * n + other[second]
-    pair = eid[first].astype(np.int64, copy=False) * nedge + eid[second]
-    del first, second, eid, other
-    # group the pairs by node pair; the group sizes are the shared keystones
-    npair = len(pair)
-    order = np.arange(npair, dtype=np.int64)
-    node_pair, order = _sort_packed(node_pair, n * n, order, npair)
-    group_start = np.ones(npair, dtype=bool)
-    np.not_equal(node_pair[1:], node_pair[:-1], out=group_start[1:])
-    starts = np.flatnonzero(group_start)
-    del group_start
-    keys = node_pair[starts]
-    del node_pair
-    shared = np.diff(starts, append=npair).astype(np.int32)
-    del starts
-    edge_keys = graph.lo * n + graph.hi
-    at = np.minimum(np.searchsorted(edge_keys, keys), nedge - 1)
-    adjacent = edge_keys[at] == keys
-    del at, edge_keys
-    i, j = np.divmod(keys, n)
-    del keys
-    # the group arrays set the build's peak, so union is summed in place
-    union = deg[i]
-    del i
-    union += deg[j]
-    del j
-    inter = shared + 2 * adjacent
-    del adjacent
-    union += 2
-    union -= inter
+    deg = np.diff(start).astype(np.int32)
+    other = other.astype(np.int32)
+    row = np.repeat(np.arange(n, dtype=np.int32), deg)
+    # an edge's half-edges take slots 2e (in its hi row) and 2e + 1 (in its
+    # lo row); each half-edge's j's start just after its twin
+    side = eid * 2 + (other > row)
+    slot = np.empty(2 * nedge, dtype=np.int32)
+    slot[side] = np.arange(2 * nedge, dtype=np.int32)
+    after = slot[side ^ 1]
+    after += 1
+    del side, slot
+    count = start[1:].astype(np.int32)[other]
+    count -= after
+    # the triples before each half-edge, and before each row; the pair bound
+    # keeps them within int32
+    before = np.zeros(2 * nedge + 1, dtype=np.int32)
+    np.cumsum(count, out=before[1:])
+    row_before = before[start]
+    # a node pair (i, j) is keyed i << bits | j, and it is adjacent when its
+    # key is one of row i's edge keys
+    bits = (n - 1).bit_length()
+    edge_key = graph.lo << bits | graph.hi
+    edge_start = np.searchsorted(graph.lo, np.arange(n + 1))
+    # above every union; the pair bound keeps every degree at most 7,746, so
+    # the codes inter * width + union fit int32
+    width = 2 * int(deg.max()) + 2
+    pairs, codes = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
+    r0 = 0
+    while r0 < n:
+        # whole rows of about WALK_CHUNK triples, and at least one row
+        r1 = int(np.searchsorted(row_before, row_before[r0] + WALK_CHUNK, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        h0, h1 = start[r0], start[r1]
+        total = int(before[h1] - before[h0])
+        if total:
+            cnt = count[h0:h1]
+            # each triple's edge (i, k) as the pair's major part, and the
+            # position of its half-edge k -> j
+            lead = np.repeat(eid[h0:h1] * nedge, cnt)
+            twin = np.arange(total, dtype=np.int32)
+            twin += np.repeat(after[h0:h1] - (before[h0:h1] - before[h0]), cnt)
+            # node pair keys local to the chunk: (i - r0) << bits | j
+            key = np.repeat((row[h0:h1] - r0).astype(np.int64) << bits, cnt)
+            key |= other[twin]
+            key, order = _sort_packed(key, (r1 - r0) << bits, np.arange(total, dtype=np.int64), total)
+            first = np.ones(total, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            key = key[starts]
+            shared = np.diff(starts, append=total).astype(np.int32)
+            row_keys = edge_key[edge_start[r0]:edge_start[r1]] - (r0 << bits)
+            at = np.minimum(np.searchsorted(key, row_keys), len(key) - 1)
+            inter = shared.copy()
+            inter[at[key[at] == row_keys]] += 2
+            union = deg[(key >> bits) + r0]
+            union += deg[key & (1 << bits) - 1]
+            union += 2
+            union -= inter
+            keep = 1.0 - inter / union <= top
+            picked = order[np.repeat(keep, shared)]
+            pairs.append(lead[picked] + eid[twin[picked]])
+            code = inter * width
+            code += union
+            codes.append(np.repeat(code[keep], shared[keep]))
+        r0 = r1
+    del row, after, count, before, other
+    pair = np.concatenate(pairs)
+    del pairs
+    code = np.concatenate(codes)
+    del codes
     # a height depends only on the small integers (inter, union): rank the
-    # codes that occur in a dense table, then every group by one gather
-    width = int(union.max(initial=0)) + 1
-    code = inter * width + union
-    del inter, union
+    # kept codes in a dense table, then every pair by one gather
     table = np.zeros(int(code.max(initial=0)) + 1, dtype=np.int32)
     table[code] = 1
-    codes = np.flatnonzero(table)
-    code_heights = 1.0 - (codes // width) / (codes % width)
-    heights, table[codes] = np.unique(code_heights, return_inverse=True)
-    group_rank = table[code]
-    del code, table
-    rank = np.empty(npair, dtype=np.int32)
-    rank[order] = np.repeat(group_rank, shared)
-    return pair, rank, heights
+    kinds = np.flatnonzero(table)
+    heights, table[kinds] = np.unique(1.0 - (kinds // width) / (kinds % width), return_inverse=True)
+    return pair, table[code], heights
 
 
 def _check_threshold(threshold_percent):

@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +27,7 @@ from commbench import (
 )
 from commbench.detectors import linkclust
 from commbench.detectors.linkclust import sweep_link_dendrogram
-from conftest import four_group_spec, heavy_tailed_graph, random_graph
+from conftest import SCALE, four_group_spec, heavy_tailed_graph, random_graph
 from oracles import edge_components_oracle, link_clustering_oracle, pair_heights_oracle
 
 
@@ -56,6 +57,20 @@ class TestEdgeSimilarity:
         g1 = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
         g9 = Graph(["a", "b", "c"], [(0, 1, 9.0), (1, 2, 0.5)])
         assert edge_similarity(g1, (0, 1), (1, 2)) == edge_similarity(g9, (0, 1), (1, 2))
+
+    def test_loop_scores_none(self):
+        # link clustering never compares a loop
+        g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0), (0, 0, 1.0)],
+                  allow_self_loops=True)
+        assert edge_similarity(g, (0, 0), (0, 1)) is None
+        assert edge_similarity(g, (0, 1), (0, 0)) is None
+
+    def test_edge_the_graph_lacks_refused(self):
+        g = Graph(["a", "b", "c"], [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(DataError, match=r"no edge \(0, 2\)"):
+            edge_similarity(g, (0, 2), (2, 1))
+        with pytest.raises(DataError, match=r"no edge \(2, 5\)"):
+            edge_similarity(g, (1, 2), (2, 5))
 
 
 def star_glued_to_clique(leaves, clique):
@@ -93,9 +108,8 @@ def pair_count(graph):
 
 
 def pair_heights(graph):
-    """``_pair_heights`` over the graph's edges, as ``link_clustering`` calls it."""
-    deg = np.bincount(np.concatenate((graph.lo, graph.hi)), minlength=graph.n)
-    return linkclust._pair_heights(graph, deg)
+    """``_pair_heights`` over the graph's edges at ``top`` 1.0, which keeps every pair."""
+    return linkclust._pair_heights(graph, graph.neighbours(), 1.0)
 
 
 def pair_build_cases():
@@ -156,10 +170,20 @@ class TestPairBuild:
         for name, graph in self.CASES[::3]:
             assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
 
+    @pytest.mark.parametrize("chunk", [1, 7, linkclust.WALK_CHUNK])
+    @pytest.mark.parametrize("name, graph", CASES + HEAVY, ids=[n for n, _ in CASES + HEAVY])
+    def test_row_chunks_match_full_forest(self, name, graph, chunk, monkeypatch):
+        # chunks of one row (a chunk never splits a row), of a few rows and of
+        # every row give the full forest's merges at or below each top
+        full = link_clustering(graph).merges
+        monkeypatch.setattr(linkclust, "WALK_CHUNK", chunk)
+        for top in (1.0, 0.8, 0.5, 0.0):
+            assert link_clustering(graph, top).merges == [m for m in full if m[2] <= top], top
+
     @pytest.mark.parametrize("chunk", [3, linkclust.WALK_CHUNK])
     def test_unpacked_order_matches_oracle(self, chunk, monkeypatch):
-        # keys wider than the bit budget are ordered without packing: the
-        # node pairs (with their indices) and the walk each by a lexsort
+        # keys wider than the bit budget are ordered without packing: each
+        # row chunk's node pairs (with their indices) and the walk by a lexsort
         sorts = []
         numpy_lexsort, numpy_argsort = np.lexsort, np.argsort
 
@@ -176,11 +200,18 @@ class TestPairBuild:
         monkeypatch.setattr(linkclust.np, "lexsort", lexsort)
         monkeypatch.setattr(linkclust.np, "argsort", argsort)
         for name, graph in self.CASES[1::3]:
+            want = link_clustering_oracle(graph).merges
             sorts.clear()
-            assert link_clustering(graph).merges == link_clustering_oracle(graph).merges, name
+            assert link_clustering(graph).merges == want, name
             npairs = pair_count(graph)
-            # the first argsort orders the half-edges by keystone
-            assert sorts[1:] == [("lexsort", npairs), ("lexsort", npairs)], name
+            # the first argsort orders the half-edges by keystone; the chunk
+            # sorts meet every pair once, and the walk sorts them all
+            assert sorts[0][0] == "argsort", name
+            *chunks, walk = sorts[1:]
+            assert walk == ("lexsort", npairs), name
+            assert all(kind == "lexsort" for kind, _ in chunks), name
+            assert sum(size for _, size in chunks) == npairs, name
+            assert len(chunks) > 1 if chunk < npairs else len(chunks) == min(npairs, 1), name
             pair, rank, heights = pair_heights(graph)
             want_rank, want_heights = pair_heights_oracle(graph, pair)
             assert np.array_equal(heights, want_heights), name
@@ -241,6 +272,20 @@ class TestPairBuild:
             assert dend.merges == []
         pair, rank, heights = pair_heights(g)
         assert len(pair) == len(rank) == len(heights) == 0
+
+    def test_build_peak_at_workload_top(self):
+        # 205 of the 1,974,823 edge pairs of detect-10k's graph lie at or below
+        # its top of 0.8: the build holds the O(edges) arrays, one chunk and the
+        # kept pairs, not every pair (79.4 MB traced when it held them all)
+        graph = generate_planted(SCALE)[0]
+        tracemalloc.start()
+        try:
+            dend = link_clustering(graph, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dend.merges) == 205
+        assert peak <= 24 * 2**20
 
     @pytest.mark.parametrize(
         "name, graph",
@@ -463,7 +508,15 @@ class TestSweep:
         with pytest.raises(ValueError, match=above):
             sweep_link_dendrogram(dend, [10, 90], barbell6)
 
-    @pytest.mark.parametrize("top", [-0.1, 1.01, float("nan")])
+    @pytest.mark.parametrize(
+        "top", [-0.1, 1.01, float("nan"), True, np.bool_(False), "0.5", None, 0.5j]
+    )
     def test_top_outside_unit_interval_rejected(self, top, barbell6):
         with pytest.raises(ValueError, match=r"top must be a height in \[0, 1\]"):
             link_clustering(barbell6, top)
+
+    def test_real_top_types_accepted(self, barbell6):
+        want = link_clustering(barbell6, 0.5).merges
+        for top in (np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+            assert link_clustering(barbell6, top).merges == want
+        assert link_clustering(barbell6, 1).merges == link_clustering(barbell6).merges
