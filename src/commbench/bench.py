@@ -39,6 +39,7 @@ from .coverops import (
     dedup,
     combine_runs,
     format_cover_stats,
+    memberships,
     nmi,
 )
 from .covers import Partition, import_cover, serialize_cover
@@ -527,20 +528,15 @@ def flatten_cover(cover):
     Every node joins the largest community containing it (earliest in cover
     order on ties); nodes in no community become fresh singletons.
     """
-    assign = [-1] * cover.n
-    best_size = [0] * cover.n
-    for idx, community in enumerate(cover.communities):
-        size = len(community)
-        for v in community:
-            if size > best_size[v]:
-                best_size[v] = size
-                assign[v] = idx
-    fresh = len(cover.communities)
-    for v in range(cover.n):
-        if assign[v] < 0:
-            assign[v] = fresh
-            fresh += 1
-    return Partition(assign)
+    nodes, communities, sizes = memberships(cover)
+    # largest first, earliest first on ties: each node's first row is its best
+    order = np.lexsort((communities, -sizes[communities]))
+    covered, first = np.unique(nodes[order], return_index=True)
+    assign = np.full(cover.n, -1)
+    assign[covered] = communities[order[first]]
+    uncovered = assign < 0
+    assign[uncovered] = len(sizes) + np.arange(np.count_nonzero(uncovered))
+    return Partition(assign.tolist())
 
 
 @dataclass

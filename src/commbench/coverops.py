@@ -5,13 +5,20 @@ externally imported covers flow through identically. Dedup and combine are
 deterministic set-level operations: candidates are processed ascending by
 (size, sorted member list), which also makes combine independent of input
 order. Exact duplicates are left to Cover, which keeps one of each.
+
+One filter, ``drop_near_duplicates``, applies both near-duplicate rules: the
+pooling dedup's (Jaccard > 0.5, smallest first) and GCE's (minimum-overlap
+distance < 0.25, in seed order). Features, statistics and flattening read
+one membership listing, ``memberships``.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +40,25 @@ def _canonical_order(communities):
     return sorted(communities, key=lambda fs: (len(fs), sorted(fs)))
 
 
+def drop_near_duplicates(communities, near):
+    """The communities, in input order, that are near no earlier kept one.
+
+    ``near(shared, size, other_size)`` is asked for each kept community that
+    shares members with a candidate; ``communities`` may be any iterable.
+    """
+    kept = []
+    containing = defaultdict(list)  # node -> kept community positions
+    for community in communities:
+        shared = Counter(chain.from_iterable(containing[v] for v in community))
+        size = len(community)
+        if any(near(inter, size, len(kept[k])) for k, inter in shared.items()):
+            continue
+        for v in community:
+            containing[v].append(len(kept))
+        kept.append(community)
+    return kept
+
+
 def dedup(cover, epsilon=DEDUP_EPSILON):
     """Drop communities that near-duplicate a retained one of <= their size.
 
@@ -44,25 +70,10 @@ def dedup(cover, epsilon=DEDUP_EPSILON):
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    retained = []
-    containing = defaultdict(list)  # node -> retained community positions
-    for community in _canonical_order(cover.communities):
-        counts = Counter()
-        for v in community:
-            for rid in containing[v]:
-                counts[rid] += 1
-        duplicate = False
-        for rid, inter in counts.items():
-            other = retained[rid]
-            if inter / (len(community) + len(other) - inter) > epsilon:
-                duplicate = True
-                break
-        if duplicate:
-            continue
-        rid = len(retained)
-        retained.append(community)
-        for v in community:
-            containing[v].append(rid)
+    retained = drop_near_duplicates(
+        _canonical_order(cover.communities),
+        lambda inter, size, other: inter / (size + other - inter) > epsilon,
+    )
     return Cover(cover.n, retained)
 
 
@@ -88,12 +99,22 @@ class AssignmentMatrix:
     matrix: np.ndarray  # (n, c) uint8
 
 
+def memberships(cover):
+    """Int64 arrays (nodes, communities, sizes): nodes[i] is in communities[i].
+
+    Memberships are listed community by community in cover order; sizes[c]
+    is the size of community c.
+    """
+    sizes = np.fromiter(map(len, cover.communities), np.int64, len(cover.communities))
+    nodes = np.fromiter(chain.from_iterable(cover.communities), np.int64, int(sizes.sum()))
+    return nodes, np.repeat(np.arange(len(sizes)), sizes), sizes
+
+
 def assignment_matrix(cover):
     """Expand a cover into its n x c binary membership matrix."""
+    nodes, communities, _ = memberships(cover)
     mat = np.zeros((cover.n, len(cover.communities)), dtype=np.uint8)
-    for col, community in enumerate(cover.communities):
-        for v in community:
-            mat[v, col] = 1
+    mat[nodes, communities] = 1
     return AssignmentMatrix(mat)
 
 
@@ -114,28 +135,16 @@ class CoverStats:
 
 
 def cover_stats(cover):
-    smallest = {}
-    for community in cover.communities:
-        size = len(community)
-        for v in community:
-            current = smallest.get(v)
-            if current is None or size < current:
-                smallest[v] = size
-    values = sorted(smallest.values())
-    if values:
-        mid = len(values) // 2
-        if len(values) % 2:
-            median = float(values[mid])
-        else:
-            median = (values[mid - 1] + values[mid]) / 2.0
-    else:
-        median = None
-    histogram = Counter(len(c) for c in cover.communities)
+    nodes, communities, sizes = memberships(cover)
+    # a community has at most n members: n + 1 marks a node in none
+    smallest = np.full(cover.n, cover.n + 1)
+    np.minimum.at(smallest, nodes, sizes[communities])
+    values = smallest[smallest <= cover.n].tolist()
     return CoverStats(
         community_count=len(cover.communities),
-        median_smallest=median,
-        size_histogram=dict(sorted(histogram.items())),
-        uncovered_nodes=cover.n - len(smallest),
+        median_smallest=float(statistics.median(values)) if values else None,
+        size_histogram=dict(sorted(Counter(sizes.tolist()).items())),
+        uncovered_nodes=cover.n - len(values),
     )
 
 

@@ -11,11 +11,12 @@ fitness
 where k_in is twice the internal edge weight of S and k_out the weight
 crossing its boundary; growth stops as soon as no addition strictly improves
 F. A finished candidate is discarded when its minimum-overlap distance
-1 - |C & A| / min(|C|, |A|) to an already accepted community is below 0.25.
-Seeds are processed largest first (ties by member list), frontier ties go to
-the lowest node index, so the whole run is deterministic. ``gce_sweep``
-lists the seed cliques once and grows the same seeds for every alpha of a
-grid.
+1 - |C & A| / min(|C|, |A|) to an already accepted community is below 0.25
+(the filter is ``coverops.drop_near_duplicates``, which the pooling dedup
+shares with its Jaccard > 0.5 rule). Seeds are processed largest first (ties
+by member list), frontier ties go to the lowest node index, so the whole run
+is deterministic. ``gce_sweep`` lists the seed cliques once and grows the
+same seeds for every alpha of a grid.
 
 An expansion step scores one frontier node per degree, not the whole
 frontier, while every value the fitness is computed from is an integer.
@@ -52,6 +53,7 @@ import math
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
+from ..coverops import drop_near_duplicates
 from ..covers import Cover
 from ..errors import DataError
 
@@ -291,14 +293,9 @@ def _expand(graph, seed, alpha, integer_degrees=False):
     return frozenset(members)
 
 
-def _is_duplicate(community, accepted):
-    for other in accepted:
-        inter = len(community & other)
-        if inter == 0:
-            continue
-        if 1.0 - inter / min(len(community), len(other)) < DUPLICATE_DISTANCE:
-            return True
-    return False
+def _near_duplicate(shared, size, other):
+    """Minimum-overlap distance below DUPLICATE_DISTANCE: GCE's duplicate rule."""
+    return 1.0 - shared / min(size, other) < DUPLICATE_DISTANCE
 
 
 def _check_alpha(alpha):
@@ -323,10 +320,6 @@ def gce_sweep(graph, alphas):
     integer_degrees = _integer_degrees(graph)
     covers = []
     for alpha in alphas:
-        accepted = []
-        for seed in seeds:
-            community = _expand(graph, seed, alpha, integer_degrees)
-            if not _is_duplicate(community, accepted):
-                accepted.append(community)
-        covers.append(Cover(graph.n, accepted))
+        expansions = (_expand(graph, seed, alpha, integer_degrees) for seed in seeds)
+        covers.append(Cover(graph.n, drop_near_duplicates(expansions, _near_duplicate)))
     return covers

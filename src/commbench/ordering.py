@@ -39,12 +39,9 @@ class BlockOrdering:
 def _within_block_order(graph, members, t):
     # members arrive in ascending index order
     sub, mapping = induced_subgraph(graph, members)
-    partition = louvain(sub, t)[-1]
-    groups = {}
-    for local, comm in enumerate(partition.assignment):
-        groups.setdefault(comm, []).append(mapping[local])
+    groups = [[mapping[local] for local in c] for c in louvain(sub, t)[-1].communities()]
     ordered = sorted(
-        groups.values(),
+        groups,
         key=lambda g: (-len(g), min(graph.labels[v] for v in g)),
     )
     seq = []
@@ -75,12 +72,8 @@ def order_adjacency(graph, attrs, attribute, t=1.0):
     within = {label: _within_block_order(graph, blocks[label], t) for label in block_labels}
 
     meta = build_meta_graph(graph, [blocks[label] for label in block_labels], labels=block_labels)
-    meta_partition = louvain(without_self_loops(meta), t)[-1]
-    meta_groups = {}
-    for b, comm in enumerate(meta_partition.assignment):
-        meta_groups.setdefault(comm, []).append(b)
     ordered_meta = sorted(
-        meta_groups.values(),
+        louvain(without_self_loops(meta), t)[-1].communities(),
         key=lambda g: (
             -sum(len(blocks[block_labels[b]]) for b in g),
             min(block_labels[b] for b in g),

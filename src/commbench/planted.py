@@ -48,6 +48,8 @@ class PlantedPartitionSpec:
                 raise ValueError("hierarchy pairs consecutive groups; need an even count")
             if self.p_mid is None or not self.p_out <= self.p_mid <= self.p_in:
                 raise ValueError("hierarchy needs p_out <= p_mid <= p_in")
+        elif self.p_mid is not None:
+            raise ValueError("p_mid applies only with hierarchy")
 
     def group_of(self, v):
         return v // (self.n // self.groups)

@@ -18,6 +18,7 @@ arrays.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -124,6 +125,48 @@ def dedup_postcondition_holds(communities, epsilon):
         if len(small) <= len(large) and jaccard_oracle(small, large) > epsilon:
             return False
     return True
+
+
+def best_match_oracle(n, communities):
+    """Per node, the index of its largest community, the earliest on ties.
+
+    The k-th node in no community gets len(communities) + k.
+    """
+    labels = []
+    fresh = len(communities)
+    for v in range(n):
+        holding = [(-len(c), i) for i, c in enumerate(communities) if v in c]
+        if holding:
+            labels.append(min(holding)[1])
+        else:
+            labels.append(fresh)
+            fresh += 1
+    return labels
+
+
+def smallest_median_oracle(n, communities):
+    """(median smallest containing size over covered nodes or None, uncovered)."""
+    smallest = [min((len(c) for c in communities if v in c), default=None) for v in range(n)]
+    covered = sorted(s for s in smallest if s is not None)
+    k = len(covered)
+    if k == 0:
+        return None, n
+    if k % 2:
+        return float(covered[k // 2]), n - k
+    return (covered[k // 2 - 1] + covered[k // 2]) / 2, n - k
+
+
+def min_overlap_scan_oracle(candidates, distance):
+    """GCE's acceptance, scanning every kept community with exact fractions.
+
+    A candidate is kept, in input order, unless its minimum-overlap distance
+    1 - |C & A| / min(|C|, |A|) to some kept community A is below distance.
+    """
+    kept = []
+    for c in map(set, candidates):
+        if all(1 - Fraction(len(c & a), min(len(c), len(a))) >= distance for a in kept):
+            kept.append(c)
+    return kept
 
 
 def maximal_cliques_oracle(n, neighbor_sets):

@@ -17,6 +17,7 @@ from commbench import (
     DataError,
     Graph,
     MethodSpec,
+    Partition,
     PlantedPartitionSpec,
     accuracy_histogram,
     combine_runs,
@@ -32,6 +33,8 @@ from commbench import (
 from commbench.bench import GCE_GRID, LINK_GRID, LOUVAIN_GRID, _cell_path, _cover_path, cell_seed
 from commbench.cli import build_parser
 from commbench.detectors import DETECTORS
+from conftest import random_cover_communities
+from oracles import best_match_oracle
 
 MINIMAL = """\
 version 1
@@ -359,6 +362,13 @@ class TestFlattenCover:
         p = flatten_cover(Cover(4, [{0, 1}]))
         assert p.communities() == [[0, 1], [2], [3]]
         assert p.n_communities == 3
+
+    def test_matches_oracle_on_random_covers(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            comms = random_cover_communities(rng, n) if rng.random() < 0.9 else []
+            want = Partition(best_match_oracle(n, comms))
+            assert flatten_cover(Cover(n, comms)) == want
 
 
 class TestRunBenchmark:

@@ -203,6 +203,10 @@ class TestSanity:
         ) == 1
         assert "divide" in capsys.readouterr().err
 
+    def test_p_mid_without_hierarchy_exits_1(self, capsys):
+        assert main(["sanity", "--method", "louvain", "--p-mid", "0.4"]) == 1
+        assert "p_mid applies only with hierarchy" in capsys.readouterr().err
+
 
 class TestStats:
     def test_cover_summary_line(self, barbell_file, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from commbench import (
 from commbench.coverops import DEDUP_EPSILON, format_cover_stats
 from commbench import Graph
 from conftest import random_cover_communities, random_partition
-from oracles import dedup_postcondition_holds, jaccard_oracle, nmi_oracle
+from oracles import (
+    dedup_postcondition_holds,
+    jaccard_oracle,
+    nmi_oracle,
+    smallest_median_oracle,
+)
 
 
 class TestJaccard:
@@ -237,6 +243,13 @@ class TestAssignmentMatrix:
             for v in range(n):
                 assert am.matrix[v].sum() == sum(1 for c in comms if v in c)
 
+    def test_matches_dense_oracle(self, rng):
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            comms = random_cover_communities(rng, n)
+            am = assignment_matrix(Cover(n, comms))
+            assert am.matrix.tolist() == [[int(v in c) for c in comms] for v in range(n)]
+
 
 class TestCoverStats:
     def test_odd_median_and_uncovered(self):
@@ -251,6 +264,17 @@ class TestCoverStats:
     def test_even_median_averages_middles(self):
         stats = cover_stats(Cover(4, [{0, 1}, {0, 2, 3}]))
         assert stats.median_smallest == pytest.approx(2.5)
+
+    def test_matches_oracle_on_random_covers(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            comms = random_cover_communities(rng, n)
+            stats = cover_stats(Cover(n, comms))
+            median, uncovered = smallest_median_oracle(n, comms)
+            # a numpy scalar would print differently in stats.tsv
+            assert type(stats.median_smallest) is float
+            assert (stats.median_smallest, stats.uncovered_nodes) == (median, uncovered)
+            assert stats.size_histogram == dict(sorted(Counter(map(len, comms)).items()))
 
     def test_empty_cover_has_no_median(self):
         stats = cover_stats(Cover(5, []))

@@ -9,13 +9,17 @@ from itertools import combinations
 import pytest
 
 from commbench import DataError, Graph, detect_cover, generate_planted, maximal_cliques
+from commbench.coverops import drop_near_duplicates
 from commbench.detectors.gce import (
+    DUPLICATE_DISTANCE,
     MAX_CLIQUE_SEARCH,
     MIN_CLIQUE,
     _degeneracy_order,
     _expand,
     _integer_degrees,
     _fitness,
+    _near_duplicate,
+    gce_sweep,
 )
 from conftest import (
     MICRO_GRAPHS,
@@ -31,6 +35,7 @@ from oracles import (
     core_numbers_oracle,
     gce_expand_oracle,
     maximal_cliques_oracle,
+    min_overlap_scan_oracle,
 )
 
 
@@ -218,6 +223,53 @@ class TestExpansionMatchesOracle:
             for seed in seeds[:40]:
                 want = gce_expand_oracle(graph, seed, alpha)
                 assert _expand(graph, seed, alpha, True) == want, (alpha, seed)
+
+
+class TestDuplicateRule:
+    def test_distance_of_a_quarter_is_kept(self):
+        # 3 of the smaller community's 4 members shared: distance 1 - 3/4
+        kept = drop_near_duplicates(
+            [frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4, 5})], _near_duplicate
+        )
+        assert kept == [frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4, 5})]
+
+    def test_distance_below_a_quarter_is_dropped(self):
+        # 4 of the smaller community's 5 members shared: distance 1 - 4/5,
+        # whether the later community is the larger or the smaller
+        for first, later in (
+            ({0, 1, 2, 3, 4}, {0, 1, 2, 3, 9, 10}),
+            ({0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 9}),
+        ):
+            kept = drop_near_duplicates([frozenset(first), frozenset(later)], _near_duplicate)
+            assert kept == [frozenset(first)]
+
+    def test_filter_matches_scan_of_every_kept_community(self, rng):
+        for _ in range(300):
+            n = rng.randint(4, 16)
+            candidates = [
+                frozenset(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(1, 14))
+            ]
+            want = min_overlap_scan_oracle(candidates, DUPLICATE_DISTANCE)
+            assert drop_near_duplicates(candidates, _near_duplicate) == want
+
+    # graphs on which some expansions are dropped or kept ones overlap
+    SWEEP_CASES = [
+        case
+        for case in clique_cases()
+        if case[0] in ("dense0", "dense3", "dense9", "unit33", "kite7", "planted")
+    ] + [("heavy", heavy_tailed_graph(300, 1))]
+
+    @pytest.mark.parametrize("name, graph", SWEEP_CASES, ids=[name for name, _ in SWEEP_CASES])
+    def test_sweep_keeps_what_the_scan_keeps(self, name, graph):
+        seeds = maximal_cliques(graph, MIN_CLIQUE) or maximal_cliques(graph, 3)
+        seeds.sort(key=lambda c: (-len(c), c))
+        alphas = (0.8, 1.0, 1.5)
+        by_degree = _integer_degrees(graph)
+        for alpha, cover in zip(alphas, gce_sweep(graph, alphas)):
+            expansions = [_expand(graph, seed, alpha, by_degree) for seed in seeds]
+            want = min_overlap_scan_oracle(expansions, DUPLICATE_DISTANCE)
+            assert cover.communities == want, alpha
 
 
 class TestGce:

@@ -47,6 +47,11 @@ class TestSpecValidation:
                 dict(n=12, groups=2, p_in=0.9, p_out=0.1, hierarchy=True, p_mid=0.95),
                 "p_mid",
             ),
+            # a flat graph would silently ignore p_mid
+            (
+                dict(n=12, groups=2, p_in=0.9, p_out=0.1, p_mid=0.4),
+                "p_mid applies only with hierarchy",
+            ),
         ],
     )
     def test_rejections(self, kwargs, message):
