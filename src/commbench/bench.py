@@ -30,6 +30,8 @@ import math
 import os
 import zlib
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .coverops import (
@@ -62,10 +64,8 @@ log = logging.getLogger(__name__)
 
 CONFIG_VERSION = "version 1"
 
-# default sweep grids, under the names the acceptance tests import
+# Louvain's default sweep grid, under the name the acceptance tests import
 LOUVAIN_GRID = DETECTORS["louvain"].grid
-GCE_GRID = DETECTORS["gce"].grid
-LINK_GRID = DETECTORS["linkcluster"].grid
 
 
 @dataclass
@@ -490,7 +490,8 @@ def run_benchmark(config, force=False):
     for network, method, attribute, fold, accuracy in records:
         by_pair.setdefault((method, attribute), []).append(accuracy)
     for pair, accs in sorted(by_pair.items()):
-        summary[pair] = (sum(accs) / len(accs), len(accs))
+        # left to right: the built-in sum of floats is compensated from 3.12 on
+        summary[pair] = (reduce(add, accs, 0.0) / len(accs), len(accs))
         histograms[pair] = accuracy_histogram(accs)
     _write_report(out, records, stats, summary, histograms, failures)
     return BenchmarkReport(records, stats, summary, histograms, failures)

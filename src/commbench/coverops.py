@@ -18,7 +18,9 @@ import math
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -174,8 +176,9 @@ def nmi(p, q):
         return 1.0
     sizes_p = p.sizes()
     sizes_q = q.sizes()
-    hp = -sum(s / n * math.log(s / n) for s in sizes_p)
-    hq = -sum(s / n * math.log(s / n) for s in sizes_q)
+    # left to right: the built-in sum of floats is compensated from 3.12 on
+    hp = -reduce(add, (s / n * math.log(s / n) for s in sizes_p), 0.0)
+    hq = -reduce(add, (s / n * math.log(s / n) for s in sizes_q), 0.0)
     if hp == 0.0 or hq == 0.0:
         return 0.0
     confusion = Counter(zip(p.assignment, q.assignment))

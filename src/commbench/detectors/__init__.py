@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from ..covers import Cover
 from ..errors import ConfigError
-from .gce import _check_alpha, gce_sweep, maximal_cliques
+from .gce import _check_alpha, gce_sweep
 from .linkclust import (
     _check_threshold,
     cut_link_dendrogram,
@@ -21,14 +21,11 @@ from .linkclust import (
     link_clustering,
     sweep_link_dendrogram,
 )
-from .louvain import _check_markov_time, louvain, parameterized_modularity
+from .louvain import _check_markov_time, louvain
 
 __all__ = [
     "DETECTORS",
     "detect_cover",
-    "louvain",
-    "parameterized_modularity",
-    "maximal_cliques",
     "link_clustering",
     "cut_link_dendrogram",
     "sweep_link_dendrogram",
@@ -40,22 +37,21 @@ __all__ = [
 class DetectorKind:
     """Everything the config, the CLI and the benchmark know of a detector.
 
-    `run(graph, value, **flags)` returns one cover for one value of the
-    detector's resolution option: config key and CLI flag `key`, parsed with
-    `type`, checked by `check` (which raises ValueError outside the valid
-    range), `default` when not given. The `<name>-sweep` method kind runs it
-    over a grid of values (config key `sweep_key`, default `grid`);
-    `sweep(graph, values)`, when set, replaces the per-point runs with one
-    that shares work across the grid and returns one cover per value, in grid
-    order: GCE enumerates the cliques once, link clustering builds one
-    dendrogram up to the largest threshold and walks its merges once. A
-    sweep takes no flags and does not pass through `detect_cover`. `flags`
-    maps each boolean option to its help text. Detection is deterministic by
-    construction (fixed scan orders and tie-breaks), so no detector takes a
-    seed.
+    The detector's resolution option has config key and CLI flag `key`, is
+    parsed with `type`, checked by `check` (which raises ValueError outside
+    the valid range), and is `default` when not given; the `<name>-sweep`
+    method kind runs a grid of values (config key `sweep_key`, default
+    `grid`). `sweep(graph, values)` shares work across the grid and returns
+    one cover per value, in grid order: GCE enumerates the cliques once, link
+    clustering builds one dendrogram up to the largest threshold and walks its
+    merges once; `detect_cover` runs one value as a sweep of that value. A
+    sweep takes no flags. A kind without a sweep (Louvain) has
+    `run(graph, value, **flags)` instead, one cover for one value, and its
+    sweep is one `detect_cover` per value. `flags` maps each boolean option
+    to its help text. Detection is deterministic by construction (fixed scan
+    orders and tie-breaks), so no detector takes a seed.
     """
 
-    run: Callable
     key: str
     type: type
     check: Callable
@@ -65,6 +61,7 @@ class DetectorKind:
     grid: tuple
     flags: dict = field(default_factory=dict)
     sweep: Callable | None = None
+    run: Callable | None = None
 
 
 def _louvain_cover(graph, t, multi_level=False):
@@ -72,10 +69,6 @@ def _louvain_cover(graph, t, multi_level=False):
     levels = louvain(graph, t)
     chosen = levels if multi_level else levels[-1:]
     return Cover(graph.n, (c for p in chosen for c in p.communities()))
-
-
-def _gce_cover(graph, alpha):
-    return gce_sweep(graph, [alpha])[0]
 
 
 def _link_covers(graph, thresholds):
@@ -87,13 +80,8 @@ def _link_covers(graph, thresholds):
     return sweep_link_dendrogram(link_clustering(graph, top), thresholds, graph)
 
 
-def _link_cover(graph, threshold):
-    return _link_covers(graph, [threshold])[0]
-
-
 DETECTORS = {
     "louvain": DetectorKind(
-        run=_louvain_cover,
         key="t",
         type=float,
         check=_check_markov_time,
@@ -102,9 +90,9 @@ DETECTORS = {
         sweep_key="ts",
         grid=tuple(i / 10 for i in range(1, 11)),
         flags={"multi_level": "keep every aggregation level as a community"},
+        run=_louvain_cover,
     ),
     "gce": DetectorKind(
-        run=_gce_cover,
         key="alpha",
         type=float,
         check=_check_alpha,
@@ -115,7 +103,6 @@ DETECTORS = {
         sweep=gce_sweep,
     ),
     "linkcluster": DetectorKind(
-        run=_link_cover,
         key="threshold",
         type=int,
         check=_check_threshold,
@@ -141,4 +128,6 @@ def detect_cover(graph, method, value, **flags):
     for flag in flags:
         if flag not in kind.flags:
             raise ConfigError(f"detector {method!r} takes no flag {flag!r}")
+    if kind.run is None:
+        return kind.sweep(graph, [value])[0]
     return kind.run(graph, value, **flags)

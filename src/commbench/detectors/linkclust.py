@@ -87,12 +87,6 @@ def _find(parent, x):
     return root
 
 
-def _union(parent, a, b):
-    """Join the sets of a and b under the smaller root."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    parent[max(ra, rb)] = min(ra, rb)
-
-
 class Dendrogram:
     """Single-linkage merge forest over leaves 0..L-1, built up to ``top``.
 
@@ -149,7 +143,8 @@ class Dendrogram:
         stop = self._merges_through(height)
         parent = list(range(len(self.ends)))
         for a, b in zip(self.edge_a[:stop].tolist(), self.edge_b[:stop].tolist()):
-            _union(parent, a, b)
+            ra, rb = _find(parent, a), _find(parent, b)
+            parent[max(ra, rb)] = min(ra, rb)
         clusters = {}
         for leaf in range(len(parent)):
             # every root is its set's smallest leaf, so parent[leaf] <= leaf

@@ -510,8 +510,8 @@ def train_gbdt(data, params):
     rng = np.random.default_rng(np.random.SeedSequence(seed_entropy(params.seed)))
     sub_size = max(1, math.ceil(params.subsample * n))
     # classes whose trees grow together: bounds the per-depth (tree, pattern)
-    # entries and the round's (entry, 1-column) pairs
-    step = max(1, WORK_ELEMENTS // max(2**params.max_depth * P, ones[1].size))
+    # entries and the round's (entry, 1-column) pairs; depth capped as in _Workspace
+    step = max(1, WORK_ELEMENTS // max(P << min(params.max_depth, 62), ones[1].size))
     work = _Workspace(values, ones, min(K, step), params)
     scores = np.tile(priors, (P, 1))
     p = np.empty((P, K))

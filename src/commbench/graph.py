@@ -4,8 +4,8 @@ Nodes are indexed 0..n-1 internally in first-seen order; the original labels
 are kept for file I/O. Plain graphs are simple (no self-loops, no parallel
 edges). Meta-graphs built by contracting node blocks are the one place
 self-loops are allowed: a loop of weight w counts once in the total weight m
-and twice in its node's degree, so sum(degrees) == 2*m holds for every graph
-in the package and modularity is preserved under aggregation.
+and twice in its node's degree, so the degrees sum to 2*m by construction
+(unchecked at run time) and modularity is preserved under aggregation.
 
 A graph keeps its edges as numpy arrays. ``lo`` and ``hi`` (int64) hold the
 endpoints of each proper edge with lo < hi, sorted by (lo, hi); ``weights``
@@ -22,8 +22,8 @@ The values are bit-identical to sums taken over those lists in Python:
 - a node's degree is an ``np.bincount`` over its half-edges in ascending
   neighbour order, the same left-to-right sum as over its weight list, plus
   twice its loop weight;
-- ``m`` is half the Python ``sum`` of those per-node sums, plus the Python
-  ``sum`` of the loops;
+- ``m`` is half the left-to-right sum of those per-node sums plus the
+  left-to-right sum of the loops, never the built-in float ``sum``;
 - in the lists one int object stands for each node, and both directions of
   an edge share one weight float;
 - a meta-edge's weight adds up its member edges in ``edges()`` order.
@@ -33,14 +33,13 @@ Graphs and attribute tables are treated as immutable after construction.
 
 from __future__ import annotations
 
-import logging
+from functools import reduce
 from itertools import chain, compress, filterfalse
+from operator import add
 
 import numpy as np
 
 from .errors import DataError
-
-log = logging.getLogger(__name__)
 
 # Attribute value marker for absent metadata.
 MISSING = None
@@ -150,6 +149,9 @@ class Graph:
     @classmethod
     def from_arrays(cls, labels, i, j, weights, allow_self_loops=False):
         """Build a graph from parallel arrays of edge endpoints and weights."""
+        shapes = [np.shape(a) for a in (i, j, weights)]
+        if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+            raise DataError(f"i, j and weights must be 1-D and equally long, got shapes {shapes}")
         graph = cls.__new__(cls)
         graph._check_and_store(labels, i, j, weights, allow_self_loops)
         return graph
@@ -181,10 +183,7 @@ class Graph:
         )
         self.loops = loops.tolist()
         self.degrees = (sums + 2.0 * loops).tolist()
-        self.m = 0.5 * sum(sums.tolist()) + sum(self.loops)
-        total = sum(self.degrees)
-        if abs(total - 2.0 * self.m) > 1e-9 * max(1.0, 2.0 * self.m):
-            raise DataError("degree sum does not match twice the total edge weight")
+        self.m = 0.5 * reduce(add, sums.tolist(), 0.0) + reduce(add, self.loops, 0.0)
 
     @property
     def n(self):

@@ -91,9 +91,6 @@ def order_adjacency(graph, attrs, attribute, t=1.0):
             block_ranges.append((start, len(order), label))
         meta_ranges.append((meta_start, len(order), "+".join(sorted(block_labels[b] for b in group))))
     order.extend(unlabeled)
-
-    if len(order) != graph.n or len(set(order)) != graph.n:
-        raise DataError("ordering is not a permutation; blocks must not overlap")
     return BlockOrdering(order=order, block_ranges=block_ranges, meta_ranges=meta_ranges)
 
 

@@ -51,9 +51,6 @@ class PlantedPartitionSpec:
         elif self.p_mid is not None:
             raise ValueError("p_mid applies only with hierarchy")
 
-    def group_of(self, v):
-        return v // (self.n // self.groups)
-
     def group_sets(self):
         size = self.n // self.groups
         return [set(range(g * size, (g + 1) * size)) for g in range(self.groups)]
@@ -115,8 +112,7 @@ def generate_planted(spec):
 
 
 def _connected(graph):
-    if graph.n == 0:
-        return True
+    """Whether every node is reachable from node 0 (validate keeps n > 0)."""
     ids = graph.neighbour_lists()[0]
     seen = [False] * graph.n
     seen[0] = True

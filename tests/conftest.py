@@ -1,5 +1,7 @@
 """Shared fixtures: micro graphs, planted-fixture specs, random generators."""
 
+import builtins
+import importlib
 import math
 import random
 from itertools import accumulate, combinations
@@ -251,3 +253,19 @@ def four_group_spec(seed):
 @pytest.fixture
 def rng():
     return random.Random(20260816)
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """A compensated built-in ``sum`` of floats, as from Python 3.12 on, in the
+    modules whose float sums reach pinned outputs; integer sums stay exact."""
+
+    def compensated(values, start=0):
+        values = [start, *values]
+        if all(isinstance(v, int) for v in values):
+            return builtins.sum(values)
+        return math.fsum(values)
+
+    for name in ("bench", "coverops", "graph"):
+        module = importlib.import_module(f"commbench.{name}")
+        monkeypatch.setattr(module, "sum", compensated, raising=False)

@@ -30,7 +30,7 @@ from commbench import (
     sanity_check,
     write_edge_list,
 )
-from commbench.bench import GCE_GRID, LINK_GRID, LOUVAIN_GRID, _cell_path, _cover_path, cell_seed
+from commbench.bench import LOUVAIN_GRID, _cell_path, _cover_path, cell_seed
 from commbench.cli import build_parser
 from commbench.detectors import DETECTORS
 from conftest import random_cover_communities
@@ -143,7 +143,7 @@ class TestParseConfig:
         assert by_name["links"].opts == {"dedup": False, "threshold": 25}
         assert by_name["outside"].opts == {"dedup": False, "path": "/tmp/cover.txt"}
         assert by_name["lsweep"].opts["ts"] == (0.5, 1.0)
-        assert by_name["gsweep"].opts["alphas"] == GCE_GRID
+        assert by_name["gsweep"].opts["alphas"] == DETECTORS["gce"].grid
         assert by_name["ksweep"].opts["thresholds"] == (10, 11, 12)
 
     def test_default_sweep_grids(self, tmp_path):
@@ -153,9 +153,9 @@ class TestParseConfig:
         )
         config = parse_config(write_config(tmp_path, text))
         assert config.methods[0].opts["ts"] == LOUVAIN_GRID
-        assert config.methods[1].opts["thresholds"] == LINK_GRID
+        assert config.methods[1].opts["thresholds"] == DETECTORS["linkcluster"].grid
         assert LOUVAIN_GRID[-1] == 1.0 and len(LOUVAIN_GRID) == 10
-        assert LINK_GRID == tuple(range(1, 101))
+        assert DETECTORS["linkcluster"].grid == tuple(range(1, 101))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -312,8 +312,9 @@ class TestDetectorTable:
         spec = PlantedPartitionSpec(n=60, groups=3, p_in=0.5, p_out=0.05, seed=1)
         graph, _, _ = generate_planted(spec)
         kind = DETECTORS[name]
-        at_value = kind.run(graph, kind.grid[0]).communities
-        assert at_value != kind.run(graph, kind.default).communities
+        run = kind.run or (lambda graph, value: kind.sweep(graph, [value])[0])
+        at_value = run(graph, kind.grid[0]).communities
+        assert at_value != run(graph, kind.default).communities
         assert detect_cover(graph, name, kind.grid[0]).communities == at_value
 
     def test_detect_cover_refuses_flags_it_does_not_take(self, barbell6, name):
@@ -435,6 +436,19 @@ class TestRunBenchmark:
         (tmp_path / "out" / name).write_text(text)
         with pytest.raises(DataError, match=message):
             self.run(tmp_path, "out")
+
+    def test_summary_mean_is_a_left_to_right_sum(self, tmp_path, compensated_sum):
+        # ten cached folds of 0.1; a compensated sum would make the mean 0.1
+        _, edge_path, attr_path = two_clique_dataset(tmp_path)
+        text = bench_config_text(edge_path, attr_path, tmp_path / "out")
+        text = text.replace("k 4\n", "k 10\n").replace("folds-evaluated 2", "folds-evaluated 10")
+        config = parse_config(write_config(tmp_path, text))
+        run_benchmark(config)
+        rows = "".join(f"twoclique,flat,block,{fold},0.1\n" for fold in range(10))
+        (tmp_path / "out" / "cells" / "twoclique__flat__block.csv").write_text(rows)
+        run_benchmark(config)
+        summary = (tmp_path / "out" / "summary.tsv").read_text().splitlines()
+        assert summary[1] == "flat\tblock\t0.09999999999999999\t10"
 
     @pytest.mark.parametrize("folds", [1, 3])
     def test_resume_recomputes_cells_of_other_folds(self, tmp_path, caplog, folds):

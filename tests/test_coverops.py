@@ -337,6 +337,11 @@ class TestNMI:
         q = Partition([0, 0, 1, 1])
         assert nmi(p, q) == pytest.approx(2 * math.log(2) / (2.5 * math.log(2)), abs=1e-15)
 
+    def test_entropies_are_left_to_right_sums(self, compensated_sum):
+        # group sizes 1, 1, 1, 2, 2, 3: a compensated sum moves the last bit
+        p = Partition([0, 1, 2, 3, 3, 4, 4, 5, 5, 5])
+        assert nmi(p, Partition([0] * 5 + [1] * 5)) == 0.5803090668322534
+
 
 def test_default_dedup_epsilon():
     assert DEDUP_EPSILON == 0.5

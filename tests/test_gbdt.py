@@ -3,6 +3,8 @@
 import hashlib
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,6 +291,19 @@ class TestLeavesAndTrees:
         )
         assert tree.feature == [-1]
 
+    @pytest.mark.parametrize("tol, splits", [(0.25, False), (0.125, True)])
+    def test_split_must_gain_more_than_the_tolerance(self, monkeypatch, tol, splits):
+        # the one split gains 0.5 ** 2 / 2 + 0 - 0.5 ** 2 / 4 = 0.25 exactly
+        monkeypatch.setattr(gbdt, "GAIN_TOL", tol)
+        tree = fit_regression_tree(
+            np.array([[0.0], [0.0], [1.0], [1.0]]),
+            np.array([0.5, 0.5, 0.0, 0.0]),
+            np.full(4, 0.25),
+            np.arange(4),
+            GBDTParams(min_samples_split=2, max_depth=1),
+        )
+        assert tree.feature.tolist() == ([0, -1, -1] if splits else [-1])
+
 
 def random_tree_case(seed):
     """0/1 columns over duplicated rows.
@@ -382,6 +397,23 @@ class TestWorkBound:
         chunked = train_gbdt(data, params)
         assert model_arrays(chunked) == model_arrays(whole)
         assert np.array_equal(chunked.decision_scores(X), whole_scores)
+
+    def test_huge_max_depth_is_capped(self):
+        # a config may ask for any depth; past depth 20 every class grows its
+        # trees alone, so the trees equal those at 64, and no 10**8-bit power
+        # of two is built on the way
+        X, _, _, _, _ = wide_tree_case(3)
+        labels = [str(v) for v in np.random.default_rng(3).integers(0, 4, len(X))]
+        data = dataset_from(X, labels)
+        params = GBDTParams(n_trees=2, subsample=0.7, min_samples_split=2, max_depth=10**8)
+        tracemalloc.start()
+        try:
+            deep = train_gbdt(data, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+        assert model_arrays(deep) == model_arrays(train_gbdt(data, replace(params, max_depth=64)))
 
 
 class TestCountDraw:

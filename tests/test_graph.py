@@ -89,6 +89,22 @@ class TestGraphConstruction:
         with pytest.raises(DataError, match="not unique"):
             Graph(["a", "a"], [])
 
+    @pytest.mark.parametrize(
+        "i, j, weights",
+        [([0, 1, 2], [3], [1.0] * 3), ([0, 1, 2], [3, 3, 3], [1.0])],
+        ids=["one-endpoint", "one-weight"],
+    )
+    def test_from_arrays_refuses_arrays_of_other_lengths(self, i, j, weights):
+        # numpy would broadcast the one-endpoint case into a star on node 3
+        with pytest.raises(DataError, match=r"equally long, got shapes .*\(1,\)"):
+            Graph.from_arrays(list("abcd"), i, j, weights)
+
+    def test_total_weight_is_a_left_to_right_sum(self, compensated_sum):
+        # ten disjoint edges of weight 0.1; a compensated sum gives m = 1.0
+        labels = [str(v) for v in range(20)]
+        g = Graph.from_arrays(labels, range(0, 20, 2), range(1, 20, 2), [0.1] * 10)
+        assert g.m == 1.0000000000000002
+
     def test_neighbors_sorted(self):
         g = Graph(["a", "b", "c"], [(0, 2, 1.0), (0, 1, 2.0)])
         assert g.adj[0] == [(1, 2.0), (2, 1.0)]

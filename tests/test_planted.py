@@ -66,9 +66,6 @@ class TestSpecValidation:
 
     def test_group_helpers(self):
         spec = PlantedPartitionSpec(n=12, groups=4, p_in=0.9, p_out=0.1)
-        assert spec.group_of(0) == 0
-        assert spec.group_of(2) == 0
-        assert spec.group_of(3) == 1
         assert spec.group_sets() == [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}]
 
     def test_super_groups_pair_consecutive_groups(self):
@@ -111,11 +108,12 @@ class TestGeneration:
         spec = PlantedPartitionSpec(
             n=24, groups=4, p_in=1.0, p_out=0.0, hierarchy=True, p_mid=0.5, seed=3
         )
-        graph, _, _ = generate_planted(spec)
+        graph, truth, _ = generate_planted(spec)
+        group = truth.assignment
         crossing = 0
         for v in range(graph.n):
             for u, _ in graph.adj[v]:
-                if v < u and spec.group_of(v) != spec.group_of(u):
+                if v < u and group[v] != group[u]:
                     crossing += 1
                     assert v // 12 == u // 12  # same super-group
         assert crossing > 0
@@ -148,13 +146,14 @@ class TestGeneration:
     def test_edge_probabilities_land_near_expectation(self):
         # statistical sanity at a fixed seed, generous margins
         spec = PlantedPartitionSpec(n=200, groups=4, p_in=0.4, p_out=0.02, seed=5)
-        graph, _, _ = generate_planted(spec)
+        graph, truth, _ = generate_planted(spec)
+        group = truth.assignment
         within = 0
         cross = 0
         for v in range(graph.n):
             for u, _ in graph.adj[v]:
                 if v < u:
-                    if spec.group_of(v) == spec.group_of(u):
+                    if group[v] == group[u]:
                         within += 1
                     else:
                         cross += 1
