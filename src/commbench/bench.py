@@ -2,16 +2,17 @@
 
 A run is a grid of cells (network x method x attribute). Each cell turns a
 method's cover into binary membership features and scores a boosted-tree
-classifier with stratified cross-validation on one attribute. Failures are
-isolated per cell and logged, never fatal - unless every cell fails. Each
-cell's fold rows are written atomically to a file of their own, and covers
-are persisted per (network, method) the same way, so an interrupted run
-resumes by skipping completed cells (unless forced). A cell file is reused
-only when its rows are exactly the folds the config evaluates, in order;
-otherwise the cell is recomputed. A failed cell or cover leaves no file, so a
-resume computes it again. Every run reads each cover file back and
-computes its statistics and every missing cell from it, so a dataset or
-cover that cannot be read fails all its cells, cached ones too.
+classifier with stratified cross-validation on one attribute. Each cell yields
+exactly one outcome, its fold rows or a failure; failures are logged, never
+fatal - unless every cell fails. Each cell's fold rows are written atomically
+to a file of their own, and covers are persisted per (network, method) the
+same way, so an interrupted run resumes by skipping completed cells (unless
+forced). A cell file is reused only when its rows are exactly the folds the
+config evaluates, in order; otherwise the cell is recomputed. A failed cell or
+cover leaves no file, so a resume computes it again; a cell file that cannot
+be written is a `classify:` failure of its cell. Every run reads each cover
+file back and computes its statistics and every missing cell from it, so a
+dataset or cover that cannot be read fails all its cells, cached ones too.
 The final report is a deterministic fold over the cell rows, so a finished
 output directory is byte-for-byte reproducible from the same config.
 
@@ -396,94 +397,93 @@ def accuracy_histogram(accuracies):
     return dict(sorted(bins.items()))
 
 
-def run_benchmark(config, force=False):
-    """Evaluate the full cell grid; returns the report after writing it out."""
-    out = Path(config.output_dir)
-    for sub in ("cells", "covers", "hist"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-    total_cells = len(config.datasets) * len(config.methods) * len(config.attributes)
-    records = []
-    failures = []
-    stats = {}
-
+def _outcomes(config, out, force, stats):
+    """Yield (cell, fold rows or failure message) per cell in config order; fill stats."""
     for net_name, edge_path, attr_path in config.datasets:
         try:
             graph = load_edge_list(edge_path)
             table = load_attributes(attr_path, graph)
         except (CommbenchError, OSError, ValueError) as exc:
             log.error("dataset %s failed: %s", net_name, exc)
-            failures.extend(
-                (net_name, method.name, attribute, f"dataset: {exc}")
-                for method in config.methods
-                for attribute in config.attributes
-            )
+            for method in config.methods:
+                for attribute in config.attributes:
+                    yield (net_name, method.name, attribute), f"dataset: {exc}"
             continue
         for method in config.methods:
-            cover_path = _cover_path(out, net_name, method.name)
-            try:
-                # fresh or resumed, every cell is built from the cover file
-                if force or not cover_path.exists():
-                    _atomic_write(
-                        cover_path,
-                        f"# cover {method.name} on {net_name}\n"
-                        + serialize_cover(method_cover(graph, method), graph),
-                    )
-                cover = import_cover(cover_path, graph)
-            except (CommbenchError, OSError, ValueError) as exc:
-                log.error("method %s on %s failed: %s", method.name, net_name, exc)
-                _unlink(cover_path)
-                failures.extend(
-                    (net_name, method.name, attribute, f"detect: {exc}")
-                    for attribute in config.attributes
-                )
-                continue
-            stats[(net_name, method.name)] = cover_stats(cover)
-            matrix = None
-            for attribute in config.attributes:
-                cell = (net_name, method.name, attribute)
-                path = _cell_path(out, *cell)
-                if path.exists() and not force:
-                    rows = _read_cell(path)
-                    folds = [(*cell, fold) for fold in range(config.folds_evaluated)]
-                    if [row[:4] for row in rows] == folds:
-                        records.extend(rows)
-                        continue
-                    log.warning(
-                        "%s: recomputing, its rows are not folds 0..%d of this cell",
-                        path,
-                        config.folds_evaluated - 1,
-                    )
-                if matrix is None:
-                    matrix = assignment_matrix(cover)
-                params = replace(config.classifier, seed=cell_seed(config.seed, *cell))
-                try:
-                    # no name holds the dataset, so its features are freed
-                    # before the next method's detector runs
-                    accuracies = cross_validate(
-                        build_dataset(matrix, table, attribute),
-                        params,
-                        k=config.k,
-                        folds_evaluated=config.folds_evaluated,
-                    )
-                except (CommbenchError, ValueError) as exc:
-                    log.error("cell (%s, %s, %s) failed: %s", *cell, exc)
-                    failures.append((*cell, f"classify: {exc}"))
-                    continue
-                rows = [(*cell, fold, acc) for fold, acc in enumerate(accuracies)]
-                _write_csv(path, rows)
-                records.extend(rows)
+            yield from _method_outcomes(config, out, force, stats, net_name, graph, table, method)
 
-    # a resume must not serve a file its cell failed to reproduce
-    for cell in failures:
-        _unlink(_cell_path(out, *cell[:3]))
-    if failures and len(failures) >= total_cells:
-        raise AllCellsFailedError(f"all {total_cells} benchmark cells failed")
+
+def _method_outcomes(config, out, force, stats, net_name, graph, table, method):
+    """One method's outcomes on one network; its cover and matrix are freed on return."""
+    cover_path = _cover_path(out, net_name, method.name)
+    try:
+        # fresh or resumed, every cell is built from the cover file
+        if force or not cover_path.exists():
+            _atomic_write(
+                cover_path,
+                f"# cover {method.name} on {net_name}\n"
+                + serialize_cover(method_cover(graph, method), graph),
+            )
+        cover = import_cover(cover_path, graph)
+    except (CommbenchError, OSError, ValueError) as exc:
+        log.error("method %s on %s failed: %s", method.name, net_name, exc)
+        _unlink(cover_path)
+        for attribute in config.attributes:
+            yield (net_name, method.name, attribute), f"detect: {exc}"
+        return
+    stats[(net_name, method.name)] = cover_stats(cover)
+    matrix = None
+    for attribute in config.attributes:
+        cell = (net_name, method.name, attribute)
+        path = _cell_path(out, *cell)
+        if path.is_file() and not force:
+            rows = _read_cell(path)
+            folds = [(*cell, fold) for fold in range(config.folds_evaluated)]
+            if [row[:4] for row in rows] == folds:
+                yield cell, rows
+                continue
+            log.warning(
+                "%s: recomputing, its rows are not folds 0..%d of this cell",
+                path,
+                config.folds_evaluated - 1,
+            )
+        if matrix is None:
+            matrix = assignment_matrix(cover)
+        params = replace(config.classifier, seed=cell_seed(config.seed, *cell))
+        try:
+            accuracies = cross_validate(
+                build_dataset(matrix, table, attribute),
+                params,
+                k=config.k,
+                folds_evaluated=config.folds_evaluated,
+            )
+            rows = [(*cell, fold, acc) for fold, acc in enumerate(accuracies)]
+            _write_csv(path, rows)
+        except (CommbenchError, OSError, ValueError) as exc:
+            log.error("cell (%s, %s, %s) failed: %s", *cell, exc)
+            yield cell, f"classify: {exc}"
+            continue
+        yield cell, rows
+
+
+def run_benchmark(config, force=False):
+    """Evaluate the full cell grid; returns the report after writing it out."""
+    out = Path(config.output_dir)
+    for sub in ("cells", "covers", "hist"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    records = []
+    failures = []
+    stats = {}
+    for cell, outcome in _outcomes(config, out, force, stats):
+        if isinstance(outcome, str):
+            # a resume must not serve a file its cell failed to reproduce
+            _unlink(_cell_path(out, *cell))
+            failures.append((*cell, outcome))
+        else:
+            records.extend(outcome)
+    if failures and not records:
+        raise AllCellsFailedError(f"all {len(failures)} benchmark cells failed")
     records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    expected = config.folds_evaluated * (total_cells - len(failures))
-    if len(records) != expected:
-        raise CommbenchError(
-            f"record count {len(records)} does not match expected {expected}"
-        )
     summary = {}
     histograms = {}
     by_pair = {}

@@ -143,7 +143,14 @@ class Graph:
 
     def __init__(self, labels, edges, allow_self_loops=False):
         """Build a graph from dense-index edge triples ``(i, j, weight)``."""
-        i, j, weights = tuple(zip(*edges)) or ((), (), ())
+        triples = []
+        for index, edge in enumerate(edges):
+            try:
+                i, j, weight = edge
+            except (TypeError, ValueError):
+                raise DataError(f"edge {index} is not an (i, j, weight) triple: {edge!r}") from None
+            triples.append((i, j, weight))
+        i, j, weights = tuple(zip(*triples)) or ((), (), ())
         self._check_and_store(labels, i, j, weights, allow_self_loops)
 
     @classmethod

@@ -50,6 +50,21 @@ def write_config(tmp_path, text, name="bench.cfg"):
     return path
 
 
+def assert_one_outcome_per_cell(config, report):
+    """Every grid cell has folds_evaluated records or one failure, never both."""
+    records = Counter(r[:3] for r in report.records)
+    failures = Counter(f[:3] for f in report.failures)
+    grid = [
+        (network, method.name, attribute)
+        for network, _, _ in config.datasets
+        for method in config.methods
+        for attribute in config.attributes
+    ]
+    assert set(records) | set(failures) == set(grid)
+    for cell in grid:
+        assert (records[cell], failures[cell]) in {(config.folds_evaluated, 0), (0, 1)}, cell
+
+
 def two_clique_dataset(tmp_path):
     """Two 12-cliques joined by one bridge; 'block' names the clique.
 
@@ -546,13 +561,22 @@ class TestRunBenchmark:
             tmp_path / "fresh" / "report.csv"
         ).read_bytes()
 
-    def test_failed_cover_write_is_a_detect_failure(self, tmp_path):
-        # a directory squats on the cover file name, so writing it fails
-        (tmp_path / "out" / "covers" / "twoclique__blocked.txt").mkdir(parents=True)
+    @pytest.mark.parametrize("force", [True, False], ids=["forced", "resumed"])
+    @pytest.mark.parametrize(
+        "squatted, stage",
+        [
+            ("covers/twoclique__blocked.txt", "detect:"),
+            ("cells/twoclique__blocked__block.csv", "classify:"),
+        ],
+        ids=["cover", "cell"],
+    )
+    def test_unwritable_file_fails_its_cells(self, tmp_path, squatted, stage, force):
+        # a directory squats on the file name, so writing it fails
+        (tmp_path / "out" / squatted).mkdir(parents=True)
         extra = "method louvain blocked t=1.0\n"
-        _, report = self.run(tmp_path, "out", extra=extra, force=True)
+        _, report = self.run(tmp_path, "out", extra=extra, force=force)
         assert [f[:3] for f in report.failures] == [("twoclique", "blocked", "block")]
-        assert report.failures[0][3].startswith("detect:")
+        assert report.failures[0][3].startswith(stage)
         assert report.summary[("flat", "block")][0] == 1.0
         assert not list((tmp_path / "out").rglob("*.tmp"))
 
@@ -583,6 +607,7 @@ class TestRunBenchmark:
         ]
         for force in (True, False):
             report = run_benchmark(config, force=force)
+            assert_one_outcome_per_cell(config, report)
             assert sorted(f[:3] for f in report.failures) == failed
             assert list(report.summary) == [("flat", "block")]
         out = tmp_path / "out"
@@ -687,6 +712,7 @@ class TestRunBenchmark:
         run_benchmark(config)
         other.unlink()
         report = run_benchmark(config)
+        assert_one_outcome_per_cell(config, report)
         lost = [("other", "flat", "block"), ("other", "flat", "parity")]
         assert [f[:3] for f in report.failures] == lost
         failures = [line.split("\t") for line in (out / "failures.tsv").read_text().splitlines()]

@@ -99,6 +99,19 @@ class TestGraphConstruction:
         with pytest.raises(DataError, match=r"equally long, got shapes .*\(1,\)"):
             Graph.from_arrays(list("abcd"), i, j, weights)
 
+    @pytest.mark.parametrize(
+        "edges, bad",
+        [
+            ([(0, 1, 2.0, 7), (1, 2, 1.0)], r"edge 0 .*: \(0, 1, 2\.0, 7\)"),
+            ([(0, 1, 2.0), (1, 2)], r"edge 1 .*: \(1, 2\)"),
+        ],
+        ids=["four-field", "two-field"],
+    )
+    def test_edge_that_is_not_a_triple_is_refused(self, edges, bad):
+        # zip(*edges) would silently cut the four-field edge down to a triple
+        with pytest.raises(DataError, match=f"{bad}$"):
+            Graph(list("abc"), edges)
+
     def test_total_weight_is_a_left_to_right_sum(self, compensated_sum):
         # ten disjoint edges of weight 0.1; a compensated sum gives m = 1.0
         labels = [str(v) for v in range(20)]
