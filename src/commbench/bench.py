@@ -18,7 +18,10 @@ output directory is byte-for-byte reproducible from the same config.
 
 Cells are evaluated one after another in configuration order. The `jobs`
 directive is still accepted so older configs parse, but it is ignored:
-threads made the interpreter-bound training slower, not faster.
+threads made the interpreter-bound training slower, not faster. The one
+fan-out is inside a Louvain sweep, which runs its Markov times in forked
+workers, one per usable CPU, with covers identical to a serial run's; every
+worker has ended before the sweep returns.
 """
 
 from __future__ import annotations
@@ -283,15 +286,10 @@ def method_cover(graph, method):
             raise ConfigError(f"unknown method kind {method.kind!r}")
         name, spec, is_sweep = detector
         flags = {flag: opts[flag] for flag in spec.flags}
-        if not is_sweep:
-            cover = detect_cover(graph, name, opts[spec.key], **flags)
+        if is_sweep:
+            cover = combine_runs(spec.sweep(graph, opts[spec.sweep_key], **flags))
         else:
-            grid = opts[spec.sweep_key]
-            if spec.sweep is not None:
-                covers = spec.sweep(graph, grid)
-            else:
-                covers = [detect_cover(graph, name, value, **flags) for value in grid]
-            cover = combine_runs(covers)
+            cover = detect_cover(graph, name, opts[spec.key], **flags)
     if opts.get("dedup"):
         cover = dedup(cover)
     return cover
@@ -418,7 +416,7 @@ def _method_outcomes(config, out, force, stats, net_name, graph, table, method):
     cover_path = _cover_path(out, net_name, method.name)
     try:
         # fresh or resumed, every cell is built from the cover file
-        if force or not cover_path.exists():
+        if force or not cover_path.is_file():
             _atomic_write(
                 cover_path,
                 f"# cover {method.name} on {net_name}\n"

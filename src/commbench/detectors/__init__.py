@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from ..covers import Cover
 from ..errors import ConfigError
 from .gce import _check_alpha, gce_sweep
 from .linkclust import (
@@ -21,7 +20,7 @@ from .linkclust import (
     link_clustering,
     sweep_link_dendrogram,
 )
-from .louvain import _check_markov_time, louvain
+from .louvain import _check_markov_time, louvain_sweep
 
 __all__ = [
     "DETECTORS",
@@ -41,15 +40,15 @@ class DetectorKind:
     parsed with `type`, checked by `check` (which raises ValueError outside
     the valid range), and is `default` when not given; the `<name>-sweep`
     method kind runs a grid of values (config key `sweep_key`, default
-    `grid`). `sweep(graph, values)` shares work across the grid and returns
-    one cover per value, in grid order: GCE enumerates the cliques once, link
-    clustering builds one dendrogram up to the largest threshold and walks its
-    merges once; `detect_cover` runs one value as a sweep of that value. A
-    sweep takes no flags. A kind without a sweep (Louvain) has
-    `run(graph, value, **flags)` instead, one cover for one value, and its
-    sweep is one `detect_cover` per value. `flags` maps each boolean option
-    to its help text. Detection is deterministic by construction (fixed scan
-    orders and tie-breaks), so no detector takes a seed.
+    `grid`). `sweep(graph, values, **flags)` returns one cover per value, in
+    grid order, and `detect_cover` runs one value as a sweep of that value.
+    GCE enumerates the cliques once and link clustering builds one dendrogram
+    up to the largest threshold and walks its merges once; Louvain's runs
+    share no work, so with two or more values it runs them in forked workers,
+    one per usable CPU, with the covers a serial run gives. `flags` maps each
+    boolean option to its help text. Detection is deterministic by
+    construction (fixed scan orders and tie-breaks), so no detector takes a
+    seed.
     """
 
     key: str
@@ -59,16 +58,8 @@ class DetectorKind:
     default: object
     sweep_key: str
     grid: tuple
+    sweep: Callable
     flags: dict = field(default_factory=dict)
-    sweep: Callable | None = None
-    run: Callable | None = None
-
-
-def _louvain_cover(graph, t, multi_level=False):
-    """The final level's communities, or with multi_level every level's."""
-    levels = louvain(graph, t)
-    chosen = levels if multi_level else levels[-1:]
-    return Cover(graph.n, (c for p in chosen for c in p.communities()))
 
 
 def _link_covers(graph, thresholds):
@@ -89,8 +80,8 @@ DETECTORS = {
         default=1.0,
         sweep_key="ts",
         grid=tuple(i / 10 for i in range(1, 11)),
+        sweep=louvain_sweep,
         flags={"multi_level": "keep every aggregation level as a community"},
-        run=_louvain_cover,
     ),
     "gce": DetectorKind(
         key="alpha",
@@ -128,6 +119,4 @@ def detect_cover(graph, method, value, **flags):
     for flag in flags:
         if flag not in kind.flags:
             raise ConfigError(f"detector {method!r} takes no flag {flag!r}")
-    if kind.run is None:
-        return kind.sweep(graph, [value])[0]
-    return kind.run(graph, value, **flags)
+    return kind.sweep(graph, [value], **flags)[0]

@@ -36,19 +36,34 @@ A scan sums i's edge weight per neighbouring community over the graph's
 is 1.0 it counts the neighbours' communities instead, in C with the helper
 ``collections.Counter`` uses; integer counts are the same values as those
 sums of ones, so both paths move the same nodes.
+
+A sweep over Markov times (``louvain_sweep``) makes one independent run per
+value and shares no work between them. With two or more values and two or
+more CPUs the process may run on, it forks one worker per usable CPU (at most
+one per value); the workers take values one at a time as they come free and
+send back the chosen levels, from which the parent builds the covers in grid
+order. Each run is deterministic, so the covers are the ones a serial sweep
+gives, byte for byte. With one value or one CPU nothing is forked.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import signal
 from collections import _count_elements
 
-from ..covers import Partition
+from ..covers import Cover, Partition
 from ..errors import DataError
 from ..graph import build_meta_graph
 
 INF = float("inf")
 # rounding slack of the skip test per unit of n * sweep^2 * k_i (see above)
 SKIP_ULPS = 2.0**-46
+# bytes of a task (a value's index) and of a result's length prefix
+_TASK = 4
+_LENGTH = 8
 
 
 def _check_markov_time(t):
@@ -174,3 +189,122 @@ def louvain(graph, t):
             break
         current = build_meta_graph(current, level.communities())
     return levels
+
+
+def louvain_sweep(graph, ts, multi_level=False):
+    """One cover per Markov time in ts, in grid order.
+
+    A cover holds the final level's communities, or with multi_level every
+    level's, coarsest last. The runs go to forked workers as the module
+    docstring describes; the covers do not depend on whether they did.
+    """
+    ts = list(ts)
+    for t in ts:
+        _check_markov_time(t)
+
+    def chosen_levels(t):
+        levels = louvain(graph, t)
+        return levels if multi_level else levels[-1:]
+
+    workers = min(len(ts), _usable_cpus())
+    if workers > 1:
+        graph.neighbour_lists()  # built once, before the fork, for every worker
+        chosen = _forked_map(chosen_levels, ts, workers)
+    else:
+        chosen = map(chosen_levels, ts)
+    return [Cover(graph.n, (c for p in levels for c in p.communities())) for levels in chosen]
+
+
+def _usable_cpus():
+    """CPUs this process may run on; 1 where the platform cannot say, so sweeps stay serial."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _forked_map(fn, values, workers):
+    """``[fn(v) for v in values]``, computed by `workers` forked processes.
+
+    Each worker reads the index of its next value from a task pipe of its own
+    and writes back the pickled ``(ok, result or exception)``, prefixed by its
+    length, on a result pipe of its own; the next index goes to whichever
+    worker answers first. A worker's exception is raised here, and a worker
+    that ends without an answer is a ChildProcessError. Every worker is
+    killed and reaped before this returns or raises.
+    """
+    results = [None] * len(values)
+    todo = iter(range(len(values)))
+    pids = []
+    fds = []  # the pipe ends this process holds
+    busy = {}  # result fd -> (task fd, index of the value under way)
+    poller = select.poll()
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            fds += (task_r, task_w, result_r, result_w)
+            pid = os.fork()
+            if pid == 0:
+                _serve(fn, values, task_r, result_w, fds)
+            pids.append(pid)
+            for fd in (task_r, result_w):
+                fds.remove(fd)
+                os.close(fd)
+            index = next(todo)
+            os.write(task_w, index.to_bytes(_TASK, "little"))
+            busy[result_r] = task_w, index
+            poller.register(result_r, select.POLLIN)
+        while busy:
+            for fd, _ in poller.poll():
+                task_w, index = busy.pop(fd)
+                size = int.from_bytes(_read(fd, _LENGTH), "little")
+                ok, value = pickle.loads(_read(fd, size))
+                if not ok:
+                    raise value
+                results[index] = value
+                index = next(todo, None)
+                if index is None:
+                    poller.unregister(fd)
+                else:
+                    os.write(task_w, index.to_bytes(_TASK, "little"))
+                    busy[fd] = task_w, index
+        return results
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, values, tasks, results, inherited):
+    """A worker's loop: answer every index read from tasks, then exit; never returns."""
+    status = 1
+    try:
+        for fd in inherited:
+            if fd not in (tasks, results):
+                os.close(fd)
+        while index := os.read(tasks, _TASK):
+            try:
+                answer = True, fn(values[int.from_bytes(index, "little")])
+            except Exception as exc:
+                answer = False, exc
+            message = pickle.dumps(answer, pickle.HIGHEST_PROTOCOL)
+            view = memoryview(len(message).to_bytes(_LENGTH, "little") + message)
+            while view:
+                view = view[os.write(results, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read(fd, size):
+    """Exactly size bytes from fd; ChildProcessError when the writer ends first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise ChildProcessError("a Louvain worker ended without an answer")
+        data += chunk
+    return data

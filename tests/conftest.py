@@ -1,8 +1,10 @@
 """Shared fixtures: micro graphs, planted-fixture specs, random generators."""
 
 import builtins
+import contextlib
 import importlib
 import math
+import os
 import random
 from itertools import accumulate, combinations
 
@@ -248,6 +250,32 @@ SCALE = PlantedPartitionSpec(n=10000, groups=50, p_in=0.07, p_out=0.0006, seed=7
 
 def four_group_spec(seed):
     return PlantedPartitionSpec(seed=seed, **FOUR_GROUP)
+
+
+def _children():
+    """Pids of this process's children, unreaped ones included (Linux's /proc)."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        with contextlib.suppress(FileNotFoundError):  # a thread that has ended
+            with open(f"/proc/self/task/{task}/children", encoding="ascii") as fh:
+                pids.update(map(int, fh.read().split()))
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped.
+
+    A platform without the /proc record of children goes unchecked.
+    """
+    if not os.path.exists(f"/proc/self/task/{os.getpid()}/children"):
+        yield
+        return
+    before = _children()
+    yield
+    left = _children() - before
+    if left:
+        pytest.fail(f"the test left child processes {sorted(left)}")
 
 
 @pytest.fixture

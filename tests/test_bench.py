@@ -33,6 +33,8 @@ from commbench import (
 from commbench.bench import LOUVAIN_GRID, _cell_path, _cover_path, cell_seed
 from commbench.cli import build_parser
 from commbench.detectors import DETECTORS
+from commbench.detectors import louvain as louvain_module
+from commbench.detectors.louvain import louvain
 from conftest import random_cover_communities
 from oracles import best_match_oracle
 
@@ -327,9 +329,9 @@ class TestDetectorTable:
         spec = PlantedPartitionSpec(n=60, groups=3, p_in=0.5, p_out=0.05, seed=1)
         graph, _, _ = generate_planted(spec)
         kind = DETECTORS[name]
-        run = kind.run or (lambda graph, value: kind.sweep(graph, [value])[0])
-        at_value = run(graph, kind.grid[0]).communities
-        assert at_value != run(graph, kind.default).communities
+        covers = kind.sweep(graph, [kind.grid[0], kind.default])
+        at_value, at_default = (cover.communities for cover in covers)
+        assert at_value != at_default
         assert detect_cover(graph, name, kind.grid[0]).communities == at_value
 
     def test_detect_cover_refuses_flags_it_does_not_take(self, barbell6, name):
@@ -560,6 +562,42 @@ class TestRunBenchmark:
         assert (tmp_path / "out" / "report.csv").read_bytes() == (
             tmp_path / "fresh" / "report.csv"
         ).read_bytes()
+
+    def test_failed_louvain_sweep_run_fails_its_cells(self, tmp_path, monkeypatch):
+        # a run that raises in a sweep's worker fails that method's cells only
+        def failing(graph, t):
+            if t == 0.5:
+                raise DataError(f"no levels at t={t}")
+            return louvain(graph, t)
+
+        monkeypatch.setattr(louvain_module, "louvain", failing)
+        config, report = self.run(tmp_path, "out", extra="method louvain-sweep ls ts=0.5,1.0\n")
+        assert report.failures == [("twoclique", "ls", "block", "detect: no levels at t=0.5")]
+        assert_one_outcome_per_cell(config, report)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_at_a_cover_path_is_replaced_not_read(self, tmp_path):
+        # reading a FIFO nothing writes to waits forever, so the run goes in a
+        # subprocess that a regression makes time out rather than hang the suite
+        self.run(tmp_path, "fresh")
+        _, edge_path, attr_path = two_clique_dataset(tmp_path)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, bench_config_text(edge_path, attr_path, out))
+        cover_path = out / "covers" / "twoclique__flat.txt"
+        cover_path.parent.mkdir(parents=True)
+        os.mkfifo(cover_path)
+        package_root = str(Path(commbench.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "commbench.cli", "bench", str(config)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert cover_path.is_file()
+        for name in ("covers/twoclique__flat.txt", "report.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
     @pytest.mark.parametrize("force", [True, False], ids=["forced", "resumed"])
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Louvain behavior: optimality on micro graphs, determinism, level structure."""
 
+import os
 import random
+import time
 
 import pytest
 
@@ -14,7 +16,15 @@ from commbench import (
     generate_planted,
     parameterized_modularity,
 )
-from commbench.detectors.louvain import _one_level, louvain
+from commbench.bench import LOUVAIN_GRID
+from commbench.detectors import louvain as louvain_module
+from commbench.detectors.louvain import (
+    _forked_map,
+    _one_level,
+    _usable_cpus,
+    louvain,
+    louvain_sweep,
+)
 from conftest import (
     MICRO_GRAPHS,
     CountingList,
@@ -189,3 +199,87 @@ class TestMovePhaseMatchesOracle:
                 if not moved:
                     break
                 current = build_meta_graph(current, Partition(assignment).communities())
+
+
+def serial_communities(graph, t, multi_level):
+    """A cover's communities at t, from one in-process louvain run."""
+    levels = louvain(graph, t)
+    chosen = levels if multi_level else levels[-1:]
+    return list(dict.fromkeys(frozenset(c) for p in chosen for c in p.communities()))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to this process during the test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+class TestSweep:
+    GRAPH = generate_planted(
+        PlantedPartitionSpec(n=200, groups=8, p_in=0.3, p_out=0.02, seed=2)
+    )[0]
+
+    @pytest.mark.parametrize("multi_level", [False, True])
+    def test_covers_are_the_serial_runs(self, multi_level):
+        covers = louvain_sweep(self.GRAPH, LOUVAIN_GRID, multi_level=multi_level)
+        want = [serial_communities(self.GRAPH, t, multi_level) for t in LOUVAIN_GRID]
+        assert [cover.communities for cover in covers] == want
+        if multi_level:
+            assert any(len(louvain(self.GRAPH, t)) > 1 for t in LOUVAIN_GRID)
+
+    def test_workers_fork_when_two_cpus_are_usable(self, forks):
+        cpus = _usable_cpus()
+        if cpus < 2:
+            pytest.skip("the sweep forks only with two or more usable CPUs")
+        covers = louvain_sweep(self.GRAPH, LOUVAIN_GRID)
+        assert len(forks) == min(cpus, len(LOUVAIN_GRID))
+        want = [serial_communities(self.GRAPH, t, False) for t in LOUVAIN_GRID]
+        assert [cover.communities for cover in covers] == want
+
+    def test_one_cpu_starts_no_process(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        covers = louvain_sweep(self.GRAPH, LOUVAIN_GRID)
+        assert forks == []
+        want = [serial_communities(self.GRAPH, t, False) for t in LOUVAIN_GRID]
+        assert [cover.communities for cover in covers] == want
+
+    def test_one_value_starts_no_process(self, forks):
+        cover = detect_cover(self.GRAPH, "louvain", 0.5, multi_level=True)
+        assert forks == []
+        assert cover.communities == serial_communities(self.GRAPH, 0.5, True)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        def failing(graph, t):
+            if t == LOUVAIN_GRID[2]:
+                raise DataError(f"no levels at t={t}")
+            return louvain(graph, t)
+
+        monkeypatch.setattr(louvain_module, "louvain", failing)
+        with pytest.raises(DataError) as info:
+            louvain_sweep(self.GRAPH, LOUVAIN_GRID)
+        assert info.type is DataError
+        assert str(info.value) == f"no levels at t={LOUVAIN_GRID[2]}"
+
+    def test_values_go_to_whichever_worker_is_free(self):
+        # while one worker sleeps on the first value, the other takes the rest
+        def pid_after(seconds):
+            time.sleep(seconds)
+            return os.getpid()
+
+        pids = _forked_map(pid_after, [0.5, 0, 0, 0, 0], 2)
+        assert len(set(pids[1:])) == 1
+        assert os.getpid() != pids[0] != pids[1] != os.getpid()
+
+    def test_a_worker_that_dies_is_an_error(self):
+        with pytest.raises(ChildProcessError, match="ended without an answer"):
+            _forked_map(lambda v: os._exit(3) if v == 2 else v, [1, 2, 3], 2)
